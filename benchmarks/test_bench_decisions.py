@@ -11,13 +11,14 @@ by copying the current file after an intentional perf change.
   scheduler interrogation mix (crossing lookups + window aggregates) on a
   month-long trace through both the compiled plan and the ``naive_*``
   oracles, asserting the >= 3x acceptance-criterion speedup.
-* ``test_bench_batch_sweep_64_shm_vs_grouped`` times a 64-run policy
-  sweep (32 proactive variants x 2 seeds) at ``jobs=4`` with the
-  shared-memory plan on and off — the win comes from per-run fan-out: the
-  grouped fallback can only parallelise as wide as the number of distinct
-  catalogs (2 here). The parallel-speedup entry is only recorded on boxes
-  with real cores; a 1-core container degenerates to serial-plus-overhead
-  and its ratio would gate nothing meaningful.
+* ``test_bench_batch_sweep_64_jobs4`` times a 64-run policy sweep
+  (32 proactive variants x 2 seeds) serially and at ``jobs=4``. Both go
+  through the same unit pipeline, so the pool run must return the serial
+  results and clone exactly as many runs; the sweep's 2 catalogs make
+  2 units, so the pool is at most 2 wide here. The parallel-speedup entry
+  is only recorded on boxes with real cores; a 1-core container
+  degenerates to serial-plus-overhead and its ratio would gate nothing
+  meaningful.
 * ``test_bench_batch_sweep_64_vector_vs_event`` times the same 64-run
   sweep serially through both execution engines and asserts the vector
   engine's speedup; ``test_bench_frontier_sweep_10k`` scales it to a
@@ -34,7 +35,6 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding
 from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
-from repro.runtime.shm import SHM_ENV_VAR, shm_available
 from repro.traces.calibration import calibration_for
 from repro.traces.catalog import MarketKey
 from repro.traces.generator import generate_trace
@@ -132,69 +132,47 @@ def sweep_runs():
 
 
 @pytest.mark.benchmark(group="batch-sweep")
-@pytest.mark.skipif(not shm_available(), reason="no usable shared memory")
-def test_bench_batch_sweep_64_shm_vs_grouped():
-    """Per-run shm fan-out beats catalog-grouped fan-out wall-clock.
+def test_bench_batch_sweep_64_jobs4():
+    """The 64-run sweep at ``jobs=4`` equals the serial batch.
 
-    The win is parallel *width*: the 64 runs here share only 2 catalog
-    keys, so the grouped fallback can never use more than 2 workers while
-    the shm plan fans all 64 runs across ``jobs``. Expressing that as
-    wall-clock requires actual cores — on a single-core box every mode
-    degenerates to serial-plus-overhead, so there the assertion relaxes
-    to a parity guard (shm must not be meaningfully slower than grouped).
+    One pipeline serves every ``jobs`` value: each catalog's runs form
+    one unit that plans dedupe and fusion the same way in a worker as
+    in-process. So the pool batch must return the serial results and
+    clone exactly as many runs. Its wall-clock is pool dispatch plus the
+    slower of the 2 units; the ratio to serial is recorded only on boxes
+    with more than 2 cores.
     """
     runs = sweep_runs()
     assert len(runs) == 64
     cache = TraceCatalogCache()
     jobs = 4
 
-    def timed_batch(disable_shm: bool):
-        prior = os.environ.get(SHM_ENV_VAR)
-        if disable_shm:
-            os.environ[SHM_ENV_VAR] = "0"
-        try:
-            # Warm the pool and both seeds' catalogs (parent and worker side).
-            run_batch(runs[:2] + runs[32:34], jobs=jobs, cache=cache)
-            t0 = time.perf_counter()
-            batch = run_batch(runs, jobs=jobs, cache=cache)
-            return time.perf_counter() - t0, batch
-        finally:
-            if prior is None:
-                os.environ.pop(SHM_ENV_VAR, None)
-            else:
-                os.environ[SHM_ENV_VAR] = prior
-
-    run_batch(runs, jobs=1, cache=cache)  # warm the serial path too
+    run_batch(runs, jobs=1, cache=cache)  # warm the serial path
     t0 = time.perf_counter()
     serial = run_batch(runs, jobs=1, cache=cache)
     serial_s = time.perf_counter() - t0
-    grouped_s, grouped = timed_batch(disable_shm=True)
-    shm_s, shm = timed_batch(disable_shm=False)
-    assert list(shm.results) == list(grouped.results) == list(serial.results)
-    assert shm.telemetry.shm_catalogs == 2 and grouped.telemetry.shm_catalogs == 0
-    speedup = grouped_s / shm_s
+    # Warm the pool and both seeds' catalogs in the workers.
+    run_batch(runs[:2] + runs[32:34], jobs=jobs, cache=cache)
+    t0 = time.perf_counter()
+    pooled = run_batch(runs, jobs=jobs, cache=cache)
+    pooled_s = time.perf_counter() - t0
+    assert list(pooled.results) == list(serial.results)
+    assert pooled.telemetry.deduped_runs == serial.telemetry.deduped_runs
     cores = os.cpu_count() or 1
     entries = dict(
         batch_sweep_64_serial_s={"value": serial_s, "unit": "s"},
-        batch_sweep_64_shm_s={"value": shm_s, "unit": "s"},
-        batch_sweep_64_grouped_s={"value": grouped_s, "unit": "s"},
+        batch_sweep_64_jobs4_s={"value": pooled_s, "unit": "s"},
     )
     if cores > 2:
         # A parallel "speedup" measured on a 1- or 2-core box is pool
         # overhead, not fan-out width — recording it would gate noise
         # (entry 1 recorded a misleading 0.92x exactly this way).
-        entries["batch_sweep_64_speedup_x"] = {"value": speedup, "unit": "x"}
+        entries["batch_sweep_64_speedup_x"] = {"value": serial_s / pooled_s, "unit": "x"}
     record(**entries)
     print(
-        f"\n64-run sweep @ jobs={jobs} ({cores} cores): serial {serial_s:.3f}s, "
-        f"shm {shm_s:.3f}s, grouped {grouped_s:.3f}s, {speedup:.2f}x"
+        f"\n64-run sweep ({cores} cores): serial {serial_s:.3f}s, "
+        f"jobs={jobs} {pooled_s:.3f}s ({serial.telemetry.deduped_runs} deduped at both)"
     )
-    if cores > 2:
-        assert shm_s < grouped_s, f"shm fan-out slower: {shm_s:.3f}s vs {grouped_s:.3f}s"
-    else:
-        assert shm_s <= grouped_s * 1.25, (
-            f"shm fan-out regressed even single-core: {shm_s:.3f}s vs {grouped_s:.3f}s"
-        )
 
 
 # --------------------------------------------------- vector engine sweeps

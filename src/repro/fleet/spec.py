@@ -13,12 +13,12 @@ market" means: every service's run resolves the **identical** seeded
 trace catalog. :meth:`FleetSpec.run_specs` therefore pins every
 per-service :class:`~repro.runtime.RunSpec` to the fleet's seed, horizon,
 regions, and sizes — the runtime's catalog cache then serves one catalog
-to all N runs (one generation, shared-memory fan-out), and a price spike
+to all N runs (one generation per process), and a price spike
 revokes every tenant bidding in that market at the same simulated
 instant. Heterogeneity lives entirely in the fields *outside* the
 catalog key: strategy, bidding, mechanism, startup jitter, disk
 footprint, label. Two services with identical configurations are exact
-twins by construction — the serial executor's dynamics-signature dedupe
+twins by construction — the executor's dynamics-signature dedupe
 collapses them into one simulation, which is a feature, not a bug.
 
 Churn

@@ -5,13 +5,13 @@ Every paper table/figure is a fan-out of the same scheduler over many
 variant into a pickleable :class:`RunSpec`, a set of them into a
 :class:`BatchSpec`, and executes batches through :func:`run_batch` — serially
 by default (byte-for-byte reproducible ordering), or across worker processes
-with ``jobs > 1``. A per-process :class:`TraceCatalogCache` guarantees that
-N policies evaluated on one seed pay for a single trace-catalog build, the
-shared-memory plan (:mod:`repro.runtime.shm`) publishes each catalog's trace
-arrays once per batch so pool workers rehydrate zero-copy views instead of
-unpickling catalogs, and
-:class:`RunTelemetry` / :class:`BatchTelemetry` records surface wall-clock,
-events-processed, and cache-hit counters in experiment reports.
+with ``jobs > 1``; either way one pipeline runs each catalog unit of a batch
+through the same dedupe/fusion loop, in-process or in a pool worker. A
+per-process :class:`TraceCatalogCache` guarantees that N policies evaluated
+on one seed pay for a single trace-catalog build in each process — pool
+workers keep theirs warm across batches, so no catalog is ever shipped —
+and :class:`RunTelemetry` / :class:`BatchTelemetry` records surface
+wall-clock, events-processed, and cache-hit counters in experiment reports.
 """
 
 from repro.runtime.cache import CatalogKey, TraceCatalogCache, shared_catalog_cache
@@ -23,13 +23,6 @@ from repro.runtime.ledger import (
     LedgerState,
     RunLedger,
     resolve_ledger_path,
-)
-from repro.runtime.shm import (
-    CatalogPlan,
-    attach_catalog,
-    publish_catalog,
-    release_segment,
-    shm_available,
 )
 from repro.runtime.spec import (
     BatchSpec,
@@ -53,7 +46,6 @@ __all__ = [
     "BatchTelemetry",
     "ENGINE_KINDS",
     "CatalogKey",
-    "CatalogPlan",
     "LEDGER_VERSION",
     "LedgerRecord",
     "LedgerState",
@@ -63,16 +55,12 @@ __all__ = [
     "StrategySpec",
     "TelemetryCollector",
     "TraceCatalogCache",
-    "attach_catalog",
     "batch_fingerprint",
     "collect_telemetry",
-    "publish_catalog",
     "register_strategy_kind",
-    "release_segment",
     "resolve_ledger_path",
     "run_batch",
     "shared_catalog_cache",
-    "shm_available",
     "spec_fingerprint",
     "strategy_kinds",
 ]

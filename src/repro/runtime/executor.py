@@ -4,38 +4,54 @@
 and returns results **in submission order**, whatever the worker count —
 ``jobs=4`` is field-for-field identical to ``jobs=1`` because every run is
 fully determined by its spec (seed-derived RNG, deterministic catalog
-generation). Parallel execution groups runs by catalog key so each worker
-builds a given seed's catalog at most once, and non-portable runs (legacy
-closure factories) transparently fall back to in-process execution.
+generation).
+
+Every batch, at every ``jobs`` value and with or without a ledger, takes
+one path:
+
+1. **Route** each pending run to an engine in the parent.
+2. **Partition** the pending runs into *units*: all vector-routed runs
+   sharing one catalog key form one unit; every other run (event-routed,
+   faulted, trace-capturing, without a catalog key) is a unit of its own.
+3. **Execute** each unit through one loop (``_run_unit``) that plans
+   dedupe and fusion, clones twins and retries crashed runs. With
+   ``jobs == 1`` the parent runs every unit; with ``jobs > 1`` portable
+   units go to the worker pool whole, and units holding a non-portable
+   run (a legacy closure factory) stay in-process, as does a batch with
+   a single pending run. Workers resolve
+   catalogs through their own process cache, so no catalog is shipped.
+4. **Complete** each slot in the parent — clones included — journaling
+   it to the ledger before reporting progress.
 
 Engine routing (``engine=``): ``"auto"`` runs a spec on the vectorized
 batch engine exactly when it is eligible — vectorizable strategy and
-bidding policy, no fault plan, no trace capture, no run ledger — and on
-the per-event engine otherwise; results are bit-identical either way, the
-vector engine just skips the no-action boundary machinery. ``"event"``
-forces the per-event engine; ``"vector"`` requests the vector engine for
-every run best-effort (a run whose configuration cannot be batched still
-degrades to per-event inside the scheduler). A batch with a ``ledger``
-always runs per-event so journal replays stay comparable across versions.
-Which engine actually ran each spec is reported as
+bidding policy, no fault plan, no trace capture — and on the per-event
+engine otherwise; results are bit-identical either way, the vector
+engine just skips the no-action boundary machinery. ``"event"`` forces
+the per-event engine; ``"vector"`` requests the vector engine for every
+run best-effort (a run whose configuration cannot be batched still
+degrades to per-event inside the scheduler). A ledger never changes the
+routing. Which engine actually ran each spec is reported as
 :attr:`~repro.runtime.telemetry.RunTelemetry.engine_kind`.
 
-On the serial path, vector-routed runs are additionally *deduplicated*:
-two specs whose catalogs, strategies, seeds and bidding **dynamics** are
-identical (e.g. proactive bids that all clamp at the provider's cap)
-drive byte-identical simulations, so the executor runs one representative
-and clones its result for the twins — reported as ``deduped_runs``.
+Inside a unit, vector-routed runs are *deduplicated*: two specs whose
+catalogs, strategies, seeds and bidding **dynamics** are identical (e.g.
+proactive bids that all clamp at the provider's cap) drive byte-identical
+simulations, so the executor runs one representative and clones its
+result for the twins — reported as ``deduped_runs``.
 
-Under ``"auto"`` (and the explicit ``"fused"`` selector) the serial path
-goes one step further and *fuses* the runs that do execute: dedupe keys
-are capability-projected (:func:`repro.runtime.fused.fused_dedupe_key` —
+Under ``"auto"`` (and the explicit ``"fused"`` selector) a unit goes one
+step further and *fuses* the runs that do execute: dedupe keys are
+capability-projected (:func:`repro.runtime.fused.fused_dedupe_key` —
 parameters a strategy provably never reads are dropped, collapsing more
-twins), and the surviving vector-routed runs of each catalog group share
-one :class:`~repro.runtime.fused.FusedScanContext`, so every boundary
-scan window over a given trace timeline is materialised once for the
-whole group instead of once per run. ``"vector"`` deliberately skips
-both — it is the unfused per-run reference path the fused engine is
-tested against. Fusion is reported as ``fused_groups``/``fused_runs``.
+twins), thresholds are rank- and band-matched against the unit's
+catalog, and the executed runs share one
+:class:`~repro.runtime.fused.FusedScanContext`, so every boundary scan
+window over a given trace timeline is materialised once for the whole
+unit instead of once per run. ``"vector"`` deliberately skips all of
+that but the plain dedupe — it is the unfused per-run reference path the
+fused engine is tested against. Fusion is reported as
+``fused_groups``/``fused_runs``.
 """
 
 from __future__ import annotations
@@ -48,7 +64,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import SimulationResult
 from repro.errors import ConfigurationError, LedgerError, WorkerCrashError
@@ -56,14 +72,7 @@ from repro.obs.capture import notify_run, trace_capture_active
 from repro.obs.sinks import NULL_SINK, MemorySink, TraceSink
 from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
-from repro.runtime.shm import publish_catalog, release_segment, shm_available
-from repro.runtime.spec import (
-    BatchSpec,
-    RunSpec,
-    StrategySpec,
-    batch_fingerprint,
-    spec_fingerprint,
-)
+from repro.runtime.spec import BatchSpec, RunSpec, batch_fingerprint, spec_fingerprint
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry, notify_batch
 from repro.runtime.vector import ENGINE_KINDS, spec_vector_eligible
 
@@ -77,6 +86,9 @@ ProgressCallback = Callable[[RunTelemetry], None]
 #: re-execution is byte-identical to the attempt that crashed.
 DEFAULT_RETRIES = 2
 DEFAULT_RETRY_BACKOFF_S = 0.05
+#: Crash-shaped failures the retry loop absorbs. Anything else is
+#: deterministic and would fail identically on every attempt.
+RETRYABLE = (WorkerCrashError, OSError)
 
 
 @dataclass(frozen=True)
@@ -92,21 +104,18 @@ def _attempt_one(
     spec: RunSpec,
     cache: Optional[TraceCatalogCache],
     attempt: int,
-    prebuilt: Optional[Tuple[object, str]] = None,
     engine: str = "event",
     fused: Optional[object] = None,
     notes: Optional[dict] = None,
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """One execution attempt of one spec (no retry handling).
 
-    ``prebuilt`` is ``(catalog, source)`` when the caller already resolved
-    the catalog (the shared-memory worker path); otherwise the catalog is
-    resolved through ``cache``. ``fused`` is the run's fusion group's
-    shared :class:`~repro.runtime.fused.FusedScanContext`, if any.
-    ``notes``, when given, receives execution by-products that don't
-    belong in the result pair — currently ``"reverse_band"``, the
-    scheduler's observed reverse-threshold envelope the serial fusion
-    tier matches later specs against.
+    The catalog is resolved through ``cache``. ``fused`` is the run's
+    fusion group's shared :class:`~repro.runtime.fused.FusedScanContext`,
+    if any. ``notes``, when given, receives execution by-products that
+    don't belong in the result pair — currently ``"reverse_band"``, the
+    scheduler's observed reverse-threshold envelope the band clone tier
+    matches later specs against.
     """
     from repro.core.simulation import run_simulation_observed
 
@@ -121,14 +130,10 @@ def _attempt_one(
     cache_hit = False
     catalog_wall = 0.0
     source = ""
-    if prebuilt is not None:
-        catalog, source = prebuilt
-        cache_hit = True
-    else:
-        key = spec.catalog_key() if cache is not None else None
-        if key is not None:
-            catalog, cache_hit, catalog_wall = cache.get_or_build(key)
-            source = "cache" if cache_hit else "build"
+    key = spec.catalog_key() if cache is not None else None
+    if key is not None:
+        catalog, cache_hit, catalog_wall = cache.get_or_build(key)
+        source = "cache" if cache_hit else "build"
     sink: TraceSink = MemorySink() if spec.capture_trace else NULL_SINK
     observed = run_simulation_observed(
         spec.to_config(catalog=catalog), sink=sink, engine=engine, fused=fused
@@ -173,18 +178,21 @@ def _execute_one(
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """Run one spec with retry/backoff, resolving its catalog via ``cache``.
 
-    A crashed attempt (injected :class:`~repro.errors.WorkerCrashError` or
-    any organic exception) is retried up to ``retries`` times with
-    exponential backoff; the final failure propagates. Retries cannot
-    change results — a run is a pure function of its spec (a shared fused
-    scan context only caches rows the run would compute anyway).
+    A crash-shaped attempt (:data:`RETRYABLE`: an injected or organic
+    :class:`~repro.errors.WorkerCrashError`, an ``OSError``) is retried up
+    to ``retries`` times with exponential backoff; the final failure
+    propagates. Every other exception — a bad configuration, a bug — is
+    deterministic and surfaces at once, without a backoff sleep. Retries
+    cannot change results — a run is a pure function of its spec (a
+    shared fused scan context only caches rows the run would compute
+    anyway).
     """
     for attempt in range(retries + 1):
         try:
             return _attempt_one(
                 spec, cache, attempt, engine=engine, fused=fused, notes=notes
             )
-        except Exception:
+        except RETRYABLE:
             if attempt >= retries:
                 raise
             if retry_backoff_s > 0:
@@ -192,88 +200,9 @@ def _execute_one(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _execute_group(
-    specs: Tuple[RunSpec, ...],
-    retries: int = DEFAULT_RETRIES,
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    engines: Optional[Tuple[str, ...]] = None,
-) -> List[Tuple[SimulationResult, RunTelemetry]]:
-    """Pool-worker entry point: run a catalog-sharing group serially."""
-    cache = shared_catalog_cache()
-    if engines is None:
-        engines = ("event",) * len(specs)
-    return [
-        _execute_one(spec, cache, retries, retry_backoff_s, engine)
-        for spec, engine in zip(specs, engines)
-    ]
-
-
-def _execute_one_shm(
-    spec: RunSpec,
-    plan,
-    retries: int = DEFAULT_RETRIES,
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    engine: str = "event",
-) -> List[Tuple[SimulationResult, RunTelemetry]]:
-    """Pool-worker entry point: one run against a shared-memory catalog plan.
-
-    The catalog is rehydrated as zero-copy views over the published
-    segment (cached per segment within the worker); if attaching fails for
-    any reason the worker quietly builds the catalog through its own
-    process cache instead — same results, just slower.
-    """
-    from repro.runtime.shm import attach_catalog
-
-    prebuilt: Optional[Tuple[object, str]] = None
-    try:
-        prebuilt = (attach_catalog(plan), "shm")
-    except Exception:
-        prebuilt = None
-    cache = None if prebuilt is not None else shared_catalog_cache()
-    for attempt in range(retries + 1):
-        try:
-            return [_attempt_one(spec, cache, attempt, prebuilt=prebuilt, engine=engine)]
-        except Exception:
-            if attempt >= retries:
-                raise
-            if retry_backoff_s > 0:
-                time.sleep(retry_backoff_s * (2**attempt))
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _publish_plans(
-    cache: Optional[TraceCatalogCache], keys: Sequence[object]
-) -> Tuple[Dict[object, object], List[object]]:
-    """Publish each unique catalog once to shared memory.
-
-    Returns ``({key: plan}, [segment handles])``; empty when shared memory
-    is unavailable (or disabled via ``REPRO_SHM=0``) or publishing fails,
-    in which case the caller uses the grouped pickling path instead.
-    """
-    if cache is None or not keys or not shm_available():
-        return {}, []
-    plans: Dict[object, object] = {}
-    segments: List[object] = []
-    try:
-        for key in keys:
-            if key in plans:
-                continue
-            catalog, _, _ = cache.get_or_build(key)  # type: ignore[arg-type]
-            plan, segment = publish_catalog(catalog)
-            plans[key] = plan
-            segments.append(segment)
-    except Exception:
-        for segment in segments:
-            release_segment(segment)
-        return {}, []
-    return plans, segments
-
-
-def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
+def _resolve_engine(spec: RunSpec, engine: str) -> str:
     """Which engine one spec runs on, given the batch's ``engine`` selector.
 
-    A ledgered batch always runs per-event (journal replays must stay
-    comparable across package versions regardless of routing defaults).
     ``"vector"`` and ``"fused"`` are best-effort forces: every run is
     routed to the vector engine, which itself still degrades to
     per-event when the configuration cannot be batched (the two differ
@@ -283,7 +212,7 @@ def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
     engine — fault overlays and narration want the per-boundary walk —
     and everything else goes to the vector engine when eligible.
     """
-    if engine == "event" or ledgered:
+    if engine == "event":
         return "event"
     if engine in ("vector", "fused"):
         return "vector"
@@ -292,54 +221,147 @@ def _resolve_engine(spec: RunSpec, engine: str, ledgered: bool) -> str:
     return "vector" if spec_vector_eligible(spec) else "event"
 
 
-def _dedupe_key(spec: RunSpec) -> Optional[tuple]:
-    """Hashable dynamics identity of one vector-routed spec, or ``None``.
+def _partition(
+    specs: Sequence[RunSpec], pending: Sequence[int], engines: Sequence[str]
+) -> List[List[int]]:
+    """Split the pending runs into units, ordered by first index.
 
-    Two specs with equal keys configure byte-identical simulations up to
-    the result label: same catalog (seed, horizon, markets, calibration),
-    same declarative strategy, same mechanism timing, same startup
-    distribution — and a bidding policy whose
-    :meth:`~repro.core.bidding.BiddingPolicy.dynamics_signature` matches,
-    i.e. the *effective* bids and migration thresholds coincide (e.g.
-    proactive ``k`` values that all clamp at the provider's bid cap).
-    Anything the signature cannot vouch for (calibration overrides that
-    could move on-demand prices, stateful policies, legacy strategy
-    callables, faults, capture) disables deduplication for that spec.
+    A unit is either every pending vector-routed run sharing one catalog
+    key, or a single run (event-routed, faulted, trace-capturing, or
+    without a catalog key). Dedupe twins, rank/band clones and fusion
+    groups never span two catalog keys, so planning each unit on its own
+    reproduces the whole-batch plan exactly.
     """
-    if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
-        return None
-    if not isinstance(spec.strategy, StrategySpec):
-        return None
-    sig_fn = getattr(spec.bidding, "dynamics_signature", None)
-    if not callable(sig_fn):
-        return None
-    catalog_key = spec.catalog_key()
-    if catalog_key is None:
-        return None
-    try:
-        from repro.traces.calibration import on_demand_price
+    units: List[List[int]] = []
+    by_catalog: Dict[object, List[int]] = {}
+    for i in pending:
+        spec = specs[i]
+        key = None
+        if engines[i] == "vector" and spec.faults is None and not spec.capture_trace:
+            key = spec.catalog_key()
+        if key is None:
+            units.append([i])
+        elif key in by_catalog:
+            by_catalog[key].append(i)
+        else:
+            by_catalog[key] = [i]
+            units.append(by_catalog[key])
+    return units
 
-        ods = tuple(
-            on_demand_price(region, size)
-            for region in spec.regions
-            for size in spec.sizes
-        )
-        sig = sig_fn(ods)
-        if sig is None:
+
+def _clone(
+    pair: Tuple[SimulationResult, RunTelemetry], label: str
+) -> Tuple[SimulationResult, RunTelemetry]:
+    """A twin's slot: its representative's result under the twin's label."""
+    result, telemetry = pair
+    # The spec's own label when set; otherwise the default label is a pure
+    # function of the dynamics key (bidding name is in the signature), so
+    # the representative's label is the twin's.
+    label = label or result.label
+    return (
+        dataclasses.replace(result, label=label),
+        dataclasses.replace(
+            telemetry,
+            label=label,
+            deduped=True,
+            fused=False,
+            # The clone resolved no catalog of its own; keep the batch's
+            # build/hit accounting honest.
+            catalog_cache_hit=True,
+            catalog_wall_s=0.0,
+            catalog_source="cache",
+        ),
+    )
+
+
+def _run_unit(
+    specs: Sequence[RunSpec],
+    engines: Sequence[str],
+    fusion: bool,
+    retries: int,
+    retry_backoff_s: float,
+    cache: Optional[TraceCatalogCache] = None,
+) -> Iterator[Tuple[int, Tuple[SimulationResult, RunTelemetry]]]:
+    """Execute one unit; yield ``(position, (result, telemetry))`` per run.
+
+    Runs execute in position order and clones are yielded as soon as
+    their representative has been, so the stream is in position order.
+    ``cache`` defaults to this process's shared catalog cache — which is
+    how pool workers resolve catalogs: nothing is shipped, and a worker's
+    cache stays warm across batches because pools are reused.
+
+    Three clone tiers apply. Static twins (equal dynamics keys, planned
+    up front by :func:`~repro.runtime.fused.plan_fusion`) clone their
+    representative. Under ``fusion`` two catalog-aware tiers follow once
+    the unit's catalog is cached: bidding thresholds are *rank-projected*
+    against the trace's price ladder — thresholds in the same gap
+    between trace prices configure provably identical runs — and reverse
+    thresholds are matched against the *reverse band* each executed
+    representative records (the envelope of prices its trajectory
+    compared against the reverse predicate): a later spec whose
+    thresholds fall inside that envelope would have made the identical
+    call at every comparison, so it clones. The first run of a catalog
+    executes (and builds it); everyone after it gets the refinement.
+    """
+    from repro.runtime.fused import band_matches, plan_fusion, rank_projection
+
+    if cache is None:
+        cache = shared_catalog_cache()
+    positions = range(len(specs))
+    plan = plan_fusion(specs, positions, engines, fuse=fusion)
+    done: Dict[int, Tuple[SimulationResult, RunTelemetry]] = {}
+    rank_rep: Dict[tuple, int] = {}
+    band_reps: Dict[tuple, List[Tuple[dict, int]]] = {}
+    ladders: Dict[tuple, object] = {}
+
+    def project(i: int):
+        if not fusion or engines[i] != "vector":
             return None
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            sig,
+        ck = specs[i].catalog_key()
+        catalog = cache.peek(ck) if ck is not None else None
+        return None if catalog is None else rank_projection(specs[i], catalog, ladders)
+
+    for i in positions:
+        rep = plan.twin_of.get(i)
+        proj = project(i) if rep is None else None
+        if proj is not None:
+            rkey, reverse = proj
+            if reverse is None:
+                rep = rank_rep.get(rkey)
+            else:
+                rep = next(
+                    (j for band, j in band_reps.get(rkey, ()) if band_matches(band, reverse)),
+                    None,
+                )
+            if rep is not None:
+                # The twin consumed the cached catalog to prove its
+                # equivalence; account the lookup as a hit.
+                cache.get_or_build(specs[i].catalog_key())
+        if rep is not None:
+            done[i] = _clone(done[rep], specs[i].label)
+            yield i, done[i]
+            continue
+        notes: dict = {}
+        done[i] = _execute_one(
+            specs[i], cache, retries, retry_backoff_s, engines[i],
+            fused=plan.context_of.get(i), notes=notes,
         )
-        hash(key)
-    except Exception:
-        return None
-    return key
+        if proj is None:
+            # This run built its catalog: project its key now so later
+            # threshold-equivalent specs clone it.
+            proj = project(i)
+        if proj is not None:
+            rkey, reverse = proj
+            if reverse is None:
+                rank_rep.setdefault(rkey, i)
+            elif notes.get("reverse_band") is not None:
+                band_reps.setdefault(rkey, []).append((notes["reverse_band"], i))
+        yield i, done[i]
+
+
+def _run_unit_list(*args) -> List[Tuple[int, Tuple[SimulationResult, RunTelemetry]]]:
+    """Pool-worker entry point: one whole unit, materialised for pickling."""
+    return list(_run_unit(*args))
 
 
 # One persistent pool per worker count: reusing workers across batches keeps
@@ -438,9 +460,8 @@ def run_batch(
         A :class:`BatchSpec` or sequence of :class:`RunSpec`.
     engine:
         ``"auto"`` (default) routes each eligible run — vectorizable
-        policies, no faults, no trace capture, no ledger — through the
-        vectorized batch engine (with serial-path cross-run fusion) and
-        the rest per-event; ``"event"`` and ``"vector"`` force one
+        policies, no faults, no trace capture — through the vectorized
+        batch engine (with cross-run fusion) and the rest per-event; ``"event"`` and ``"vector"`` force one
         engine batch-wide (``"vector"`` is best-effort — non-batchable
         configurations still degrade to per-event inside the scheduler —
         and stays unfused, as the per-run reference path); ``"fused"``
@@ -448,26 +469,29 @@ def run_batch(
         Results are bit-identical across engines; each run's
         :class:`RunTelemetry.engine_kind` reports which one executed it.
     jobs:
-        Worker processes. ``1`` (the default) runs serially in-process;
-        ``N > 1`` fans catalog-sharing groups of runs across ``N`` workers.
-        Results are identical either way.
+        Worker processes. ``1`` (the default) runs every unit serially
+        in-process; ``N > 1`` fans units — one per catalog for
+        vector-routed runs, one per run otherwise — across ``N`` workers.
+        Results, and which runs execute or clone, are identical either way.
     cache:
-        Trace-catalog cache for the serial path (defaults to this
+        Trace-catalog cache for in-process units (defaults to this
         process's shared cache). Workers always use their process cache.
     progress:
         Called with each run's :class:`RunTelemetry` as it completes
         (completion order, which under ``jobs > 1`` may differ from
         submission order). Not called for runs replayed from a ledger.
     retries:
-        Per-run retry budget for crashed attempts (injected or organic);
-        each retry re-executes the same pure spec, so retried runs are
-        byte-identical to first-try runs. The consumed attempts surface on
+        Per-run retry budget for crashed attempts (:data:`RETRYABLE`,
+        injected or organic); each retry re-executes the same pure spec,
+        so retried runs are byte-identical to first-try runs. Any other
+        exception propagates on its first attempt. The consumed attempts surface on
         :class:`~repro.runtime.telemetry.RunTelemetry.attempts`.
     retry_backoff_s:
         Base sleep before a retry; doubles per attempt.
     ledger:
-        Journal each completed run to this append-only JSONL file (a
-        directory gets one per-batch file named by batch fingerprint).
+        Journal each completed run — clones included — to this
+        append-only JSONL file (a directory gets one per-batch file named
+        by batch fingerprint).
         Appends are atomic, so an orchestrator killed mid-batch loses at
         most the run it was writing. Without ``resume``, an existing
         ledger already journaling this same batch is refused (not
@@ -518,7 +542,8 @@ def run_batch(
             slots[i] = pair
 
     def _complete(i: int, pair: Tuple[SimulationResult, RunTelemetry]) -> None:
-        """One run finished executing: journal it, then report progress.
+        """One slot filled (executed or cloned): journal it, then report
+        progress.
 
         Journaling first is what makes `kill after n runs` recoverable:
         a run either reached the ledger or will re-execute on resume.
@@ -530,225 +555,54 @@ def run_batch(
             progress(pair[1])
 
     pending = [i for i in range(len(specs)) if slots[i] is None]
+    engines = tuple(_resolve_engine(s, engine) for s in specs)
+    fusion = engine in ("auto", "fused")
+    units = _partition(specs, pending, engines)
     parallel_runs = 0
-    shm_catalogs = 0
-    deduped_runs = 0
-    fused_groups = 0
-    engines = tuple(_resolve_engine(s, engine, ledger is not None) for s in specs)
+    # A lone pending run gains nothing from a worker; it runs in-process.
+    pool = _get_pool(jobs) if jobs > 1 and len(pending) > 1 else None
 
+    def unit_args(unit: List[int]) -> tuple:
+        return (
+            tuple(specs[i] for i in unit),
+            tuple(engines[i] for i in unit),
+            fusion,
+            retries,
+            retry_backoff_s,
+        )
+
+    # Portable units go to the pool; the rest run in-process first, while
+    # the pool churns. Either way a unit runs through the same loop.
+    dispatch = [
+        (unit, pool.submit(_run_unit_list, *unit_args(unit)))
+        if pool is not None and all(specs[i].is_portable() for i in unit)
+        else (unit, None)
+        for unit in units
+    ]
+    dispatch.sort(key=lambda pair: pair[1] is not None)
     try:
-        if jobs == 1 or len(pending) <= 1:
-            # Serial path: dedupe vector-routed runs with identical
-            # dynamics. The first spec of each group (submission order) is
-            # its representative; twins complete as soon as it has, so the
-            # progress callback still fires in submission order.
-            twin_of: Dict[int, int] = {}
-            context_of: Dict[int, object] = {}
-            fusion_active = engine in ("auto", "fused")
-            if fusion_active:
-                # Cross-run fusion: capability-projected dedupe plus shared
-                # boundary-scan contexts per catalog group. Forced
-                # ``"vector"`` keeps the plain unfused reference path.
-                from repro.runtime.fused import band_matches, plan_fusion, rank_projection
-
-                plan = plan_fusion(specs, pending, engines)
-                twin_of = plan.twin_of
-                context_of = dict(plan.context_of)
-                fused_groups = plan.groups
-            else:
-                rep_of: Dict[tuple, int] = {}
-                for i in pending:
-                    if engines[i] != "vector":
-                        continue
-                    key = _dedupe_key(specs[i])
-                    if key is None:
-                        continue
-                    if key in rep_of:
-                        twin_of[i] = rep_of[key]
-                    else:
-                        rep_of[key] = i
-            # Second dedupe tier, catalog-aware: once a run's catalog is in
-            # the cache, bidding thresholds can be *rank-projected* against
-            # the trace's price ladder — thresholds in the same gap between
-            # trace prices configure provably identical runs. Reverse
-            # thresholds get a sharper test still: each executed
-            # representative records the envelope of prices its trajectory
-            # actually compared against the reverse predicate
-            # (``reverse_band``), and any later spec whose thresholds fall
-            # inside that envelope would have made the identical call at
-            # every comparison — so it clones. The first run of each
-            # catalog executes (and builds the catalog); everyone after it
-            # gets the refinement.
-            rank_rep: Dict[tuple, int] = {}
-            band_reps: Dict[tuple, List[Tuple[dict, int]]] = {}
-            ladders: Dict[tuple, object] = {}
-            for i in pending:
-                rep = twin_of.get(i)
-                if rep is not None:
-                    # Static twins expand strictly after their
-                    # representative's (fused) evaluation and never join a
-                    # fusion group themselves, so `deduped_runs` and
-                    # `fused_runs` can never double-count.
-                    assert i not in context_of
-                rkey = reverse = None
-                if rep is None and fusion_active and engines[i] == "vector":
-                    ck = specs[i].catalog_key()
-                    catalog = cache.peek(ck) if ck is not None else None
-                    if catalog is not None:
-                        proj = rank_projection(specs[i], catalog, ladders)
-                        if proj is not None:
-                            rkey, reverse = proj
-                            if reverse is None:
-                                rep = rank_rep.get(rkey)
-                            else:
-                                for band, j in band_reps.get(rkey, ()):
-                                    if band_matches(band, reverse):
-                                        rep = j
-                                        break
-                        if rep is not None:
-                            # The twin consumed the cached catalog to prove
-                            # its equivalence; account the lookup as a hit.
-                            cache.get_or_build(ck)
-                if rep is None:
-                    notes: dict = {}
-                    _complete(
-                        i,
-                        _execute_one(
-                            specs[i],
-                            cache,
-                            retries,
-                            retry_backoff_s,
-                            engines[i],
-                            fused=context_of.get(i),
-                            notes=notes,
-                        ),
-                    )
-                    if fusion_active and engines[i] == "vector" and rkey is None:
-                        # This run built its catalog: project its key now
-                        # so later threshold-equivalent specs clone it.
-                        ck = specs[i].catalog_key()
-                        catalog = cache.peek(ck) if ck is not None else None
-                        if catalog is not None:
-                            proj = rank_projection(specs[i], catalog, ladders)
-                            if proj is not None:
-                                rkey, reverse = proj
-                    if rkey is not None:
-                        if reverse is None:
-                            rank_rep.setdefault(rkey, i)
-                        else:
-                            band = notes.get("reverse_band")
-                            if band is not None:
-                                band_reps.setdefault(rkey, []).append((band, i))
-                    continue
-                rep_pair = slots[rep]
-                assert rep_pair is not None  # representative precedes its twins
-                rep_result, rep_telemetry = rep_pair
-                # The spec's own label when set; otherwise the default label
-                # is a pure function of the dynamics key (bidding name is in
-                # the signature), so the representative's label is the twin's.
-                label = specs[i].label or rep_result.label
-                _complete(
-                    i,
-                    (
-                        dataclasses.replace(rep_result, label=label),
-                        dataclasses.replace(
-                            rep_telemetry,
-                            label=label,
-                            deduped=True,
-                            fused=False,
-                            # The clone resolved no catalog of its own; keep
-                            # the batch's build/hit accounting honest.
-                            catalog_cache_hit=True,
-                            catalog_wall_s=0.0,
-                            catalog_source="cache",
-                        ),
-                    ),
-                )
-                deduped_runs += 1
-        elif pending:
-            portable: List[Tuple[int, object]] = []
-            local: List[int] = []
-            for i in pending:
-                key = specs[i].catalog_key()
-                if key is None or not specs[i].is_portable():
-                    local.append(i)
-                else:
-                    portable.append((i, key))
-            pool = _get_pool(jobs)
-
-            # Preferred plan: publish each unique catalog to shared memory
-            # once and fan out PER RUN — workers rehydrate zero-copy views,
-            # so runs sharing a catalog no longer have to share a worker and
-            # a batch of V variants over S seeds parallelises V×S wide
-            # instead of S wide.
-            plans, segments = _publish_plans(cache, [k for _, k in portable])
-            shm_catalogs = len(plans)
-            if plans:
-                futures = [
-                    (
-                        [i],
-                        pool.submit(
-                            _execute_one_shm,
-                            specs[i],
-                            plans[key],
-                            retries,
-                            retry_backoff_s,
-                            engines[i],
-                        ),
-                    )
-                    for i, key in portable
-                ]
-            else:
-                # Fallback: group portable runs by catalog key so one worker
-                # builds each catalog once; groups keep first-appearance order.
-                groups: Dict[object, List[int]] = {}
-                for i, key in portable:
-                    groups.setdefault(key, []).append(i)
-                futures = [
-                    (
-                        indices,
-                        pool.submit(
-                            _execute_group,
-                            tuple(specs[i] for i in indices),
-                            retries,
-                            retry_backoff_s,
-                            tuple(engines[i] for i in indices),
-                        ),
-                    )
-                    for indices in groups.values()
-                ]
-            # Non-portable runs execute in-process while the pool churns.
-            for i in local:
-                _complete(
-                    i, _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
-                )
-            try:
-                for indices, future in futures:
-                    try:
-                        group_pairs = future.result()
-                    except BrokenProcessPool:
-                        # The pool died (hard worker crash, OOM kill, ...).
-                        # Discard it and fall back to in-process execution for
-                        # these runs — results are identical, only slower.
-                        _discard_pool(jobs)
-                        group_pairs = [
-                            _execute_one(specs[i], cache, retries, retry_backoff_s, engines[i])
-                            for i in indices
-                        ]
-                    for i, pair in zip(indices, group_pairs):
-                        _complete(i, pair)
-                        parallel_runs += 1
-            finally:
-                # Every future has resolved (or the batch is aborting): the
-                # segments can go — attached workers keep their mappings.
-                for segment in segments:
-                    release_segment(segment)
+        for unit, future in dispatch:
+            pairs = None
+            if future is not None:
+                try:
+                    pairs = future.result()
+                    parallel_runs += len(unit)
+                except BrokenProcessPool:
+                    # The pool died (hard worker crash, OOM kill, ...).
+                    # Discard it and run this unit in-process — results
+                    # are identical, only slower.
+                    _discard_pool(jobs)
+            if pairs is None:
+                pairs = _run_unit(*unit_args(unit), cache)
+            for pos, pair in pairs:
+                _complete(unit[pos], pair)
     finally:
         if journal is not None:
             journal.close()
 
     results = tuple(pair[0] for pair in slots)  # type: ignore[union-attr]
     run_telemetry = tuple(pair[1] for pair in slots)  # type: ignore[union-attr]
+    fresh = {i: run_telemetry[i] for i in pending}  # executed or cloned here
     # Report to observation scopes in submission order — this, not worker
     # completion order, is what keeps trace files identical at any --jobs.
     for t in run_telemetry:
@@ -764,15 +618,14 @@ def run_batch(
         events_processed=sum(t.events_processed for t in run_telemetry),
         jobs=jobs,
         parallel_runs=parallel_runs,
-        shm_catalogs=shm_catalogs,
         resumed=resumed,
         replayed_runs=len(specs) - len(pending),
         engine=engine,
         vector_runs=sum(1 for t in run_telemetry if t.engine_kind == "vector"),
         vector_checks=sum(t.vector_checks for t in run_telemetry),
-        deduped_runs=deduped_runs,
-        fused_groups=fused_groups,
-        fused_runs=sum(1 for t in run_telemetry if t.fused),
+        deduped_runs=sum(1 for t in fresh.values() if t.deduped),
+        fused_groups=sum(1 for unit in units if any(fresh[i].fused for i in unit)),
+        fused_runs=sum(1 for t in fresh.values() if t.fused),
     )
     notify_batch(telemetry)
     return BatchResult(results=results, run_telemetry=run_telemetry, telemetry=telemetry)

@@ -23,9 +23,9 @@ removes that cross-run redundancy without touching a single decision:
   tenure anchors after their first differing decision) simply miss the
   cache and fall back to run-local lookups: per-run divergence handling
   *is* the miss path, so results cannot depend on group composition.
-* :func:`plan_fusion` turns a pending batch into twin/representative
-  assignments plus per-catalog shared contexts for the executor's serial
-  path.
+* :func:`plan_fusion` turns one catalog unit of pending runs into
+  twin/representative assignments plus a shared scan context for the
+  executor's unit loop.
 
 Everything here is an optimisation layer over the per-run engines;
 ``--engine fused`` therefore inherits the vector engine's bit-identity
@@ -166,7 +166,7 @@ class FusedScanContext:
 
 @dataclass
 class FusionPlan:
-    """The serial executor's fusion assignment for one pending batch."""
+    """The executor's fusion assignment for one unit of pending runs."""
 
     #: Twin run index -> its executed representative's index. Twins are
     #: expanded from the representative's finished result — strictly
@@ -187,37 +187,21 @@ class FusionPlan:
         return self
 
 
-def fused_dedupe_key(spec) -> Optional[tuple]:
-    """Capability-projected dynamics identity of one spec, or ``None``.
+def _dynamics_base(spec) -> Optional[Tuple[object, tuple]]:
+    """``(catalog_key, on-demand prices)`` of a spec whose dynamics can be
+    keyed, or ``None``.
 
-    Starts from the same guards as the executor's plain
-    ``_dedupe_key`` — no faults, no capture, no calibration overrides, a
+    The guard every dynamics key shares: no faults, no capture, no
+    calibration overrides (they could move on-demand prices), a
     declarative :class:`~repro.runtime.spec.StrategySpec`, a resolvable
-    catalog key, a bidding policy with a dynamics signature — then
-    projects the signature down to the components the strategy can
-    actually evaluate, using the policy's structured
-    ``dynamics_components`` split (absent method ⇒ no projection, plain
-    signature):
-
-    * ``allows_spot == False`` — the scheduler never bids, never scans
-      spot boundaries and never reverse-migrates: only the policy's name
-      (which default result labels embed) survives;
-    * ``allows_on_demand == False`` — the run can never sit on on-demand,
-      so the reverse-migration threshold has no consuming code path:
-      bids and the planned predicate survive, the reverse component is
-      dropped.
-
-    Two specs with equal projected keys configure byte-identical
-    simulations up to the result label.
+    catalog key, and on-demand prices for every market (one per
+    ``regions`` x ``sizes`` pair, region-major).
     """
     if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
         return None
     from repro.runtime.spec import StrategySpec
 
     if not isinstance(spec.strategy, StrategySpec):
-        return None
-    sig_fn = getattr(spec.bidding, "dynamics_signature", None)
-    if not callable(sig_fn):
         return None
     catalog_key = spec.catalog_key()
     if catalog_key is None:
@@ -230,30 +214,76 @@ def fused_dedupe_key(spec) -> Optional[tuple]:
             for region in spec.regions
             for size in spec.sizes
         )
+    except Exception:
+        return None
+    return catalog_key, ods
+
+
+def _dynamics_key(spec, catalog_key, sig) -> Optional[tuple]:
+    """The hashable key of a guarded spec with dynamics signature ``sig``."""
+    key = (
+        catalog_key,
+        spec.strategy,
+        spec.mechanism,
+        spec.params,
+        float(spec.startup_cv),
+        float(spec.service_disk_gib),
+        sig,
+    )
+    try:
+        hash(key)
+    except Exception:
+        return None
+    return key
+
+
+def fused_dedupe_key(spec, project: bool = True) -> Optional[tuple]:
+    """Capability-projected dynamics identity of one spec, or ``None``.
+
+    Two specs with equal keys configure byte-identical simulations up to
+    the result label: same catalog (seed, horizon, markets, calibration),
+    same declarative strategy, same mechanism timing, same startup
+    distribution — and a bidding policy whose
+    :meth:`~repro.core.bidding.BiddingPolicy.dynamics_signature` matches,
+    i.e. the *effective* bids and migration thresholds coincide (e.g.
+    proactive ``k`` values that all clamp at the provider's bid cap).
+    Anything the signature cannot vouch for (calibration overrides that
+    could move on-demand prices, stateful policies, legacy strategy
+    callables, faults, capture) disables deduplication for that spec.
+
+    With ``project`` (the fused path) the signature is then projected
+    down to the components the strategy can actually evaluate, using the
+    policy's structured ``dynamics_components`` split (absent method ⇒
+    no projection, plain signature):
+
+    * ``allows_spot == False`` — the scheduler never bids, never scans
+      spot boundaries and never reverse-migrates: only the policy's name
+      (which default result labels embed) survives;
+    * ``allows_on_demand == False`` — the run can never sit on on-demand,
+      so the reverse-migration threshold has no consuming code path:
+      bids and the planned predicate survive, the reverse component is
+      dropped.
+    """
+    sig_fn = getattr(spec.bidding, "dynamics_signature", None)
+    base = _dynamics_base(spec) if callable(sig_fn) else None
+    if base is None:
+        return None
+    catalog_key, ods = base
+    try:
         sig = sig_fn(ods)
         if sig is None:
             return None
         comp_fn = getattr(spec.bidding, "dynamics_components", None)
-        if callable(comp_fn):
+        if project and callable(comp_fn):
             strategy = spec.strategy()
             comp = comp_fn(ods)
             if not getattr(strategy, "allows_spot", True):
                 sig = (comp["name"], "od-only")
             elif not getattr(strategy, "allows_on_demand", True):
                 sig = (comp["name"], "spot-only", comp["bids"], comp["planned"])
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            sig,
-        )
-        hash(key)
     except Exception:
         return None
-    return key
+    return _dynamics_key(spec, catalog_key, sig)
 
 
 def rank_projection(
@@ -293,24 +323,15 @@ def rank_projection(
     the caller's memo of sorted unique price arrays, keyed
     ``(catalog_key, region, size)``.
     """
-    if spec.capture_trace or spec.faults is not None or spec.calibrations is not None:
-        return None
-    from repro.runtime.spec import StrategySpec
-
-    if not isinstance(spec.strategy, StrategySpec):
-        return None
     comp_fn = getattr(spec.bidding, "dynamics_components", None)
-    if not callable(comp_fn):
+    base = _dynamics_base(spec) if callable(comp_fn) else None
+    if base is None:
         return None
-    catalog_key = spec.catalog_key()
-    if catalog_key is None:
-        return None
+    catalog_key, ods = base
     try:
-        from repro.traces.calibration import on_demand_price
         from repro.traces.catalog import MarketKey
 
         markets = [MarketKey(r, s) for r in spec.regions for s in spec.sizes]
-        ods = tuple(on_demand_price(k.region, k.size) for k in markets)
         comp = comp_fn(ods)
         if "reverse_thresholds" not in comp:
             return None
@@ -353,19 +374,10 @@ def rank_projection(
                 (k.region, k.size): float(v)
                 for k, v in zip(markets, comp["reverse_thresholds"])
             }
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            sig,
-        )
-        hash(key)
     except Exception:
         return None
-    return key, reverse
+    key = _dynamics_key(spec, catalog_key, sig)
+    return None if key is None else (key, reverse)
 
 
 def band_matches(
@@ -393,16 +405,18 @@ def band_matches(
 
 
 def plan_fusion(
-    specs: Sequence, pending: Sequence[int], engines: Sequence[str]
+    specs: Sequence, pending: Sequence[int], engines: Sequence[str], fuse: bool = True
 ) -> FusionPlan:
-    """Assign the serial path's vector-routed runs to twins and groups.
+    """Assign the pending vector-routed runs to twins and groups.
 
-    Dedupe first — submission order, first spec of a projected-dynamics
-    class is its representative — then group the runs that will actually
-    execute by catalog key; every group of two or more shares one
+    Dedupe first — submission order, first spec of a dynamics class is
+    its representative — then group the runs that will actually execute
+    by catalog key; every group of two or more shares one
     :class:`FusedScanContext`. Faulted and trace-capturing runs never
     join a group (their providers may overlay market behaviour), and
-    runs without a catalog key have nothing to share.
+    runs without a catalog key have nothing to share. With ``fuse``
+    false (the unfused ``"vector"`` reference path) keys are not
+    projected and no contexts are created.
     """
     plan = FusionPlan()
     rep_of: Dict[tuple, int] = {}
@@ -411,14 +425,14 @@ def plan_fusion(
         if engines[i] != "vector":
             continue
         spec = specs[i]
-        key = fused_dedupe_key(spec)
+        key = fused_dedupe_key(spec, project=fuse)
         if key is not None:
             rep = rep_of.get(key)
             if rep is not None:
                 plan.twin_of[i] = rep
                 continue
             rep_of[key] = i
-        if spec.faults is None and not spec.capture_trace:
+        if fuse and spec.faults is None and not spec.capture_trace:
             catalog_key = spec.catalog_key()
             if catalog_key is not None:
                 by_catalog.setdefault(catalog_key, []).append(i)

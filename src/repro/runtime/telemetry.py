@@ -32,9 +32,8 @@ class RunTelemetry:
     catalog_wall_s: float = 0.0  #: catalog build time (0 on a cache hit)
     catalog_cache_hit: bool = False
     #: How the run's catalog was resolved: ``"build"`` (generated here),
-    #: ``"cache"`` (process-cache hit), ``"shm"`` (zero-copy views over a
-    #: shared-memory plan published by the batch parent), or ``""`` when
-    #: the run carried no resolvable catalog key.
+    #: ``"cache"`` (process-cache hit), or ``""`` when the run carried no
+    #: resolvable catalog key.
     catalog_source: str = ""
     worker_pid: int = 0  #: executing process (parent pid when serial)
     #: Execution attempts consumed (1 = first try succeeded; > 1 means the
@@ -81,8 +80,10 @@ class BatchTelemetry:
     catalog_cache_hits: int
     events_processed: int
     jobs: int = 1  #: worker processes requested
-    parallel_runs: int = 0  #: runs executed in pool workers
-    shm_catalogs: int = 0  #: catalogs published as shared-memory plans
+    parallel_runs: int = 0  #: runs executed or cloned in pool workers
+    #: Always 0: workers resolve their own catalogs, nothing is shipped.
+    #: Kept because the benchmark's per-layer metrics still read it.
+    shm_catalogs: int = 0
     resumed: bool = False  #: batch was resumed from a run ledger
     replayed_runs: int = 0  #: runs replayed from the ledger, not executed
     engine: str = "auto"  #: the requested ``--engine`` selector
@@ -101,8 +102,6 @@ class BatchTelemetry:
             f"{self.runs} runs, {self.catalog_builds} catalog builds, "
             f"{self.catalog_cache_hits} cache hits, jobs={self.jobs}"
         )
-        if self.shm_catalogs:
-            base += f", {self.shm_catalogs} shm catalogs"
         if self.replayed_runs:
             base += f", {self.replayed_runs} replayed"
         if self.vector_runs:
@@ -145,10 +144,6 @@ class TelemetryCollector:
         return max((b.jobs for b in self.batches), default=1)
 
     @property
-    def shm_catalogs(self) -> int:
-        return sum(b.shm_catalogs for b in self.batches)
-
-    @property
     def replayed_runs(self) -> int:
         return sum(b.replayed_runs for b in self.batches)
 
@@ -177,8 +172,6 @@ class TelemetryCollector:
             f"{self.runs} runs, {self.catalog_builds} catalog builds, "
             f"{self.cache_hits} cache hits, jobs={self.jobs}"
         )
-        if self.shm_catalogs:
-            base += f", {self.shm_catalogs} shm catalogs"
         if self.replayed_runs:
             base += f", {self.replayed_runs} replayed"
         if self.vector_runs:

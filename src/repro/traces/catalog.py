@@ -74,8 +74,7 @@ class TraceCatalog:
         self.horizon = float(horizon)
         #: When the catalog was loaded from an ingested segment directory
         #: (:func:`repro.traces.ingest.load_segment_catalog`), the directory
-        #: path — the shared-memory fan-out ships this path instead of
-        #: copying trace bytes, and every worker mmaps the same files.
+        #: path whose segment files back this catalog's traces.
         self.source = source
 
     # ----------------------------------------------------------------- access

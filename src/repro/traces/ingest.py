@@ -20,8 +20,7 @@ This module is the production path:
 * :func:`load_segment_catalog` memory-maps every segment back into a
   :class:`~repro.traces.catalog.TraceCatalog` without copying a byte —
   the stored bounds array is adopted by the compiled query plan, and the
-  catalog's ``source`` attribute lets :mod:`repro.runtime.shm` fan the
-  directory path out to workers instead of republishing trace bytes.
+  catalog's ``source`` attribute records the directory it maps.
 
 Query results over an mmap-loaded catalog are bit-identical to the
 CSV→in-memory path (``tests/traces/test_ingest.py`` enforces this with
@@ -418,8 +417,7 @@ def load_segment_catalog(segment_dir: str | Path) -> TraceCatalog:
 
     Every trace's arrays (and its compiled plan's bounds) are zero-copy
     views over the segment files; the returned catalog carries the
-    directory as its ``source`` so the shared-memory executor path can
-    ship the path instead of the bytes.
+    directory as its ``source``.
     """
     seg_dir = Path(segment_dir)
     manifest_path = seg_dir / MANIFEST_NAME

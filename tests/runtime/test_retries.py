@@ -86,3 +86,49 @@ def test_backoff_sleeps_between_attempts(monkeypatch):
     plan = FaultPlan(crash_seeds=(1,), crash_attempts=2)
     run_batch([_spec(faults=plan)], retries=2, retry_backoff_s=0.1)
     assert naps == [pytest.approx(0.1), pytest.approx(0.2)]  # exponential
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deterministic_error_surfaces_without_retry(monkeypatch, jobs):
+    """A deterministic failure (here a ConfigurationError raised while the
+    run builds its stack) is not crash-shaped: it propagates from the
+    first attempt, with no backoff sleep — in-process and from a worker."""
+    import time
+
+    import repro.runtime.executor as ex
+    from repro.errors import ConfigurationError
+
+    specs = [_spec(seed=1), _spec(seed=2, startup_cv=-1.0)]  # two units
+    if jobs > 1:
+        # Warm the pool before patching: workers forked from here keep the
+        # real sleep, so a retry in a worker would cost the full backoff.
+        run_batch([_spec(seed=3), _spec(seed=4)], jobs=jobs, retry_backoff_s=0.0)
+    naps = []
+    monkeypatch.setattr(ex.time, "sleep", lambda s: naps.append(s))
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="startup cv"):
+        run_batch(specs, jobs=jobs, retries=2, retry_backoff_s=30.0)
+    assert naps == []
+    assert time.perf_counter() - t0 < 20.0  # one retry would sleep 30 s
+
+
+def test_os_errors_are_retried(monkeypatch):
+    """An OSError is crash-shaped (a transient I/O fault): retried with
+    backoff, then absorbed — the run still reports its attempts."""
+    import repro.runtime.executor as ex
+
+    real = ex._attempt_one
+    failures = [OSError("transient")]
+
+    def flaky(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return real(*args, **kwargs)
+
+    naps = []
+    monkeypatch.setattr(ex, "_attempt_one", flaky)
+    monkeypatch.setattr(ex.time, "sleep", lambda s: naps.append(s))
+    batch = run_batch([_spec()], retries=2, retry_backoff_s=0.1)
+    assert naps == [pytest.approx(0.1)]
+    assert batch.run_telemetry[0].attempts == 2
+    assert batch.results == run_batch([_spec()]).results

@@ -3,7 +3,8 @@
 The contract under test: the vector engine produces results byte-identical
 to the event engine on every configuration it accepts, and the executor's
 ``engine="auto"`` routing keeps ineligible runs (faulted, trace-capturing,
-ledgered, non-vectorizable policies) on the event engine.
+non-vectorizable policies) on the event engine — and a ledger changes
+nothing about routing.
 """
 
 import pytest
@@ -133,16 +134,25 @@ def test_auto_keeps_traced_run_on_event_engine():
     assert batch.telemetry.vector_runs == 0
 
 
-def test_ledgered_batch_always_runs_per_event(tmp_path):
+def test_ledgered_auto_batch_vector_routes_and_replays(tmp_path):
+    """A ledger does not change routing: the ledgered ``auto`` batch runs
+    on the vector engine, journals its clone too, and a resume replays
+    every slot byte-identically."""
+    specs = [
+        _spec(bidding=ProactiveBidding(k=k), label=f"k={k}") for k in (5.0, 5.0, 2.0)
+    ]
     ledger = tmp_path / "ledger.jsonl"
-    batch = run_batch([_spec()], engine="auto", ledger=ledger, cache=_CACHE)
-    assert batch.run_telemetry[0].engine_kind == "event"
-    # And the resumed replay reports the original (event) execution.
-    resumed = run_batch(
-        [_spec()], engine="auto", ledger=ledger, resume=True, cache=_CACHE
-    )
-    assert resumed.run_telemetry[0].replayed
-    assert resumed.run_telemetry[0].engine_kind == "event"
+    plain = run_batch(specs, engine="auto", cache=_CACHE)
+    batch = run_batch(specs, engine="auto", ledger=ledger, cache=_CACHE)
+    assert [t.engine_kind for t in batch.run_telemetry] == ["vector"] * 3
+    assert batch.telemetry.deduped_runs == plain.telemetry.deduped_runs >= 1
+    assert batch.results == plain.results
+    resumed = run_batch(specs, engine="auto", ledger=ledger, resume=True, cache=_CACHE)
+    assert all(t.replayed for t in resumed.run_telemetry)
+    assert [t.engine_kind for t in resumed.run_telemetry] == ["vector"] * 3
+    assert [t.deduped for t in resumed.run_telemetry] == [
+        t.deduped for t in batch.run_telemetry
+    ]
     assert resumed.results == batch.results
 
 
