@@ -35,6 +35,7 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding
 from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
+from repro.testkit.oracles import unfused_vector_results
 from repro.traces.calibration import calibration_for
 from repro.traces.catalog import MarketKey
 from repro.traces.generator import generate_trace
@@ -213,16 +214,17 @@ def test_bench_batch_sweep_64_vector_vs_event():
 @pytest.mark.benchmark(group="batch-sweep")
 @pytest.mark.slow
 def test_bench_frontier_sweep_10k():
-    """A 10k-run frontier sweep: fused must beat the unfused reference 3x.
+    """A 10k-run frontier sweep: ``auto`` must beat the unfused reference 3x.
 
     10 catalog seeds x 1000 policy variants (100 bid multipliers x 5
-    reverse thresholds x 2 strategies), all vector-routed, timed through
-    both selectors: forced ``vector`` is the per-run unfused reference
-    (comparable to the entry-2 baseline, which predates fusion), and
-    ``fused`` layers capability/rank-projected dedupe, reverse-band
-    cloning and shared scan contexts on top. The telemetry decomposition
-    (executed vs deduped vs fused) is printed so the dedupe share stays
-    visible rather than implied, and both wall-clocks are recorded —
+    reverse thresholds x 2 strategies), all vector-routed, timed two ways:
+    the unfused per-run vector reference
+    (:func:`repro.testkit.oracles.unfused_vector_results`, plain-key dedupe
+    only — comparable to the entry-2 baseline, which predates fusion), and
+    ``run_batch(engine="auto")``, which layers capability/rank-projected
+    dedupe and reverse-band cloning on top. The telemetry decomposition
+    (executed vs deduped) is printed so the dedupe share stays visible
+    rather than implied, and both wall-clocks are recorded —
     ``batch_sweep_10k_fused_s`` is the gated headline number.
     """
     key = MarketKey(REGION, "small")
@@ -248,12 +250,12 @@ def test_bench_frontier_sweep_10k():
     cache = TraceCatalogCache()
     run_batch(runs[:20], engine="auto", cache=cache)  # warm one catalog + code
     t0 = time.perf_counter()
-    vector_batch = run_batch(runs, engine="vector", cache=cache)
+    reference = unfused_vector_results(runs, cache)
     vector_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batch = run_batch(runs, engine="fused", cache=cache)
+    batch = run_batch(runs, engine="auto", cache=cache)
     fused_s = time.perf_counter() - t0
-    assert list(batch.results) == list(vector_batch.results)
+    assert list(batch.results) == reference
     tel = batch.telemetry
     executed = tel.runs - tel.deduped_runs
     speedup = vector_s / fused_s
@@ -263,14 +265,12 @@ def test_bench_frontier_sweep_10k():
         batch_sweep_10k_fused_speedup_x={"value": speedup, "unit": "x"},
     )
     print(
-        f"\n10k frontier sweep: vector {vector_s:.1f}s, fused {fused_s:.1f}s "
-        f"({speedup:.1f}x; {executed} executed + {tel.deduped_runs} deduped "
-        f"clones, {tel.fused_runs} fused in {tel.fused_groups} groups)"
+        f"\n10k frontier sweep: unfused vector {vector_s:.1f}s, auto {fused_s:.1f}s "
+        f"({speedup:.1f}x; {executed} executed + {tel.deduped_runs} deduped clones)"
     )
     assert tel.vector_runs == 10_000
-    assert tel.deduped_runs + tel.fused_runs <= tel.runs  # never double-counted
-    assert fused_s < 2.5, f"fused 10k sweep took {fused_s:.1f}s (budget 2.5s)"
-    assert speedup >= 3.0, f"fused sweep only {speedup:.2f}x over unfused vector"
+    assert fused_s < 2.5, f"auto 10k sweep took {fused_s:.1f}s (budget 2.5s)"
+    assert speedup >= 3.0, f"auto sweep only {speedup:.2f}x over unfused vector"
 
 
 @pytest.mark.benchmark(group="fleet")

@@ -32,7 +32,7 @@ from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
 from repro.core.simulation import SimulationConfig, run_many, run_simulation_observed
 from repro.obs import NULL_SINK, MemorySink, observe
-from repro.runtime import StrategySpec
+from repro.runtime import ENGINE_KINDS, StrategySpec
 from repro.errors import TraceFormatError
 from repro.traces.calibration import REGIONS, SIZES, on_demand_price
 from repro.traces.catalog import MarketKey, TraceCatalog
@@ -68,12 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the per-seed fan-out "
                    "(default 1 = serial; results are identical)")
-    p.add_argument("--engine", choices=("auto", "event", "vector", "fused"),
-                   default="auto",
+    p.add_argument("--engine", choices=ENGINE_KINDS, default="auto",
                    help="execution engine: 'auto' (default) vectorizes and "
-                   "fuses eligible seed batches, 'event'/'vector' force one "
-                   "per-run engine, 'fused' forces cross-run fusion — "
-                   "results are bit-identical every way")
+                   "dedupes eligible runs, 'event' forces the per-event "
+                   "engine — results are bit-identical either way")
     p.add_argument("--csv", type=str, default=None,
                    help="replay an AWS-format spot history instead of "
                    "generating traces (single-market strategies only)")
@@ -231,10 +229,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             # The CSV replay is a single in-process run that bypasses
             # run_batch, so capture its observability directly.
             sink = MemorySink() if want_trace else NULL_SINK
-            # A single replay has no batch to route; a forced --engine
-            # vector (or fused — one run has nothing to fuse with) changes
-            # the stack (results are identical).
-            one_engine = "vector" if args.engine in ("vector", "fused") else "event"
+            # A single replay has no batch to route: auto takes the vector
+            # scheduler, which itself degrades to per-event under --trace
+            # or for non-vectorizable policies (results are identical).
+            one_engine = "vector" if args.engine == "auto" else "event"
             observed = run_simulation_observed(cfg, sink=sink, engine=one_engine)
             results = [observed.result]
             scope.add_run(

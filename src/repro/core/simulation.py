@@ -109,7 +109,7 @@ class ObservedRun:
     vector_checks: int = 0
     #: Per-market ``(lo, hi)`` envelope of every price the run compared
     #: against its reverse-migration threshold (``None`` off the vector
-    #: scheduler). The batch executor's fusion tier uses it to clone runs
+    #: scheduler). The batch executor's band tier uses it to clone runs
     #: whose reverse thresholds this trajectory provably never told apart.
     reverse_band: Optional[Dict[object, Tuple[float, float]]] = None
 
@@ -137,7 +137,6 @@ def build_stack(
     config: SimulationConfig,
     sink: TraceSink = NULL_SINK,
     engine: str = "event",
-    fused: Optional[object] = None,
 ) -> SimStack:
     """Assemble catalog, provider, engine and scheduler for one run.
 
@@ -152,17 +151,10 @@ def build_stack(
     Configurations the vector engine cannot batch (non-vectorizable
     strategy or bidding policy, an enabled trace sink) transparently run
     per-event; the scheduler's ``vectorized`` attribute says which
-    happened. ``engine="fused"`` is the same scheduler; the name exists
-    so single-run entry points accept every batch engine name. ``fused``
-    optionally attaches a shared
-    :class:`~repro.runtime.fused.FusedScanContext` so boundary-scan rows
-    are reused across the runs of a fusion group (ignored by the event
-    engine).
+    happened.
     """
-    if engine not in ("event", "vector", "fused"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r} (want 'event', 'vector' or 'fused')"
-        )
+    if engine not in ("event", "vector"):
+        raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
     catalog = config.catalog
     if catalog is None:
         catalog = build_catalog(
@@ -186,14 +178,11 @@ def build_stack(
         provider = faults.wrap_provider(provider, run_seed=config.seed)
     strategy = config.strategy()
     scheduler_cls = CloudScheduler
-    extra = {}
-    if engine in ("vector", "fused"):
+    if engine == "vector":
         # Imported lazily: repro.runtime builds on this module.
         from repro.runtime.vector import VectorScheduler
 
         scheduler_cls = VectorScheduler
-        if fused is not None:
-            extra["fused"] = fused
     sim_engine = Engine(sink=sink)
     scheduler = scheduler_cls(
         engine=sim_engine,
@@ -205,7 +194,6 @@ def build_stack(
         horizon=config.horizon_s,
         service_disk_gib=config.service_disk_gib,
         sink=sink,
-        **extra,
     )
     return SimStack(
         config=config,
@@ -289,7 +277,6 @@ def run_simulation_observed(
     sink: TraceSink = NULL_SINK,
     verify: bool = False,
     engine: str = "event",
-    fused: Optional[object] = None,
 ) -> ObservedRun:
     """Run one simulation with decision tracing and metrics attached.
 
@@ -303,7 +290,7 @@ def run_simulation_observed(
     ``engine`` selects the execution engine (see :func:`build_stack`);
     the returned run's ``engine_kind`` reports which one actually ran.
     """
-    stack = build_stack(config, sink=sink, engine=engine, fused=fused)
+    stack = build_stack(config, sink=sink, engine=engine)
     stack.scheduler.run()
     result = summarize_stack(stack)
     if verify:

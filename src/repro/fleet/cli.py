@@ -12,8 +12,7 @@ Examples::
 
 The fleet is synthesized deterministically from ``--seed`` (see
 :func:`repro.fleet.spec.synthesize_fleet`); the report is byte-identical
-at any ``--jobs`` value and across ``--engine event``/``vector``/
-``fused``. See
+at any ``--jobs`` value and across ``--engine auto``/``event``. See
 ``docs/FLEET.md`` for the model and the metrics glossary.
 """
 
@@ -27,7 +26,7 @@ from typing import List, Optional
 from repro.analysis.tables import Table
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import synthesize_fleet
-from repro.runtime import collect_telemetry
+from repro.runtime import ENGINE_KINDS, collect_telemetry
 from repro.traces.calibration import ALL_REGIONS, SIZES
 from repro.units import days
 
@@ -62,12 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the per-service fan-out "
                    "(default 1 = serial; the report is byte-identical)")
-    p.add_argument("--engine", choices=("auto", "event", "vector", "fused"),
-                   default="auto",
+    p.add_argument("--engine", choices=ENGINE_KINDS, default="auto",
                    help="execution engine: 'auto' (default) vectorizes and "
-                   "fuses eligible runs, 'event'/'vector' force one "
-                   "per-run engine, 'fused' forces cross-run fusion — "
-                   "the report is bit-identical either way")
+                   "dedupes eligible runs, 'event' forces the per-event "
+                   "engine — the report is bit-identical either way")
     p.add_argument("--ledger", metavar="PATH", default=None,
                    help="journal each completed service run to a crash-safe "
                    "run ledger at PATH (a directory gets one file per batch)")

@@ -45,9 +45,6 @@ class RunObservation:
     metrics: Optional[Dict[str, Any]] = None
     #: Which engine executed the run (``RunTelemetry.engine_kind``).
     engine: str = "event"
-    #: The run executed inside a cross-run fusion group
-    #: (``RunTelemetry.fused``).
-    fused: bool = False
     #: The run was cloned from a dynamics-identical sibling
     #: (``RunTelemetry.deduped``).
     deduped: bool = False
@@ -70,14 +67,13 @@ class ObservationScope:
         events: Optional[Tuple[Dict[str, Any], ...]] = None,
         metrics: Optional[Dict[str, Any]] = None,
         engine: str = "event",
-        fused: bool = False,
         deduped: bool = False,
     ) -> None:
         """Record one finished run (called in submission order)."""
         self.runs.append(
             RunObservation(
                 label=label, seed=seed, events=tuple(events or ()),
-                metrics=metrics, engine=engine, fused=fused, deduped=deduped,
+                metrics=metrics, engine=engine, deduped=deduped,
             )
         )
         if metrics:
@@ -98,10 +94,8 @@ class ObservationScope:
                 record["run"] = run.label
                 record["seed"] = run.seed
                 record["engine"] = run.engine
-                # Presence-based tags: omitted when False so ordinary
+                # Presence-based tag: omitted when False so ordinary
                 # trace lines don't grow for the common case.
-                if run.fused:
-                    record["fused"] = True
                 if run.deduped:
                     record["deduped"] = True
                 record.update(event)
@@ -166,12 +160,11 @@ def notify_run(
     events: Optional[Tuple[Dict[str, Any], ...]],
     metrics: Optional[Dict[str, Any]],
     engine: str = "event",
-    fused: bool = False,
     deduped: bool = False,
 ) -> None:
     """Report one finished run to every active scope (executor hook)."""
     for scope in _ACTIVE.get():
         scope.add_run(
             label, seed, events=events, metrics=metrics, engine=engine,
-            fused=fused, deduped=deduped,
+            deduped=deduped,
         )

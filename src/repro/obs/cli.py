@@ -76,8 +76,6 @@ def _summarize(args: argparse.Namespace) -> int:
         heading = " / ".join(p for p in (experiment, run) if p) or "(untagged)"
         engine = str(events[0].get("engine", "")) if events else ""
         tag = f", {engine} engine" if engine else ""
-        if events and events[0].get("fused"):
-            tag += ", fused"
         if events and events[0].get("deduped"):
             tag += ", deduped clone"
         print(f"\n== {heading} (seed {seed}{tag}) — {len(events)} event(s)")

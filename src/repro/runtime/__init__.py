@@ -6,7 +6,7 @@ variant into a pickleable :class:`RunSpec`, a set of them into a
 :class:`BatchSpec`, and executes batches through :func:`run_batch` — serially
 by default (byte-for-byte reproducible ordering), or across worker processes
 with ``jobs > 1``; either way one pipeline runs each catalog unit of a batch
-through the same dedupe/fusion loop, in-process or in a pool worker. A
+through the same dedupe loop, in-process or in a pool worker. A
 per-process :class:`TraceCatalogCache` guarantees that N policies evaluated
 on one seed pay for a single trace-catalog build in each process — pool
 workers keep theirs warm across batches, so no catalog is ever shipped —

@@ -14,7 +14,7 @@ one path:
    sharing one catalog key form one unit; every other run (event-routed,
    faulted, trace-capturing, without a catalog key) is a unit of its own.
 3. **Execute** each unit through one loop (``_run_unit``) that plans
-   dedupe and fusion, clones twins and retries crashed runs. With
+   dedupe, clones twins and retries crashed runs. With
    ``jobs == 1`` the parent runs every unit; with ``jobs > 1`` portable
    units go to the worker pool whole, and units holding a non-portable
    run (a legacy closure factory) stay in-process, as does a batch with
@@ -28,30 +28,18 @@ batch engine exactly when it is eligible — vectorizable strategy and
 bidding policy, no fault plan, no trace capture — and on the per-event
 engine otherwise; results are bit-identical either way, the vector
 engine just skips the no-action boundary machinery. ``"event"`` forces
-the per-event engine; ``"vector"`` requests the vector engine for every
-run best-effort (a run whose configuration cannot be batched still
-degrades to per-event inside the scheduler). A ledger never changes the
-routing. Which engine actually ran each spec is reported as
+the per-event engine. A ledger never changes the routing. Which engine
+actually ran each spec is reported as
 :attr:`~repro.runtime.telemetry.RunTelemetry.engine_kind`.
 
-Inside a unit, vector-routed runs are *deduplicated*: two specs whose
-catalogs, strategies, seeds and bidding **dynamics** are identical (e.g.
-proactive bids that all clamp at the provider's cap) drive byte-identical
-simulations, so the executor runs one representative and clones its
-result for the twins — reported as ``deduped_runs``.
-
-Under ``"auto"`` (and the explicit ``"fused"`` selector) a unit goes one
-step further and *fuses* the runs that do execute: dedupe keys are
-capability-projected (:func:`repro.runtime.fused.fused_dedupe_key` —
-parameters a strategy provably never reads are dropped, collapsing more
-twins), thresholds are rank- and band-matched against the unit's
-catalog, and the executed runs share one
-:class:`~repro.runtime.fused.FusedScanContext`, so every boundary scan
-window over a given trace timeline is materialised once for the whole
-unit instead of once per run. ``"vector"`` deliberately skips all of
-that but the plain dedupe — it is the unfused per-run reference path the
-fused engine is tested against. Fusion is reported as
-``fused_groups``/``fused_runs``.
+Inside a unit, vector-routed runs are *deduplicated* across three clone
+tiers (:mod:`repro.runtime.fused`): capability-projected dynamics keys
+(parameters a strategy provably never reads are dropped), thresholds
+rank-projected against the unit's price ladder, and reverse thresholds
+matched against the band an executed representative compared. Two specs
+that land in one class drive byte-identical simulations, so the executor
+runs one representative and clones its result for the twins — reported
+as ``deduped_runs``.
 """
 
 from __future__ import annotations
@@ -105,17 +93,15 @@ def _attempt_one(
     cache: Optional[TraceCatalogCache],
     attempt: int,
     engine: str = "event",
-    fused: Optional[object] = None,
     notes: Optional[dict] = None,
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """One execution attempt of one spec (no retry handling).
 
-    The catalog is resolved through ``cache``. ``fused`` is the run's
-    fusion group's shared :class:`~repro.runtime.fused.FusedScanContext`,
-    if any. ``notes``, when given, receives execution by-products that
-    don't belong in the result pair — currently ``"reverse_band"``, the
-    scheduler's observed reverse-threshold envelope the band clone tier
-    matches later specs against.
+    The catalog is resolved through ``cache``. ``notes``, when given,
+    receives execution by-products that don't belong in the result pair —
+    currently ``"reverse_band"``, the scheduler's observed
+    reverse-threshold envelope the band clone tier matches later specs
+    against.
     """
     from repro.core.simulation import run_simulation_observed
 
@@ -136,7 +122,7 @@ def _attempt_one(
         source = "cache" if cache_hit else "build"
     sink: TraceSink = MemorySink() if spec.capture_trace else NULL_SINK
     observed = run_simulation_observed(
-        spec.to_config(catalog=catalog), sink=sink, engine=engine, fused=fused
+        spec.to_config(catalog=catalog), sink=sink, engine=engine
     )
     result = observed.result
     if notes is not None:
@@ -160,9 +146,6 @@ def _attempt_one(
         trace_events=trace_events,
         engine_kind=observed.engine_kind,
         vector_checks=observed.vector_checks,
-        # A run is "fused" only if the shared context could actually be
-        # consulted — i.e. the scheduler really ran vectorized.
-        fused=fused is not None and observed.engine_kind == "vector",
     )
     return result, telemetry
 
@@ -173,7 +156,6 @@ def _execute_one(
     retries: int = DEFAULT_RETRIES,
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     engine: str = "event",
-    fused: Optional[object] = None,
     notes: Optional[dict] = None,
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """Run one spec with retry/backoff, resolving its catalog via ``cache``.
@@ -183,15 +165,11 @@ def _execute_one(
     to ``retries`` times with exponential backoff; the final failure
     propagates. Every other exception — a bad configuration, a bug — is
     deterministic and surfaces at once, without a backoff sleep. Retries
-    cannot change results — a run is a pure function of its spec (a
-    shared fused scan context only caches rows the run would compute
-    anyway).
+    cannot change results — a run is a pure function of its spec.
     """
     for attempt in range(retries + 1):
         try:
-            return _attempt_one(
-                spec, cache, attempt, engine=engine, fused=fused, notes=notes
-            )
+            return _attempt_one(spec, cache, attempt, engine=engine, notes=notes)
         except RETRYABLE:
             if attempt >= retries:
                 raise
@@ -203,20 +181,11 @@ def _execute_one(
 def _resolve_engine(spec: RunSpec, engine: str) -> str:
     """Which engine one spec runs on, given the batch's ``engine`` selector.
 
-    ``"vector"`` and ``"fused"`` are best-effort forces: every run is
-    routed to the vector engine, which itself still degrades to
-    per-event when the configuration cannot be batched (the two differ
-    only at the batch level — ``"fused"`` additionally shares scan work
-    across the group, ``"vector"`` keeps runs independent).
     Under ``"auto"``, faulted and trace-capturing runs stay on the event
     engine — fault overlays and narration want the per-boundary walk —
     and everything else goes to the vector engine when eligible.
     """
-    if engine == "event":
-        return "event"
-    if engine in ("vector", "fused"):
-        return "vector"
-    if spec.faults is not None or spec.capture_trace:
+    if engine == "event" or spec.faults is not None or spec.capture_trace:
         return "event"
     return "vector" if spec_vector_eligible(spec) else "event"
 
@@ -227,18 +196,15 @@ def _partition(
     """Split the pending runs into units, ordered by first index.
 
     A unit is either every pending vector-routed run sharing one catalog
-    key, or a single run (event-routed, faulted, trace-capturing, or
-    without a catalog key). Dedupe twins, rank/band clones and fusion
-    groups never span two catalog keys, so planning each unit on its own
-    reproduces the whole-batch plan exactly.
+    key, or a single run (event-routed or without a catalog key; faulted
+    and trace-capturing runs are always event-routed). Dedupe twins and
+    rank/band clones never span two catalog keys, so planning each unit
+    on its own reproduces the whole-batch plan exactly.
     """
     units: List[List[int]] = []
     by_catalog: Dict[object, List[int]] = {}
     for i in pending:
-        spec = specs[i]
-        key = None
-        if engines[i] == "vector" and spec.faults is None and not spec.capture_trace:
-            key = spec.catalog_key()
+        key = specs[i].catalog_key() if engines[i] == "vector" else None
         if key is None:
             units.append([i])
         elif key in by_catalog:
@@ -264,7 +230,6 @@ def _clone(
             telemetry,
             label=label,
             deduped=True,
-            fused=False,
             # The clone resolved no catalog of its own; keep the batch's
             # build/hit accounting honest.
             catalog_cache_hit=True,
@@ -277,7 +242,6 @@ def _clone(
 def _run_unit(
     specs: Sequence[RunSpec],
     engines: Sequence[str],
-    fusion: bool,
     retries: int,
     retry_backoff_s: float,
     cache: Optional[TraceCatalogCache] = None,
@@ -292,8 +256,8 @@ def _run_unit(
 
     Three clone tiers apply. Static twins (equal dynamics keys, planned
     up front by :func:`~repro.runtime.fused.plan_fusion`) clone their
-    representative. Under ``fusion`` two catalog-aware tiers follow once
-    the unit's catalog is cached: bidding thresholds are *rank-projected*
+    representative. Two catalog-aware tiers follow once the unit's
+    catalog is cached: bidding thresholds are *rank-projected*
     against the trace's price ladder — thresholds in the same gap
     between trace prices configure provably identical runs — and reverse
     thresholds are matched against the *reverse band* each executed
@@ -308,21 +272,21 @@ def _run_unit(
     if cache is None:
         cache = shared_catalog_cache()
     positions = range(len(specs))
-    plan = plan_fusion(specs, positions, engines, fuse=fusion)
+    twin_of = plan_fusion(specs, positions, engines)
     done: Dict[int, Tuple[SimulationResult, RunTelemetry]] = {}
     rank_rep: Dict[tuple, int] = {}
     band_reps: Dict[tuple, List[Tuple[dict, int]]] = {}
     ladders: Dict[tuple, object] = {}
 
     def project(i: int):
-        if not fusion or engines[i] != "vector":
+        if engines[i] != "vector":
             return None
         ck = specs[i].catalog_key()
         catalog = cache.peek(ck) if ck is not None else None
         return None if catalog is None else rank_projection(specs[i], catalog, ladders)
 
     for i in positions:
-        rep = plan.twin_of.get(i)
+        rep = twin_of.get(i)
         proj = project(i) if rep is None else None
         if proj is not None:
             rkey, reverse = proj
@@ -343,8 +307,7 @@ def _run_unit(
             continue
         notes: dict = {}
         done[i] = _execute_one(
-            specs[i], cache, retries, retry_backoff_s, engines[i],
-            fused=plan.context_of.get(i), notes=notes,
+            specs[i], cache, retries, retry_backoff_s, engines[i], notes=notes
         )
         if proj is None:
             # This run built its catalog: project its key now so later
@@ -461,11 +424,8 @@ def run_batch(
     engine:
         ``"auto"`` (default) routes each eligible run — vectorizable
         policies, no faults, no trace capture — through the vectorized
-        batch engine (with cross-run fusion) and the rest per-event; ``"event"`` and ``"vector"`` force one
-        engine batch-wide (``"vector"`` is best-effort — non-batchable
-        configurations still degrade to per-event inside the scheduler —
-        and stays unfused, as the per-run reference path); ``"fused"``
-        is ``"vector"`` routing plus the cross-run fusion layer.
+        batch engine (with cross-run dedupe) and the rest per-event;
+        ``"event"`` forces the per-event engine batch-wide.
         Results are bit-identical across engines; each run's
         :class:`RunTelemetry.engine_kind` reports which one executed it.
     jobs:
@@ -556,7 +516,6 @@ def run_batch(
 
     pending = [i for i in range(len(specs)) if slots[i] is None]
     engines = tuple(_resolve_engine(s, engine) for s in specs)
-    fusion = engine in ("auto", "fused")
     units = _partition(specs, pending, engines)
     parallel_runs = 0
     # A lone pending run gains nothing from a worker; it runs in-process.
@@ -566,7 +525,6 @@ def run_batch(
         return (
             tuple(specs[i] for i in unit),
             tuple(engines[i] for i in unit),
-            fusion,
             retries,
             retry_backoff_s,
         )
@@ -608,7 +566,7 @@ def run_batch(
     for t in run_telemetry:
         notify_run(
             t.label, t.seed, t.trace_events, t.metrics,
-            engine=t.engine_kind, fused=t.fused, deduped=t.deduped,
+            engine=t.engine_kind, deduped=t.deduped,
         )
     telemetry = BatchTelemetry(
         runs=len(specs),
@@ -624,8 +582,6 @@ def run_batch(
         vector_runs=sum(1 for t in run_telemetry if t.engine_kind == "vector"),
         vector_checks=sum(t.vector_checks for t in run_telemetry),
         deduped_runs=sum(1 for t in fresh.values() if t.deduped),
-        fused_groups=sum(1 for unit in units if any(fresh[i].fused for i in unit)),
-        fused_runs=sum(1 for t in fresh.values() if t.fused),
     )
     notify_batch(telemetry)
     return BatchResult(results=results, run_telemetry=run_telemetry, telemetry=telemetry)

@@ -47,7 +47,7 @@ from repro.runtime.telemetry import RunTelemetry
 __all__ = ["LEDGER_VERSION", "LedgerRecord", "LedgerState", "RunLedger", "resolve_ledger_path"]
 
 #: Bumped when the record schema changes incompatibly.
-LEDGER_VERSION = 1
+LEDGER_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)

@@ -51,8 +51,8 @@ class RunTelemetry:
     replayed: bool = False
     #: Which engine actually executed the run: ``"event"`` (per-event
     #: loop) or ``"vector"`` (batched boundary scans). Reports the engine
-    #: that *ran*, not the one requested — a forced-vector run whose
-    #: configuration was not vectorizable reports ``"event"``.
+    #: that *ran*, not the one requested — a vector-routed run whose
+    #: configuration turned out not to batch reports ``"event"``.
     engine_kind: str = "event"
     #: Boundary-check instants the vector engine evaluated as array scans
     #: (its batch width for this run); 0 on the event engine.
@@ -62,12 +62,6 @@ class RunTelemetry:
     #: (wall clock, events, attempts) then report the *representative*
     #: run, exactly as ledger replays report the original execution.
     deduped: bool = False
-    #: True when the run executed on the vector engine with a shared
-    #: cross-run scan context (:mod:`repro.runtime.fused`) attached —
-    #: boundary-window price rows were served from the fusion group's
-    #: cache instead of recomputed per run. Always False for dedupe
-    #: twins: a run is cloned or fused, never both.
-    fused: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,10 +85,6 @@ class BatchTelemetry:
     #: total boundary-check instants the vector engine scanned as arrays
     vector_checks: int = 0
     deduped_runs: int = 0  #: runs cloned from dynamics-identical siblings
-    #: fusion groups that shared one cross-run scan context
-    fused_groups: int = 0
-    #: runs executed inside a fusion group (disjoint from deduped_runs)
-    fused_runs: int = 0
 
     def summary(self) -> str:
         """One-line human summary (the runner's footer ingredient)."""
@@ -108,8 +98,6 @@ class BatchTelemetry:
             base += f", {self.vector_runs} vector ({self.vector_checks} checks)"
         if self.deduped_runs:
             base += f", {self.deduped_runs} deduped"
-        if self.fused_runs:
-            base += f", {self.fused_runs} fused in {self.fused_groups} groups"
         return base
 
 
@@ -156,14 +144,6 @@ class TelemetryCollector:
         return sum(b.deduped_runs for b in self.batches)
 
     @property
-    def fused_groups(self) -> int:
-        return sum(b.fused_groups for b in self.batches)
-
-    @property
-    def fused_runs(self) -> int:
-        return sum(b.fused_runs for b in self.batches)
-
-    @property
     def wall_s(self) -> float:
         return sum(b.wall_s for b in self.batches)
 
@@ -178,8 +158,6 @@ class TelemetryCollector:
             base += f", {self.vector_runs} vector"
         if self.deduped_runs:
             base += f", {self.deduped_runs} deduped"
-        if self.fused_runs:
-            base += f", {self.fused_runs} fused in {self.fused_groups} groups"
         return base
 
 

@@ -72,8 +72,10 @@ __all__ = [
     "spec_vector_eligible",
 ]
 
-#: Valid values of the ``--engine`` selector.
-ENGINE_KINDS = ("auto", "event", "vector", "fused")
+#: Valid values of the batch ``--engine`` selector. The per-run
+#: ``"vector"`` scheduler is reached through ``auto`` routing (or
+#: :func:`~repro.core.simulation.build_stack` directly), never forced.
+ENGINE_KINDS = ("auto", "event")
 
 
 def policies_vectorizable(strategy: object, bidding: object) -> bool:
@@ -95,7 +97,7 @@ def policies_vectorizable(strategy: object, bidding: object) -> bool:
 def spec_vector_eligible(spec: object) -> bool:
     """Is a :class:`~repro.runtime.spec.RunSpec` runnable on the vector
     engine at all (capability check only — the executor layers its own
-    routing policy for faults/capture/ledger on top)?
+    routing policy for faults/capture on top)?
 
     Building the strategy to inspect its flag is safe: factories build a
     fresh instance per call and strategies are cheap by contract.
@@ -124,7 +126,7 @@ class VectorScheduler(CloudScheduler):
     per-event run.
     """
 
-    def __init__(self, *args, fused=None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.vectorized = (
             not self.sink.enabled
@@ -133,12 +135,6 @@ class VectorScheduler(CloudScheduler):
         #: Boundary-check instants evaluated as array scans (telemetry:
         #: how much per-event machinery the run batched away).
         self.vector_checks = 0
-        #: Optional :class:`~repro.runtime.fused.FusedScanContext` shared
-        #: with the other runs of a fusion group: boundary-window price
-        #: rows are computed once per (trace, anchor, lead) and served to
-        #: every aligned run. ``None`` keeps all lookups run-local.
-        self._fused = fused if self.vectorized else None
-        self._scan_span = None
         #: Per-market envelope of every price the run compared against its
         #: reverse-migration threshold: ``key -> (lo, hi)`` where ``lo`` is
         #: the largest compared price the predicate accepted and ``hi`` the
@@ -175,19 +171,10 @@ class VectorScheduler(CloudScheduler):
                 hi = rejected
         self.reverse_band[key] = (lo, hi)
 
-    def _scan_prices(self, trace, checks: np.ndarray) -> np.ndarray:
-        """Prices at a scan window's boundary checks.
-
-        Delegates to the fusion group's shared boundary table when one is
-        attached and a scan is in flight; otherwise (or when the table
-        declines) a run-local compiled-trace lookup. Either path returns
-        the bit-identical elementwise ``trace.price_at(checks)`` floats.
-        """
-        if self._fused is not None and self._scan_span is not None:
-            anchor, lead, lo = self._scan_span
-            prices = self._fused.prices(trace, anchor, lead, lo, checks)
-            if prices is not None:
-                return prices
+    @staticmethod
+    def _scan_prices(trace, checks: np.ndarray) -> np.ndarray:
+        """Prices at a scan window's boundary checks: the bit-identical
+        elementwise ``trace.price_at(checks)`` floats."""
         return np.asarray(trace.price_at(checks), dtype=np.float64)
 
     # ------------------------------------------------------------ scan plumbing
@@ -243,11 +230,7 @@ class VectorScheduler(CloudScheduler):
                     if cut:
                         window = checks[:cut]
                         self.vector_checks += cut
-                        self._scan_span = (anchor, lead, lo)
-                        try:
-                            act = act_mask(window)
-                        finally:
-                            self._scan_span = None
+                        act = act_mask(window)
                         first_stop = float(window[0])
                         if (
                             2.0 * arrive >= first_stop

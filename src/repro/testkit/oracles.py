@@ -19,6 +19,9 @@ Each oracle audits one conservation law of the completed
 * **determinism** — equal seeds and equal ``jobs`` produce byte-identical
   reports (:func:`check_rerun_determinism`, :func:`check_jobs_determinism`).
 
+:func:`unfused_vector_results` is the per-run reference the batch
+executor's cross-run dedupe is checked (and benchmarked) against.
+
 Run them via ``run_simulation(config, verify=True)``, :func:`run_verified`,
 or the ``repro-verify`` CLI.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation
@@ -41,6 +44,7 @@ __all__ = [
     "run_verified",
     "check_rerun_determinism",
     "check_jobs_determinism",
+    "unfused_vector_results",
     "check_spare_pool",
     "verify_fleet",
 ]
@@ -352,6 +356,41 @@ def check_jobs_determinism(
         + (f"; mismatched: {', '.join(mismatches)}" if mismatches else ""),
     )
     return report
+
+
+def unfused_vector_results(specs, cache=None) -> List:
+    """Results of ``specs`` run one by one on the vector engine.
+
+    The reference for the executor's cross-run dedupe: every spec runs
+    through :func:`~repro.core.simulation.run_simulation_observed` with
+    ``engine="vector"`` on its cached catalog, except plain dynamics twins
+    (equal :func:`~repro.runtime.fused.fused_dedupe_key` with
+    ``project=False`` — no capability projection, no rank or band
+    matching), which clone their first occurrence under their own label.
+    """
+    from repro.core.simulation import run_simulation_observed
+    from repro.runtime.cache import shared_catalog_cache
+    from repro.runtime.fused import fused_dedupe_key
+
+    if cache is None:
+        cache = shared_catalog_cache()
+    results: List = []
+    first_of: dict = {}
+    for spec in specs:
+        key = fused_dedupe_key(spec, project=False)
+        if key is not None and key in first_of:
+            rep = first_of[key]
+            results.append(replace(rep, label=spec.label or rep.label))
+            continue
+        catalog_key = spec.catalog_key()
+        catalog = cache.get_or_build(catalog_key)[0] if catalog_key is not None else None
+        result = run_simulation_observed(
+            spec.to_config(catalog=catalog), engine="vector"
+        ).result
+        if key is not None:
+            first_of[key] = result
+        results.append(result)
+    return results
 
 
 # ------------------------------------------------------------- fleet oracles

@@ -1,11 +1,11 @@
 """Cross-run fusion equivalence and accounting tests.
 
-The contract under test: ``engine="fused"`` (and the fusion tier inside
-``engine="auto"``) produces results byte-identical to per-run ``vector``
-and ``event`` execution on every batch it accepts — fusion and its two
-dedupe tiers (capability-projected static keys, observed reverse-band
-cloning) are pure execution optimizations — and the batch telemetry
-never double-counts a run as both deduped and fused.
+The contract under test: ``engine="auto"`` produces results
+byte-identical to the unfused per-run vector reference
+(:func:`repro.testkit.oracles.unfused_vector_results`) and to ``event``
+execution on every batch it accepts — its dedupe tiers
+(capability-projected static keys, rank projection, observed
+reverse-band cloning) are pure execution optimizations.
 """
 
 import dataclasses
@@ -20,13 +20,14 @@ from repro.runtime import RunSpec, StrategySpec, run_batch
 from repro.runtime.cache import TraceCatalogCache
 from repro.runtime.telemetry import collect_telemetry
 from repro.testkit.golden import FLEET_SCENARIOS, SCENARIOS
+from repro.testkit.oracles import unfused_vector_results
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
 EAST = "us-east-1a"
 EAST_SMALL = MarketKey(EAST, "small")
 
-#: Shared across tests and hypothesis examples: fused equivalence must not
+#: Shared across tests and hypothesis examples: dedupe equivalence must not
 #: depend on catalog-cache temperature.
 _CACHE = TraceCatalogCache()
 
@@ -50,24 +51,23 @@ def _results(specs, engine):
 # ------------------------------------------------------------ golden parity
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_fused_matches_event_on_golden_corpus(scenario):
-    """``--engine fused`` is byte-identical to ``event`` on every golden
-    scenario — including the ones whose policies degrade to per-event
-    execution under the fused selector."""
+    """``--engine auto`` is byte-identical to ``event`` on every golden
+    scenario — including the ones whose policies route per-event."""
     config = scenario.config()
     event = run_simulation_observed(config)
-    fused = run_batch([RunSpec.from_config(scenario.config())], engine="fused")
-    assert fused.results[0] == event.result
+    auto = run_batch([RunSpec.from_config(scenario.config())], engine="auto")
+    assert auto.results[0] == event.result
 
 
 def test_fused_matches_event_on_fleet_golden():
     """The ``fleet-small`` golden renders the identical report bytes under
-    cross-run fusion."""
+    cross-run dedupe."""
     from repro.fleet.runner import run_fleet
 
     scenario = FLEET_SCENARIOS[0]
     event = run_fleet(scenario.spec(), engine="event")
-    fused = run_fleet(scenario.spec(), engine="fused")
-    assert fused.to_json() == event.to_json()
+    auto = run_fleet(scenario.spec(), engine="auto")
+    assert auto.to_json() == event.to_json()
 
 
 # ----------------------------------------------------- hypothesis property
@@ -105,9 +105,9 @@ _STRATEGIES = (
     ),
 )
 def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids):
-    """``fused == vector == event`` over random mixed-strategy cohorts,
-    including the newly-vectorizable stability and index-tracking
-    families; fusion's dedupe tiers must be invisible in the results."""
+    """``auto == unfused oracle == event`` over random mixed-strategy
+    cohorts, including the vectorizable stability and index-tracking
+    families; the dedupe tiers must be invisible in the results."""
     specs = []
     for sid in strategy_ids:
         for k in ks:
@@ -128,16 +128,14 @@ def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids):
                 label=f"s{sid}/reactive",
             )
         )
-    fused = _results(specs, "fused")
-    vector = _results(specs, "vector")
-    event = _results(specs, "event")
-    assert fused == vector
-    assert fused == event
+    auto = list(_results(specs, "auto"))
+    assert auto == unfused_vector_results(specs, _CACHE)
+    assert auto == list(_results(specs, "event"))
 
 
-# ----------------------------------------------- dedupe/fusion accounting
+# ------------------------------------------------------ dedupe accounting
 def _frontier(seed=3, ks=(1.5, 2.5, 4.0), fracs=(0.5, 0.7, 0.9)):
-    """A sweep dense enough that both dedupe tiers and fusion all engage."""
+    """A sweep dense enough that the dedupe tiers all engage."""
     return [
         _spec(
             bidding=ProactiveBidding(k=k, reverse_threshold_frac=f),
@@ -149,29 +147,6 @@ def _frontier(seed=3, ks=(1.5, 2.5, 4.0), fracs=(0.5, 0.7, 0.9)):
     ]
 
 
-def test_deduped_and_fused_never_double_count():
-    """A run is cloned or fused, never both — per run and in the batch
-    totals (the dedupe-before-fusion ordering guard)."""
-    specs = _frontier() + _frontier(seed=4)
-    with collect_telemetry() as tel:
-        run_batch(specs, engine="fused", cache=_CACHE)
-    (batch,) = tel.batches
-    per_run = batch  # BatchTelemetry totals
-    assert per_run.deduped_runs + per_run.fused_runs <= per_run.runs
-    assert per_run.deduped_runs > 0  # the sweep must actually dedupe
-    assert per_run.fused_runs > 0  # and actually fuse
-
-
-def test_no_run_reports_both_deduped_and_fused():
-    specs = _frontier()
-    telemetry = []
-    run_batch(specs, engine="fused", cache=_CACHE, progress=telemetry.append)
-    assert len(telemetry) == len(specs)
-    for t in telemetry:
-        assert not (t.deduped and t.fused), t.label
-    assert any(t.deduped for t in telemetry)
-
-
 def test_static_twins_expand_after_fused_evaluation():
     """Identical-dynamics twins clone their representative's result (label
     aside) and report honest provenance."""
@@ -180,12 +155,12 @@ def test_static_twins_expand_after_fused_evaluation():
         _spec(bidding=ProactiveBidding(k=5.0), label="b"),
     ]
     telemetry = []
-    batch = run_batch(specs, engine="fused", cache=_CACHE, progress=telemetry.append)
+    batch = run_batch(specs, engine="auto", cache=_CACHE, progress=telemetry.append)
     a, b = batch.results
     assert dataclasses.replace(a, label="") == dataclasses.replace(b, label="")
     assert a.label == "a" and b.label == "b"
     assert not telemetry[0].deduped
-    assert telemetry[1].deduped and not telemetry[1].fused
+    assert telemetry[1].deduped
 
 
 def test_reverse_band_tier_clones_undiscriminated_fracs():
@@ -203,25 +178,27 @@ def test_reverse_band_tier_clones_undiscriminated_fracs():
         for f in fracs
     ]
     with collect_telemetry() as tel:
-        fused = _results(specs, "fused")
+        auto = _results(specs, "auto")
     assert tel.deduped_runs > 0, "band tier found no undiscriminated fracs"
     event = _results(specs, "event")
-    assert fused == event
+    assert auto == event
 
 
-def test_forced_vector_stays_unfused():
-    """``engine="vector"`` remains the unfused per-run reference path: no
-    fusion groups, no fused runs."""
+def test_frontier_matches_unfused_oracle():
+    """The projected dedupe tiers clone strictly more than the plain key,
+    and every clone still equals the unfused per-run reference."""
+    specs = _frontier() + _frontier(seed=4)
     with collect_telemetry() as tel:
-        run_batch(_frontier(), engine="vector", cache=_CACHE)
+        auto = _results(specs, "auto")
     (batch,) = tel.batches
-    assert batch.fused_runs == 0
-    assert batch.fused_groups == 0
-    assert batch.vector_runs == len(_frontier())
+    assert batch.deduped_runs > 0
+    assert batch.vector_runs == len(specs)
+    assert list(auto) == unfused_vector_results(specs, _CACHE)
 
 
 def test_batch_rejects_unknown_engine_with_choices():
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError, match="auto, event, vector, fused"):
-        run_batch([_spec()], engine="bogus", cache=_CACHE)
+    for engine in ("bogus", "vector", "fused"):
+        with pytest.raises(ConfigurationError, match="auto, event"):
+            run_batch([_spec()], engine=engine, cache=_CACHE)

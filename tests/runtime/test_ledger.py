@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError, LedgerError
 from repro.runtime import (
+    LEDGER_VERSION,
     RunLedger,
     RunSpec,
     StrategySpec,
@@ -304,6 +305,28 @@ class TestResume:
         with pytest.raises(LedgerError):
             run_batch(_specs(1, 2, 3), ledger=led, resume=True)
 
+    def test_wrong_schema_version_hard_error(self, tmp_path):
+        led = tmp_path / "batch.jsonl"
+        run_batch(_specs(1, 2), ledger=led)
+        lines = _ledger_lines(led)
+        header = json.loads(lines[0])
+        header["version"] = LEDGER_VERSION - 1
+        lines[0] = json.dumps(header)
+        led.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="schema version 1"):
+            run_batch(_specs(1, 2), ledger=led, resume=True)
+
+    def test_unknown_telemetry_key_is_malformed_record(self, tmp_path):
+        led = tmp_path / "batch.jsonl"
+        run_batch(_specs(1, 2), ledger=led)
+        lines = _ledger_lines(led)
+        record = json.loads(lines[1])
+        record["telemetry"]["fused"] = False  # a field this schema dropped
+        lines[1] = json.dumps(record)
+        led.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="malformed run record"):
+            run_batch(_specs(1, 2), ledger=led, resume=True)
+
     def test_empty_ledger_hard_error(self, tmp_path):
         led = tmp_path / "batch.jsonl"
         led.write_text("")
@@ -432,7 +455,7 @@ class TestRunLedgerObject:
         run_batch(_specs(1, 2), ledger=led)
         _, state = RunLedger.load(led)
         assert state.runs == 2
-        assert state.version == 1
+        assert state.version == LEDGER_VERSION == 2
         assert state.package_version
         assert sorted(state.records) == [0, 1]
         assert not state.dropped_torn_tail

@@ -99,7 +99,7 @@ def test_vector_matches_event_property(seed, horizon_days, kind, region, size, b
         sizes=(size,) if kind != "multi-market" else ("small", "large"),
     )
     event = run_batch([spec], engine="event", cache=_CACHE)
-    vector = run_batch([spec], engine="vector", cache=_CACHE)
+    vector = run_batch([spec], engine="auto", cache=_CACHE)
     assert vector.results == event.results
     assert event.run_telemetry[0].engine_kind == "event"
     assert vector.run_telemetry[0].engine_kind == "vector"
@@ -158,21 +158,25 @@ def test_ledgered_auto_batch_vector_routes_and_replays(tmp_path):
 
 def test_forced_vector_degrades_on_nonvectorizable_strategy():
     """NoFaultToleranceStrategy cannot batch (its recompute path only
-    exists in the event engine); forced vector still runs — per-event
-    inside the scheduler — and reports what actually happened."""
+    exists in the event engine): ``auto`` routes it per-event, and a
+    forced per-run vector scheduler still runs it — per-event inside the
+    scheduler — and reports what actually happened."""
     spec = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL))
     event = run_batch([spec], engine="event", cache=_CACHE)
-    vector = run_batch([spec], engine="vector", cache=_CACHE)
-    assert vector.run_telemetry[0].engine_kind == "event"
-    assert vector.run_telemetry[0].vector_checks == 0
-    assert vector.results == event.results
+    auto = run_batch([spec], engine="auto", cache=_CACHE)
+    vector = run_simulation_observed(spec.to_config(), engine="vector")
+    assert auto.run_telemetry[0].engine_kind == "event"
+    assert vector.engine_kind == "event"
+    assert vector.vector_checks == 0
+    assert auto.results == event.results == (vector.result,)
 
 
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         run_batch([_spec()], engine="bogus", cache=_CACHE)
-    with pytest.raises(ConfigurationError):
-        run_simulation_observed(_spec().to_config(), engine="auto")
+    for engine in ("auto", "fused"):
+        with pytest.raises(ConfigurationError):
+            run_simulation_observed(_spec().to_config(), engine=engine)
 
 
 # --------------------------------------------------------------------- dedupe

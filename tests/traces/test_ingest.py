@@ -374,10 +374,11 @@ def test_ingest_peak_memory_independent_of_archive_size(tmp_path):
 
 
 # ----------------------------------------- simulation-report identity (mmap)
-@pytest.mark.parametrize("engine", ["event", "vector", "fused"])
+@pytest.mark.parametrize("engine", ["event", "auto"])
 def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     """A simulation off the mmap catalog produces a byte-identical report
-    to the CSV -> in-memory path, on every engine."""
+    to the CSV -> in-memory path, on every engine (``auto`` replays on
+    the vector scheduler, as ``repro-simulate --segments`` does)."""
     import dataclasses as dc
 
     from repro.core.simulation import SimulationConfig, run_simulation_observed
@@ -396,7 +397,7 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     mem_catalog = TraceCatalog({key: mem_trace}, {key: 0.06}, horizon)
     mm_catalog = load_segment_catalog(tmp_path / "seg").restricted([key])
 
-    one_engine = "vector" if engine in ("vector", "fused") else "event"
+    one_engine = "vector" if engine == "auto" else "event"
 
     def _run(catalog):
         cfg = SimulationConfig(
@@ -408,6 +409,8 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
             catalog=catalog,
             label="ingest-identity",
         )
-        return dc.asdict(run_simulation_observed(cfg, engine=one_engine).result)
+        observed = run_simulation_observed(cfg, engine=one_engine)
+        assert observed.engine_kind == one_engine
+        return dc.asdict(observed.result)
 
     assert _run(mm_catalog) == _run(mem_catalog)

@@ -95,7 +95,7 @@ def main() -> int:
         elif action.choices and action.nargs is None:
             # A scalar choices-flag's documented meaning must name every
             # accepted value (in backticks) — e.g. --engine must list
-            # auto/event/vector/fused. Multi-valued cohort filters
+            # auto/event. Multi-valued cohort filters
             # (--region, --size) describe their domain in prose instead.
             documented = set(re.findall(r"`([^`]+)`", doc_flags[flag]))
             missing = [str(c) for c in action.choices if str(c) not in documented]
