@@ -11,6 +11,7 @@ import pytest
 from repro.core.bidding import ProactiveBidding
 from repro.core.simulation import SimulationConfig, run_simulation
 from repro.core.strategies import SingleMarketStrategy
+from repro.runtime.cache import shared_catalog_cache
 from repro.simulator.engine import Engine
 from repro.traces.calibration import calibration_for
 from repro.traces.catalog import MarketKey, build_catalog
@@ -31,9 +32,12 @@ def test_bench_perf_trace_generation(benchmark):
 
 @pytest.mark.benchmark(group="perf")
 def test_bench_perf_full_catalog(benchmark):
-    """Generate the full 16-market catalog."""
+    """Generate the full 16-market catalog, cold: ``build_catalog`` uses a
+    fresh market store, so no round is served from the process's cache."""
+    before = shared_catalog_cache().stats()
     cat = benchmark(build_catalog, 7, days(30))
     assert len(cat) == 16
+    assert shared_catalog_cache().stats() == before
 
 
 @pytest.mark.benchmark(group="perf")

@@ -44,7 +44,7 @@ def _policy_comparison_runs(seeds=(11, 23, 37)):
 
 @pytest.mark.benchmark(group="runtime")
 def test_bench_runtime_batch_cold_cache(benchmark):
-    """Six 30-day runs, fresh cache each round: pays 3 catalog builds."""
+    """Six 30-day runs, fresh cache each round: generates 3 markets, one per seed."""
     runs = _policy_comparison_runs()
 
     def execute():
@@ -57,7 +57,7 @@ def test_bench_runtime_batch_cold_cache(benchmark):
 
 @pytest.mark.benchmark(group="runtime")
 def test_bench_runtime_batch_warm_cache(benchmark):
-    """The same six runs on a pre-warmed cache: zero catalog builds."""
+    """The same six runs on a pre-warmed cache: generates no market."""
     runs = _policy_comparison_runs()
     cache = TraceCatalogCache()
     run_batch(runs, cache=cache)

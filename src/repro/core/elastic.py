@@ -50,7 +50,7 @@ class DemandCurve:
 
     def at(self, t: float) -> int:
         """Required units at time ``t`` (clamped to [0, peak])."""
-        return int(np.clip(round(self._fn(t)), 0, self.peak))
+        return min(max(round(self._fn(t)), 0), self.peak)
 
     @classmethod
     def diurnal(

@@ -20,9 +20,9 @@ from repro.cloud.spot_market import SpotMarket
 from repro.core.adaptive import AdaptiveBidding
 from repro.core.bidding import ProactiveBidding
 from repro.experiments.common import ExperimentConfig, simulate
-from repro.runtime import StrategySpec
+from repro.runtime import StrategySpec, shared_catalog
 from repro.traces.calibration import on_demand_price
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 
 EXPERIMENT_ID = "abl-adaptive"
 TITLE = "Ablation: adaptive bidding versus the fixed 4x cap"
@@ -50,8 +50,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     for key, tag in ((VOLATILE, "volatile"), (CALM, "calm")):
         vals = []
         for seed in cfg.effective_seeds():
-            cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(),
-                                regions=(key.region,), sizes=("small",))
+            cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(),
+                                 regions=(key.region,), sizes=("small",))
             market = SpotMarket(
                 name=str(key), trace=cat.trace(key),
                 on_demand_price=cat.on_demand_price(key),

@@ -20,9 +20,10 @@ from repro.core.bidding import ReactiveBidding
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import SingleMarketStrategy
 from repro.experiments.common import ExperimentConfig
+from repro.runtime import shared_catalog
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.vm.mechanisms import Mechanism, MigrationModel, TYPICAL_PARAMS
 
 EXPERIMENT_ID = "abl-grace"
@@ -40,8 +41,8 @@ def _run(cfg: ExperimentConfig, grace_s: float) -> tuple[float, float]:
     """
     unav, forced = [], []
     for seed in cfg.effective_seeds():
-        cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(),
-                            regions=("us-east-1a",), sizes=("small",))
+        cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(),
+                             regions=("us-east-1a",), sizes=("small",))
         streams = RngStreams(seed)
         provider = CloudProvider(cat, rng=streams.get("provider/startup"),
                                  grace_s=grace_s)

@@ -20,9 +20,9 @@ from repro.analysis.tables import Table
 from repro.cloud.provider import CloudProvider
 from repro.core.elastic import DemandCurve, ElasticSpotFleet
 from repro.experiments.common import ExperimentConfig
+from repro.runtime import shared_catalog
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
-from repro.traces.catalog import build_catalog
 from repro.units import SECONDS_PER_HOUR
 
 EXPERIMENT_ID = "ext-elastic"
@@ -34,8 +34,8 @@ REGIONS = ("us-east-1a", "us-east-1b")
 def _run(cfg: ExperimentConfig, lead_s: float):
     out = []
     for seed in cfg.effective_seeds():
-        cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(),
-                            regions=REGIONS, sizes=("small",))
+        cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(),
+                             regions=REGIONS, sizes=("small",))
         provider = CloudProvider(cat, rng=RngStreams(seed).get("elastic/provider"))
         fleet = ElasticSpotFleet(
             Engine(), provider, DemandCurve.diurnal(base=4, peak=12),

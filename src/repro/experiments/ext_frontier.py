@@ -23,10 +23,10 @@ from repro.cloud.provider import CloudProvider
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.replication import ReplicatedScheduler
 from repro.experiments.common import ExperimentConfig, simulate
-from repro.runtime import StrategySpec
+from repro.runtime import StrategySpec, shared_catalog
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.units import SECONDS_PER_HOUR
 from repro.vm.mechanisms import Mechanism
 from repro.vm.replication import RemusReplication
@@ -42,8 +42,8 @@ def _run_replicated(cfg: ExperimentConfig) -> tuple[float, float]:
     """(normalized cost %, unavailability %) of the Remus pair, seed-averaged."""
     costs, unavail = [], []
     for seed in cfg.effective_seeds():
-        cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(),
-                            regions=PAIR_REGIONS)
+        cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(),
+                             regions=PAIR_REGIONS)
         streams = RngStreams(seed)
         provider = CloudProvider(cat, rng=streams.get("provider/startup"))
         sch = ReplicatedScheduler(

@@ -13,8 +13,9 @@ from repro.analysis.figures import sparkline
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentConfig
+from repro.runtime import shared_catalog
 from repro.traces.calibration import on_demand_price
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.traces.statistics import summarize_trace, trace_correlation
 
 EXPERIMENT_ID = "fig1"
@@ -24,7 +25,7 @@ TITLE = "Spot prices over a month (us-east-1a small & large)"
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     seed = cfg.effective_seeds()[0]
-    cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=("us-east-1a",))
+    cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=("us-east-1a",))
     small = cat.trace(MarketKey("us-east-1a", "small"))
     large = cat.trace(MarketKey("us-east-1a", "large"))
 

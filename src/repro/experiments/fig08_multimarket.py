@@ -17,9 +17,9 @@ from repro.analysis.figures import bar_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentConfig, simulate
-from repro.runtime import StrategySpec
+from repro.runtime import StrategySpec, shared_catalog
 from repro.traces.calibration import REGIONS, SIZES
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.traces.statistics import mean_pairwise_correlation
 
 EXPERIMENT_ID = "fig8"
@@ -47,7 +47,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         )
         corrs = []
         for seed in cfg.effective_seeds():
-            cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=(region,))
+            cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=(region,))
             corrs.append(
                 mean_pairwise_correlation([cat.trace(k) for k in cat.markets_in_region(region)])
             )

@@ -20,9 +20,9 @@ import numpy as np
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentConfig, simulate
-from repro.runtime import StrategySpec
+from repro.runtime import StrategySpec, shared_catalog
 from repro.traces.calibration import REGIONS, SIZES
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.traces.statistics import trace_correlation
 
 EXPERIMENT_ID = "fig9"
@@ -52,7 +52,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         )
         corrs = []
         for seed in cfg.effective_seeds():
-            cat = build_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=(ra, rb))
+            cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(), regions=(ra, rb))
             corrs.append(
                 float(np.mean([
                     trace_correlation(

@@ -13,8 +13,9 @@ from repro.analysis.figures import bar_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentConfig
+from repro.runtime import shared_catalog
 from repro.traces.calibration import REGIONS, SIZES
-from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.catalog import MarketKey
 from repro.traces.statistics import price_std
 
 EXPERIMENT_ID = "fig10"
@@ -25,7 +26,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     stds: dict[tuple[str, str], float] = {}
     for seed in cfg.effective_seeds():
-        cat = build_catalog(seed=seed, horizon=cfg.effective_horizon())
+        cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon())
         for region in REGIONS:
             for size in SIZES:
                 key = (region, size)

@@ -25,9 +25,10 @@ from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
 from repro.pool.spares import DEFAULT_HANDOVER_WINDOW_S, spare_requirement
+from repro.runtime.cache import shared_catalog
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
-from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog
+from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.units import SECONDS_PER_HOUR, days
 from repro.vm.mechanisms import Mechanism, MechanismParams, MigrationModel, TYPICAL_PARAMS
 
@@ -115,7 +116,7 @@ class SpotPool:
 
     def __init__(self, config: PoolConfig) -> None:
         self.config = config
-        self.catalog = config.catalog or build_catalog(
+        self.catalog = config.catalog or shared_catalog(
             seed=config.seed,
             horizon=config.horizon_s,
             regions=tuple(config.regions),

@@ -7,14 +7,20 @@ variant into a pickleable :class:`RunSpec`, a set of them into a
 by default (byte-for-byte reproducible ordering), or across worker processes
 with ``jobs > 1``; either way one pipeline runs each catalog unit of a batch
 through the same dedupe loop, in-process or in a pool worker. A
-per-process :class:`TraceCatalogCache` guarantees that N policies evaluated
-on one seed pay for a single trace-catalog build in each process — pool
-workers keep theirs warm across batches, so no catalog is ever shipped —
+per-process :class:`TraceCatalogCache` of market stores guarantees that
+every market trace of a (seed, horizon) sample is generated at most once in
+each process, whichever catalogs and policies use it — pool workers keep
+theirs warm across batches, so no catalog is ever shipped —
 and :class:`RunTelemetry` / :class:`BatchTelemetry` records surface
 wall-clock, events-processed, and cache-hit counters in experiment reports.
 """
 
-from repro.runtime.cache import CatalogKey, TraceCatalogCache, shared_catalog_cache
+from repro.runtime.cache import (
+    CatalogKey,
+    TraceCatalogCache,
+    shared_catalog,
+    shared_catalog_cache,
+)
 from repro.runtime.executor import BatchResult, run_batch
 from repro.runtime.vector import ENGINE_KINDS
 from repro.runtime.ledger import (
@@ -60,6 +66,7 @@ __all__ = [
     "register_strategy_kind",
     "resolve_ledger_path",
     "run_batch",
+    "shared_catalog",
     "shared_catalog_cache",
     "spec_fingerprint",
     "strategy_kinds",

@@ -1,10 +1,15 @@
-"""Per-process trace-catalog cache: build each price sample at most once.
+"""Per-process market store cache: generate each market trace at most once.
 
 The paper's methodology compares policies on *the same* price sample, and a
-batch of N policies over S seeds needs only S catalog builds, not N×S. The
-cache is a small LRU keyed by everything that determines a catalog's
-contents (:class:`CatalogKey`); both the serial executor and every pool
-worker hold one per process (:func:`shared_catalog_cache`).
+batch of N policies over S seeds needs only S samples, not N×S. Every
+catalog a process asks for — a run's (:class:`CatalogKey`) or an
+experiment's direct :func:`shared_catalog` lookup — is served from one
+:class:`~repro.traces.catalog.MarketStore` per (seed, horizon,
+calibration overrides): the store generates each market once, and any
+region/size subset is a view over the same trace objects, bit-identical to
+a fresh :func:`~repro.traces.catalog.build_catalog`. The cache is a small
+LRU of those stores; both the serial executor and every pool worker hold
+one per process (:func:`shared_catalog_cache`).
 """
 
 from __future__ import annotations
@@ -12,16 +17,22 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.traces.catalog import TraceCatalog, build_catalog
+from repro.traces.calibration import (
+    DEFAULT_CALIBRATIONS,
+    REGIONS,
+    SIZES,
+    MarketCalibration,
+)
+from repro.traces.catalog import MarketStore, TraceCatalog
 
-__all__ = ["CatalogKey", "TraceCatalogCache", "shared_catalog_cache"]
+__all__ = ["CatalogKey", "TraceCatalogCache", "shared_catalog", "shared_catalog_cache"]
 
-#: Default number of catalogs kept per process. A full 16-market, 30-day
-#: catalog is a few MB; 32 comfortably covers one experiment's seed×market
-#: working set.
+#: Default number of market stores kept per process. A full 16-market,
+#: 30-day store measures about 0.75 MB; 32 stores comfortably cover one
+#: experiment's seed × calibration working set.
 DEFAULT_MAXSIZE = 32
 
 
@@ -35,28 +46,53 @@ class CatalogKey:
     sizes: Tuple[str, ...]
     calibration_token: Optional[tuple] = None  #: sorted calibration overrides
 
-    def build(self) -> TraceCatalog:
-        """Generate the catalog this key describes."""
-        calibrations = (
-            dict(self.calibration_token) if self.calibration_token is not None else None
-        )
-        return build_catalog(
-            seed=self.seed,
-            horizon=self.horizon_s,
-            regions=self.regions,
-            sizes=self.sizes,
-            calibrations=calibrations,
-        )
+    @classmethod
+    def of(
+        cls,
+        seed: int,
+        horizon: float,
+        regions: Iterable[str] = REGIONS,
+        sizes: Iterable[str] = SIZES,
+        calibrations: Optional[Mapping[Tuple[str, str], MarketCalibration]] = None,
+    ) -> Optional["CatalogKey"]:
+        """The key of :func:`build_catalog`'s arguments, or ``None`` when
+        they are unhashable (calibration overrides that cannot be cached)."""
+        token: Optional[tuple] = None
+        if calibrations is not None:
+            token = tuple(sorted(calibrations.items()))
+        key = cls(int(seed), float(horizon), tuple(regions), tuple(sizes), token)
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
+
+    @property
+    def store_key(self) -> tuple:
+        """``(seed, horizon_s, overrides)`` of the market store this key's
+        catalog is a view of. An override equal to its market's default
+        calibration generates the default trace, so it is left out."""
+        token = self.calibration_token
+        if token is not None:
+            token = tuple(
+                (market, cal) for market, cal in token
+                if cal != DEFAULT_CALIBRATIONS.get(market)
+            ) or None
+        return (self.seed, self.horizon_s, token)
 
 
 class TraceCatalogCache:
-    """An LRU of built catalogs with hit/miss/build counters."""
+    """An LRU of market stores with hit/miss/build counters.
+
+    A lookup is a *hit* when every market of the key is already generated
+    and a *build* when at least one market had to be generated.
+    """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         if maxsize <= 0:
             raise ConfigurationError("cache maxsize must be positive")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[CatalogKey, TraceCatalog]" = OrderedDict()
+        self._stores: "OrderedDict[tuple, MarketStore]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.builds = 0
@@ -64,29 +100,37 @@ class TraceCatalogCache:
 
     def get_or_build(self, key: CatalogKey) -> Tuple[TraceCatalog, bool, float]:
         """The catalog for ``key``: ``(catalog, was_cached, build_seconds)``."""
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
+        store_key = key.store_key
+        store = self._stores.get(store_key)
+        if store is None:
+            store = MarketStore(key.seed, key.horizon_s, dict(store_key[2] or ()))
+            self._stores[store_key] = store
+            while len(self._stores) > self.maxsize:
+                self._stores.popitem(last=False)
+        else:
+            self._stores.move_to_end(store_key)
+        if store.has(key.regions, key.sizes):
             self.hits += 1
-            return cached, True, 0.0
+            return store.catalog(key.regions, key.sizes), True, 0.0
         self.misses += 1
         t0 = time.perf_counter()
-        catalog = key.build()
+        catalog = store.catalog(key.regions, key.sizes)
         wall = time.perf_counter() - t0
         self.builds += 1
         self.build_wall_s += wall
-        self._entries[key] = catalog
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
         return catalog, False, wall
 
     def peek(self, key: CatalogKey) -> Optional[TraceCatalog]:
-        """The cached catalog without building or touching LRU order."""
-        return self._entries.get(key)
+        """The catalog when every market of ``key`` is already generated,
+        without generating or touching LRU order."""
+        store = self._stores.get(key.store_key)
+        if store is None or not store.has(key.regions, key.sizes):
+            return None
+        return store.catalog(key.regions, key.sizes)
 
     def clear(self) -> None:
         """Drop entries and reset counters."""
-        self._entries.clear()
+        self._stores.clear()
         self.hits = 0
         self.misses = 0
         self.builds = 0
@@ -94,7 +138,7 @@ class TraceCatalogCache:
 
     def stats(self) -> dict:
         return {
-            "size": len(self._entries),
+            "size": len(self._stores),
             "hits": self.hits,
             "misses": self.misses,
             "builds": self.builds,
@@ -102,10 +146,10 @@ class TraceCatalogCache:
         }
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._stores)
 
     def __contains__(self, key: CatalogKey) -> bool:
-        return key in self._entries
+        return self.peek(key) is not None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -123,3 +167,19 @@ def shared_catalog_cache() -> TraceCatalogCache:
     if _SHARED is None:
         _SHARED = TraceCatalogCache()
     return _SHARED
+
+
+def shared_catalog(
+    seed: int,
+    horizon: float,
+    regions: Iterable[str] = REGIONS,
+    sizes: Iterable[str] = SIZES,
+) -> TraceCatalog:
+    """:func:`~repro.traces.catalog.build_catalog` (default calibrations) served from this
+    process's market stores.
+
+    Returns a bit-identical catalog, but generates only the markets no
+    earlier lookup in this process generated.
+    """
+    key = CatalogKey.of(seed, horizon, regions, sizes)
+    return shared_catalog_cache().get_or_build(key)[0]

@@ -360,25 +360,9 @@ class RunSpec:
         run is uncacheable (unhashable calibration overrides)."""
         from repro.runtime.cache import CatalogKey
 
-        token: Optional[tuple] = None
-        if self.calibrations is not None:
-            try:
-                token = tuple(sorted(self.calibrations.items()))
-                hash(token)
-            except TypeError:
-                return None
-        key = CatalogKey(
-            seed=self.seed,
-            horizon_s=float(self.horizon_s),
-            regions=tuple(self.regions),
-            sizes=tuple(self.sizes),
-            calibration_token=token,
+        return CatalogKey.of(
+            self.seed, self.horizon_s, self.regions, self.sizes, self.calibrations
         )
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
 
     def is_portable(self) -> bool:
         """Can this spec cross a process boundary?"""

@@ -4,6 +4,13 @@ A :class:`TraceCatalog` is the simulation's price oracle. Experiments build
 one per seed ("we sampled the empirically observed distributions and used a
 different sample for each simulation run" — Section 4.1) and hand it to the
 scheduler via :class:`repro.cloud.provider.CloudProvider`.
+
+A :class:`MarketStore` generates each market of one (seed, horizon) sample
+at most once and serves any region/size subset as a view over the same
+trace objects. Every market draws from named RNG streams and every shared
+shock is memoised in the generator by stream name, so a market's trace does
+not depend on which other markets were generated before it: a subset view
+is bit-identical to a fresh :func:`build_catalog` of that subset.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from repro.traces.calibration import (
 from repro.traces.generator import TraceGenerator
 from repro.traces.trace import PriceTrace
 
-__all__ = ["MarketKey", "TraceCatalog", "build_catalog"]
+__all__ = ["MarketKey", "MarketStore", "TraceCatalog", "build_catalog"]
 
 
 @dataclass(frozen=True, order=True)
@@ -120,10 +127,75 @@ class TraceCatalog:
             {k: self.trace(k) for k in keys},
             {k: self.on_demand_price(k) for k in keys},
             self.horizon,
+            source=self.source,
         )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TraceCatalog {len(self)} markets horizon={self.horizon:.0f}s>"
+
+
+class MarketStore:
+    """Every market of one (seed, horizon) price sample, generated once.
+
+    Holds one :class:`TraceGenerator` and a memo of its traces.
+    :meth:`catalog` generates only the markets it has not generated yet and
+    returns a :class:`TraceCatalog` over the memoised traces; repeated
+    requests for the same subset return the same catalog object.
+
+    ``calibrations`` overrides markets keyed by ``(region, size)``, as in
+    :func:`build_catalog`; it is fixed for the life of the store.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        horizon: float,
+        calibrations: Mapping[tuple[str, str], MarketCalibration] | None = None,
+    ) -> None:
+        self.seed = int(seed)
+        self.horizon = float(horizon)
+        self._calibrations = dict(calibrations) if calibrations is not None else {}
+        self._generator = TraceGenerator(RngStreams(seed), horizon)
+        self._traces: dict[MarketKey, PriceTrace] = {}
+        self._on_demand: dict[MarketKey, float] = {}
+        self._views: dict[tuple[tuple[str, ...], tuple[str, ...]], TraceCatalog] = {}
+
+    def has(self, regions: Iterable[str], sizes: Iterable[str]) -> bool:
+        """Whether every market of ``regions`` × ``sizes`` is generated."""
+        regions, sizes = tuple(regions), tuple(sizes)
+        return (regions, sizes) in self._views or all(
+            MarketKey(r, s) in self._traces for r in regions for s in sizes
+        )
+
+    def catalog(
+        self, regions: Iterable[str] = REGIONS, sizes: Iterable[str] = SIZES
+    ) -> TraceCatalog:
+        """The catalog of ``regions`` × ``sizes``, generating missing markets."""
+        view_key = (tuple(regions), tuple(sizes))
+        view = self._views.get(view_key)
+        if view is not None:
+            return view
+        keys = [MarketKey(r, s) for r in view_key[0] for s in view_key[1]]
+        for key in keys:
+            if key not in self._traces:
+                cal = self._calibrations.get((key.region, key.size))
+                if cal is None:
+                    cal = calibration_for(key.region, key.size)
+                self._traces[key] = self._generator.generate(cal)
+                self._on_demand[key] = on_demand_price(key.region, key.size)
+        view = TraceCatalog(
+            {k: self._traces[k] for k in keys},
+            {k: self._on_demand[k] for k in keys},
+            self.horizon,
+        )
+        self._views[view_key] = view
+        return view
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"<MarketStore seed={self.seed} horizon={self.horizon:.0f}s "
+            f"markets={len(self._traces)}>"
+        )
 
 
 def build_catalog(
@@ -148,18 +220,4 @@ def build_catalog(
         Optional overrides, keyed by ``(region, size)``; missing keys fall
         back to :func:`repro.traces.calibration.calibration_for`.
     """
-    streams = RngStreams(seed)
-    gen = TraceGenerator(streams, horizon)
-    traces: dict[MarketKey, PriceTrace] = {}
-    od: dict[MarketKey, float] = {}
-    for region in regions:
-        for size in sizes:
-            cal = None
-            if calibrations is not None:
-                cal = calibrations.get((region, size))
-            if cal is None:
-                cal = calibration_for(region, size)
-            key = MarketKey(region=region, size=size)
-            traces[key] = gen.generate(cal)
-            od[key] = on_demand_price(region, size)
-    return TraceCatalog(traces, od, horizon)
+    return MarketStore(seed, horizon, calibrations).catalog(regions, sizes)

@@ -50,6 +50,15 @@ class TestDemandCurve:
         m = d.mean_units(days(14))
         assert 4 < m < 12
 
+    def test_at_clamps_to_zero_and_peak(self):
+        """Below 0, inside the range (rounded half to even) and above peak;
+        always a plain ``int``."""
+        cases = {-3.7: 0, -0.4: 0, 0.0: 0, 2.5: 2, 3.5: 4, 6.49: 6, 12.0: 12, 12.6: 12, 40.0: 12}
+        for level, want in cases.items():
+            got = DemandCurve(lambda t, v=level: v, peak=12).at(0.0)
+            assert got == want and type(got) is int, level
+        assert DemandCurve(lambda t: np.float64(7.6), peak=12).at(0.0) == 8
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DemandCurve.diurnal(base=0, peak=12)

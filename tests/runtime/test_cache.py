@@ -1,13 +1,17 @@
-"""Trace-catalog cache: build-once semantics and same-sample guarantees."""
+"""Trace-catalog cache: generate-once semantics and same-sample guarantees."""
+
+from collections import Counter
 
 import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
-from repro.runtime.cache import CatalogKey
-from repro.traces.catalog import MarketKey
-from repro.traces.calibration import calibration_for
+from repro.runtime.cache import CatalogKey, shared_catalog, shared_catalog_cache
+from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.calibration import REGIONS, SIZES, calibration_for
+from repro.traces.generator import TraceGenerator
 from repro.units import days
 
 KEY = MarketKey("us-east-1a", "small")
@@ -54,7 +58,7 @@ class TestCatalogKey:
         assert with_cal.catalog_key() != catalog_key(1)
 
     def test_build_matches_key(self):
-        catalog = catalog_key(4).build()
+        catalog = TraceCatalogCache().get_or_build(catalog_key(4))[0]
         assert KEY in catalog
         assert catalog.horizon == days(2)
 
@@ -78,6 +82,49 @@ class TestTraceCatalogCache:
         cache.get_or_build(k1)  # refresh k1: k2 becomes LRU
         cache.get_or_build(k3)
         assert k1 in cache and k3 in cache and k2 not in cache
+
+    def test_lru_counts_stores_not_subsets(self):
+        """Every region/size subset of one seed lives in one store."""
+        cache = TraceCatalogCache(maxsize=1)
+        full = CatalogKey.of(1, days(2))
+        one = CatalogKey.of(1, days(2), ("us-east-1a",), ("small",))
+        cache.get_or_build(one)
+        catalog, hit, _ = cache.get_or_build(full)
+        assert not hit and len(cache) == 1
+        sub, hit, wall = cache.get_or_build(CatalogKey.of(1, days(2), ("eu-west-1a",)))
+        assert hit and wall == 0.0
+        assert sub.trace(MarketKey("eu-west-1a", "large")) is catalog.trace(
+            MarketKey("eu-west-1a", "large")
+        )
+        assert cache.stats()["builds"] == 2 and cache.stats()["hits"] == 1
+
+    def test_peek_needs_every_market(self):
+        cache = TraceCatalogCache()
+        cache.get_or_build(CatalogKey.of(1, days(2), ("us-east-1a",)))
+        assert cache.peek(CatalogKey.of(1, days(2), ("us-east-1a",), ("small",))) is not None
+        assert cache.peek(CatalogKey.of(1, days(2), ("us-east-1a", "us-east-1b"))) is None
+        assert cache.peek(CatalogKey.of(2, days(2), ("us-east-1a",))) is None
+        assert cache.stats()["builds"] == 1 and cache.stats()["hits"] == 0
+
+    def test_calibrations_get_their_own_store(self):
+        cal = {("us-east-1a", "small"): calibration_for("us-east-1a", "small", calm_base_frac=0.08)}
+        cache = TraceCatalogCache()
+        plain, _, _ = cache.get_or_build(CatalogKey.of(1, days(2), ("us-east-1a",)))
+        tuned, hit, _ = cache.get_or_build(
+            CatalogKey.of(1, days(2), ("us-east-1a",), calibrations=cal)
+        )
+        assert not hit and len(cache) == 2
+        assert tuned.trace(KEY).mean_price() < plain.trace(KEY).mean_price()
+
+    def test_default_equal_override_shares_the_default_store(self):
+        """An override equal to the default calibration generates nothing new."""
+        cal = {("us-east-1a", "small"): calibration_for("us-east-1a", "small")}
+        cache = TraceCatalogCache()
+        plain, _, _ = cache.get_or_build(CatalogKey.of(1, days(2), ("us-east-1a",)))
+        same, hit, _ = cache.get_or_build(
+            CatalogKey.of(1, days(2), ("us-east-1a",), calibrations=cal)
+        )
+        assert hit and same is plain and len(cache) == 1
 
     def test_clear_resets(self):
         cache = TraceCatalogCache()
@@ -130,3 +177,42 @@ class TestBatchCaching:
             calibrations={("us-east-1a", "small"): Unhashable({"x": cal})},
         )
         assert odd.catalog_key() is None
+
+
+class TestSharedCatalog:
+    def test_matches_build_catalog(self):
+        regions, sizes = ("us-west-1b", "us-east-1a"), ("large", "small")
+        served = shared_catalog(5, days(2), regions, sizes)
+        fresh = build_catalog(5, days(2), regions, sizes)
+        assert served.markets() == fresh.markets()
+        for key in fresh.markets():
+            assert served.trace(key).prices.tobytes() == fresh.trace(key).prices.tobytes()
+            assert served.trace(key).times.tobytes() == fresh.trace(key).times.tobytes()
+        assert shared_catalog(5, days(2), regions, sizes) is served
+
+    def test_fast_figures_generate_each_market_once(self, monkeypatch):
+        """fig8, fig9 and fig10 share one sample per seed: across all three
+        (runs and direct trace statistics alike) every (seed, market,
+        calibration) is generated at most once in the process."""
+        generated: Counter = Counter()
+        original = TraceGenerator.generate
+
+        def counting(self, cal):
+            generated[(self.streams.seed, self.horizon, cal)] += 1
+            return original(self, cal)
+
+        monkeypatch.setattr(TraceGenerator, "generate", counting)
+        cfg = ExperimentConfig(fast=True)
+        shared_catalog_cache().clear()
+        try:
+            for eid in ("fig8", "fig9", "fig10"):
+                run_experiment(eid, cfg)
+        finally:
+            shared_catalog_cache().clear()
+        assert max(generated.values()) == 1
+        assert set(generated) == {
+            (seed, cfg.effective_horizon(), calibration_for(r, s))
+            for seed in cfg.effective_seeds()
+            for r in REGIONS
+            for s in SIZES
+        }

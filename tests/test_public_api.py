@@ -100,3 +100,27 @@ def test_error_hierarchy():
     for name in errors.__all__:
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError) or exc is errors.ReproError
+
+
+def test_entry_points_do_not_import_scipy():
+    """scipy is a declared dependency but stays off the import path of the
+    package and its CLIs: ``import scipy.signal`` alone costs about a
+    second of start-up and tens of MB of RSS (see docs/PERFORMANCE.md)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.experiments.runner, repro.fleet.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(','.join(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "", f"scipy imported: {out.stdout.strip()}"

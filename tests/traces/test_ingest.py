@@ -193,6 +193,24 @@ def test_ingest_demuxes_markets_and_rebases(tmp_path):
     assert catalog.horizon == pytest.approx(report.horizon)
 
 
+def test_restricted_segment_catalog_keeps_source(tmp_path):
+    """A restricted view of an mmap catalog still names its segment
+    directory (``repro-simulate --segments`` simulates on such a view)."""
+    archive = tmp_path / "multi.csv"
+    _write_archive(
+        archive,
+        {("us-east-1a", "m1.small"): _trace(10, n=30), ("us-west-1a", "m1.large"): _trace(11)},
+    )
+    ingest_archive(archive, tmp_path / "seg")
+    catalog = load_segment_catalog(tmp_path / "seg")
+    key = MarketKey("us-east-1a", "small")
+    view = catalog.restricted([key])
+    assert catalog.source is not None
+    assert view.source == catalog.source
+    assert view.markets() == [key]
+    assert view.trace(key) is catalog.trace(key)
+
+
 def test_ingest_gzip_archive(tmp_path):
     trace = _trace(12, n=20)
     plain = tmp_path / "a.csv"
