@@ -64,16 +64,19 @@ class BiddingPolicy(Protocol):
         """One-line rationale for the bid (attached to trace events)."""
         ...
 
-    def dynamics_signature(self, od_prices) -> object | None:
-        """Optional: a hashable token identifying the policy's *dynamics*.
+    def dynamics_components(self, od_prices) -> dict:
+        """Optional: the policy's *dynamics*, split by consumer.
 
-        Two policies with equal signatures place the identical bid in
-        every market (given the per-market on-demand prices) and apply
-        identical migration predicates — so over the same trace catalog,
-        strategy, and seed they drive byte-identical runs. The batch
-        executor uses this to run one representative of a
-        dynamics-identical group and clone the rest. Return ``None`` (or
-        omit the method) for stateful or time-varying policies.
+        Given the per-market on-demand prices, a mapping of hashable
+        values: the policy's name, its per-market ``bids``, and the per-market
+        ``planned_thresholds`` / ``reverse_thresholds`` its predicates
+        compare trace prices against (``None`` for a constant
+        predicate). Two policies that agree on every component drive
+        byte-identical runs over the same catalog, strategy and seed; the
+        batch executor ranks the thresholds against each trace's price
+        ladder (:func:`repro.runtime.fused.dynamics_key`) to run one
+        representative of a dynamics-identical group and clone the rest.
+        Omit the method for stateful or time-varying policies.
         """
         ...
 
@@ -114,22 +117,15 @@ class ReactiveBidding:
     def explain_bid(self, market: SpotMarket, t: float = 0.0) -> str:
         return f"match on-demand ${market.on_demand_price:.4f}; platform revokes on crossing"
 
-    def dynamics_signature(self, od_prices) -> tuple:
-        """Reactive dynamics depend only on the on-demand prices (the bid
-        *is* the on-demand price); the name rides along so default result
-        labels stay distinct across differently-named instances."""
-        return (self.name, "reactive")
-
     def dynamics_components(self, od_prices) -> dict:
-        """Structured split of :meth:`dynamics_signature` by which part of
-        the scheduler consumes each parameter, so capability-aware dedupe
-        (:func:`repro.runtime.fused.fused_dedupe_key`) can project out
-        components a strategy never evaluates. ``planned`` is ``None``:
-        the reactive planned predicate is constant-False. The
-        ``*_thresholds`` entries are the numeric per-market thresholds
-        each predicate compares trace prices against (``None`` for a
-        constant predicate), computed with the same float expressions
-        the scalar predicates use."""
+        """The policy's dynamics split by which part of the scheduler
+        consumes each parameter (see :meth:`BiddingPolicy.dynamics_components`).
+        Reactive dynamics depend only on the on-demand prices (the bid
+        *is* the on-demand price); the name rides along so default result
+        labels stay distinct across differently-named instances.
+        ``planned`` is ``None``: the reactive planned predicate is
+        constant-False. The ``*_thresholds`` are computed with the same
+        float expressions the scalar predicates use."""
         ods = tuple(float(od) for od in od_prices)
         return {
             "name": self.name,
@@ -195,30 +191,17 @@ class ProactiveBidding:
             + ("; clipped to provider cap" if capped else "; scheduler exits voluntarily")
         )
 
-    def dynamics_signature(self, od_prices) -> tuple:
-        """The *effective* bids plus the reverse threshold.
+    def dynamics_components(self, od_prices) -> dict:
+        """The *effective* bids plus the migration thresholds (see
+        :meth:`BiddingPolicy.dynamics_components`).
 
         Bids are clamped at the provider cap (``BID_CAP_MULTIPLIER *
-        p_on``), so every ``k`` at or above the cap multiplier yields the
-        same bid — and therefore, with equal thresholds, byte-identical
-        dynamics. The signature exposes exactly that equivalence: the
-        clamped bid per market, computed with the same float ops as
-        :meth:`bid_price`.
-        """
-        from repro.cloud.spot_market import BID_CAP_MULTIPLIER
-
-        bids = tuple(
-            min(self.k * float(od), BID_CAP_MULTIPLIER * float(od))
-            for od in od_prices
-        )
-        return (self.name, "proactive", bids, self.reverse_threshold_frac)
-
-    def dynamics_components(self, od_prices) -> dict:
-        """Structured split of :meth:`dynamics_signature` (see
-        :meth:`ReactiveBidding.dynamics_components`). The planned
-        threshold is the per-market on-demand price — parameter-free —
-        while the reverse threshold carries ``reverse_threshold_frac``,
-        which strategies that never leave spot never evaluate."""
+        p_on``), computed with the same float ops as :meth:`bid_price`,
+        so every ``k`` at or above the cap multiplier yields the same
+        bid. The planned threshold is the per-market on-demand price —
+        parameter-free — while the reverse threshold carries
+        ``reverse_threshold_frac``, which strategies that never leave
+        spot never evaluate."""
         from repro.cloud.spot_market import BID_CAP_MULTIPLIER
 
         bids = tuple(

@@ -13,9 +13,11 @@ package layers that fleet view on the reproduction:
   revokes every tenant bidding in that market at the same instant —
   correlated revocation storms emerge from the shared traces, exactly as
   in :class:`repro.pool.SpotPool`, but at ``run_batch`` scale;
-* :class:`~repro.fleet.spares.SharedSparePool` generalizes
-  :mod:`repro.pool.spares` to concurrent multi-service claim/return with
-  per-service quotas and hit/miss accounting;
+* :class:`~repro.fleet.spares.SharedSparePool` replays concurrent
+  multi-service claim/return against one warm-spare pool with
+  per-service quotas and hit/miss accounting, and
+  :func:`~repro.fleet.spares.concurrent_events` sizes it — the spares
+  an unbounded pool would have needed at its peak;
 * :func:`~repro.fleet.runner.run_fleet` routes the fleet through
   :func:`repro.runtime.run_batch`, so fleets inherit the process pool,
   crash-safe ledger resume, and ``--engine auto`` vector/event routing;
@@ -33,7 +35,12 @@ from repro.fleet.report import (
     SparePoolReport,
 )
 from repro.fleet.runner import run_fleet
-from repro.fleet.spares import SharedSparePool, SpareEvent, SparePoolOutcome
+from repro.fleet.spares import (
+    SharedSparePool,
+    SpareEvent,
+    SparePoolOutcome,
+    concurrent_events,
+)
 from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
 
 __all__ = [
@@ -46,6 +53,7 @@ __all__ = [
     "SpareEvent",
     "SparePoolOutcome",
     "SparePoolReport",
+    "concurrent_events",
     "run_fleet",
     "synthesize_fleet",
 ]

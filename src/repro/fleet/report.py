@@ -62,8 +62,9 @@ class SparePoolReport:
     hit_rate: float
     peak_in_use: int
     #: Spares the fleet's worst burst would have needed with *no* capacity
-    #: limit and no quotas — the :func:`repro.pool.spares.spare_requirement`
-    #: sizing answer, for comparison against ``capacity``.
+    #: limit and no quotas — the :func:`repro.fleet.spares.concurrent_events`
+    #: sizing answer (equal to ``CorrelationReport.peak_concurrent_forced``),
+    #: for comparison against ``capacity``.
     unconstrained_requirement: int
 
 

@@ -31,9 +31,8 @@ from repro.fleet.report import (
     ServiceReport,
     SparePoolReport,
 )
-from repro.fleet.spares import SharedSparePool
+from repro.fleet.spares import SharedSparePool, concurrent_events
 from repro.fleet.spec import FleetSpec
-from repro.pool.spares import spare_requirement
 from repro.units import SECONDS_PER_HOUR
 
 __all__ = ["run_fleet"]
@@ -101,6 +100,11 @@ def assemble_report(spec: FleetSpec, results: Sequence) -> FleetReport:
         quotas={svc.name: svc.spare_quota for svc in spec.services},
     )
     outcome = pool.replay(active_forced)
+    # The sizing sweep over every service's forced migrations: the spares
+    # an unbounded, quota-free pool would have needed at its peak.
+    peak_forced = concurrent_events(
+        [t for t, _ in active_forced], spec.handover_window_s
+    )
 
     total_cost = 0.0
     baseline_cost = 0.0
@@ -174,26 +178,23 @@ def assemble_report(spec: FleetSpec, results: Sequence) -> FleetReport:
             exhausted_misses=outcome.exhausted_misses,
             hit_rate=outcome.hit_rate,
             peak_in_use=outcome.peak_in_use,
-            unconstrained_requirement=spare_requirement(
-                per_service_forced, spec.handover_window_s
-            ),
+            unconstrained_requirement=peak_forced,
         ),
-        correlation=_correlation(active_forced, spec.handover_window_s),
+        correlation=_correlation(active_forced, spec.handover_window_s, peak_forced),
         services=tuple(service_reports),
     )
 
 
 def _correlation(
-    forced: List[Tuple[float, str]], window_s: float
+    forced: List[Tuple[float, str]], window_s: float, peak: int
 ) -> CorrelationReport:
     """Summarise cross-service revocation correlation.
 
-    ``peak_concurrent_forced`` is the sizing sweep over all instants;
-    ``co_revocation_fraction`` counts forced migrations with at least one
-    *other* service's forced migration within one handover window.
+    ``peak`` (reported as ``peak_concurrent_forced``) is the sizing sweep
+    over all instants; ``co_revocation_fraction`` counts forced migrations
+    with at least one *other* service's forced migration within one
+    handover window.
     """
-    from repro.pool.spares import concurrent_events
-
     if not forced:
         return CorrelationReport(
             total_forced=0,
@@ -212,7 +213,7 @@ def _correlation(
             co += 1
     return CorrelationReport(
         total_forced=len(ordered),
-        peak_concurrent_forced=concurrent_events(times, window_s),
+        peak_concurrent_forced=peak,
         co_revocation_fraction=co / len(ordered),
         services_with_forced=len(set(names)),
     )

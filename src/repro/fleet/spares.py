@@ -1,16 +1,26 @@
-"""Cross-service shared warm-spare pool with claim/return semantics.
+"""Warm-spare pools: the sizing sweep and a shared claim/return pool.
 
-:mod:`repro.pool.spares` answers the *sizing* question — how many spares
-would have been enough. This module answers the *operational* one: given
-a pool of fixed capacity shared by many tenants, which forced migrations
-actually get a warm spare?
+During a forced migration a tenant briefly needs an on-demand server. A
+derivative-cloud operator keeps a pool of warm spares shared by its
+tenants. This module answers two questions about it.
 
-Semantics (documented in ``docs/FLEET.md``):
+*Sizing* — how many spares would have been enough?
+:func:`concurrent_events` is the maximum number of concurrent forced
+migrations, where two migrations overlap if they start within each
+other's handover window (grace + startup + restore, a few minutes).
+Diversified placements make co-revocations rare, so the pool can be far
+smaller than the fleet; concentrated placements need spares for everyone
+at once.
+
+*Operation* — given a pool of fixed capacity shared by many tenants,
+which forced migrations actually get a warm spare?
+:class:`SharedSparePool` replays the claims. Its semantics (documented
+in ``docs/FLEET.md``):
 
 * a forced migration **claims** one spare at its start instant and
   **returns** it one handover window later;
 * returns are processed before claims at the same instant (half-open
-  occupancy, matching the sizing sweep in :mod:`repro.pool.spares`);
+  occupancy, matching the sizing sweep);
 * a claim is **granted** (a hit) only if the pool has a free spare *and*
   the service is below its per-service quota; otherwise it is a miss,
   recorded as ``quota`` or ``pool-exhausted``;
@@ -31,14 +41,48 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.pool.spares import DEFAULT_HANDOVER_WINDOW_S
+import numpy as np
 
-__all__ = ["SpareEvent", "SparePoolOutcome", "SharedSparePool"]
+from repro.errors import ConfigurationError, SchedulingError
+
+__all__ = [
+    "DEFAULT_HANDOVER_WINDOW_S",
+    "SpareEvent",
+    "SparePoolOutcome",
+    "SharedSparePool",
+    "concurrent_events",
+]
+
+#: Grace window + on-demand startup + restore, rounded up.
+DEFAULT_HANDOVER_WINDOW_S = 360.0
 
 #: Miss reasons.
 MISS_QUOTA = "quota"
 MISS_EXHAUSTED = "pool-exhausted"
+
+
+def concurrent_events(times: Sequence[float], window_s: float) -> int:
+    """Maximum number of events active at once, each lasting ``window_s``.
+
+    Classic sweep: +1 at each start, -1 at start+window, take the running
+    maximum. Windows are half-open: an event ending at instant *t* is no
+    longer active for one starting at *t*.
+    """
+    if window_s <= 0:
+        raise SchedulingError("window must be positive")
+    ts = np.asarray(sorted(times), dtype=float)
+    if ts.size == 0:
+        return 0
+    starts = ts
+    ends = ts + window_s
+    points = np.concatenate([
+        np.stack([starts, np.ones_like(starts)], axis=1),
+        np.stack([ends, -np.ones_like(ends)], axis=1),
+    ])
+    # sort by time; ends before starts at the same instant (half-open)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    running = np.cumsum(points[order, 1])
+    return int(running.max())
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding, ReactiveBidding
 from repro.errors import ConfigurationError
-from repro.pool.spares import DEFAULT_HANDOVER_WINDOW_S
+from repro.fleet.spares import DEFAULT_HANDOVER_WINDOW_S
 from repro.runtime.spec import RunSpec, StrategySpec
 from repro.traces.calibration import ALL_REGIONS, SIZES
 from repro.traces.catalog import MarketKey

@@ -24,7 +24,7 @@ from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
-from repro.pool.spares import DEFAULT_HANDOVER_WINDOW_S, spare_requirement
+from repro.fleet.spares import DEFAULT_HANDOVER_WINDOW_S, concurrent_events
 from repro.runtime.cache import shared_catalog
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
@@ -177,8 +177,8 @@ class SpotPool:
         baseline = min(
             self.catalog.on_demand_price(k) for k in self.markets
         )
-        spares = spare_requirement(
-            [o.forced_times for o in outcomes], handover_window_s
+        spares = concurrent_events(
+            [t for o in outcomes for t in o.forced_times], handover_window_s
         )
         return PoolResult(
             services=tuple(outcomes),

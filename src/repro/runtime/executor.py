@@ -13,8 +13,8 @@ one path:
 2. **Partition** the pending runs into *units*: all vector-routed runs
    sharing one catalog key form one unit; every other run (event-routed,
    faulted, trace-capturing, without a catalog key) is a unit of its own.
-3. **Execute** each unit through one loop (``_run_unit``) that plans
-   dedupe, clones twins and retries crashed runs. With
+3. **Execute** each unit through one loop (``_run_unit``) that clones
+   provably identical runs and retries crashed runs. With
    ``jobs == 1`` the parent runs every unit; with ``jobs > 1`` portable
    units go to the worker pool whole, and units holding a non-portable
    run (a legacy closure factory) stay in-process, as does a batch with
@@ -32,14 +32,14 @@ the per-event engine. A ledger never changes the routing. Which engine
 actually ran each spec is reported as
 :attr:`~repro.runtime.telemetry.RunTelemetry.engine_kind`.
 
-Inside a unit, vector-routed runs are *deduplicated* across three clone
-tiers (:mod:`repro.runtime.fused`): capability-projected dynamics keys
-(parameters a strategy provably never reads are dropped), thresholds
-rank-projected against the unit's price ladder, and reverse thresholds
-matched against the band an executed representative compared. Two specs
-that land in one class drive byte-identical simulations, so the executor
-runs one representative and clones its result for the twins — reported
-as ``deduped_runs``.
+Inside a unit, vector-routed runs are *deduplicated* across two clone
+tiers (:mod:`repro.runtime.fused`), both keyed by one
+:func:`~repro.runtime.fused.dynamics_key`: thresholds rank-projected
+against the unit's price ladder (parameters a strategy provably never
+reads are dropped), and reverse thresholds matched against the band an
+executed representative compared. Two specs that land in one class drive
+byte-identical simulations, so the executor runs one representative and
+clones its result for the twins — reported as ``deduped_runs``.
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def _partition(
 
     A unit is either every pending vector-routed run sharing one catalog
     key, or a single run (event-routed or without a catalog key; faulted
-    and trace-capturing runs are always event-routed). Dedupe twins and
-    rank/band clones never span two catalog keys, so planning each unit
-    on its own reproduces the whole-batch plan exactly.
+    and trace-capturing runs are always event-routed). Rank and band
+    clones never span two catalog keys, so deduplicating each unit on its
+    own finds every clone a whole-batch pass would.
     """
     units: List[List[int]] = []
     by_catalog: Dict[object, List[int]] = {}
@@ -221,7 +221,7 @@ def _clone(
     """A twin's slot: its representative's result under the twin's label."""
     result, telemetry = pair
     # The spec's own label when set; otherwise the default label is a pure
-    # function of the dynamics key (bidding name is in the signature), so
+    # function of the dynamics key (the bidding policy's name is in it), so
     # the representative's label is the twin's.
     label = label or result.label
     return (
@@ -254,40 +254,38 @@ def _run_unit(
     how pool workers resolve catalogs: nothing is shipped, and a worker's
     cache stays warm across batches because pools are reused.
 
-    Three clone tiers apply. Static twins (equal dynamics keys, planned
-    up front by :func:`~repro.runtime.fused.plan_fusion`) clone their
-    representative. Two catalog-aware tiers follow once the unit's
-    catalog is cached: bidding thresholds are *rank-projected*
-    against the trace's price ladder — thresholds in the same gap
-    between trace prices configure provably identical runs — and reverse
-    thresholds are matched against the *reverse band* each executed
-    representative records (the envelope of prices its trajectory
-    compared against the reverse predicate): a later spec whose
-    thresholds fall inside that envelope would have made the identical
-    call at every comparison, so it clones. The first run of a catalog
-    executes (and builds it); everyone after it gets the refinement.
+    Two clone tiers apply once the unit's catalog is cached (the first
+    run of a cold catalog executes and builds it). Bidding thresholds
+    are *rank-projected* against the trace's price ladder
+    (:func:`~repro.runtime.fused.dynamics_key`) — thresholds in the same
+    gap between trace prices configure provably identical runs — and
+    reverse thresholds are matched against the *reverse band* each
+    executed representative records (the envelope of prices its
+    trajectory compared against the reverse predicate): a later spec
+    whose thresholds fall inside that envelope would have made the
+    identical call at every comparison, so it clones.
     """
-    from repro.runtime.fused import band_matches, plan_fusion, rank_projection
+    from repro.runtime.fused import band_matches, dynamics_key
 
     if cache is None:
         cache = shared_catalog_cache()
-    positions = range(len(specs))
-    twin_of = plan_fusion(specs, positions, engines)
+    # A unit is one run, or vector-routed runs sharing one catalog key
+    # (_partition), so its first run's key is every vector run's key.
+    catalog_key = specs[0].catalog_key() if engines[0] == "vector" else None
+    catalog = cache.peek(catalog_key) if catalog_key is not None else None
     done: Dict[int, Tuple[SimulationResult, RunTelemetry]] = {}
     rank_rep: Dict[tuple, int] = {}
     band_reps: Dict[tuple, List[Tuple[dict, int]]] = {}
-    ladders: Dict[tuple, object] = {}
+    ladders: Dict[tuple, list] = {}
 
     def project(i: int):
-        if engines[i] != "vector":
+        if catalog is None or engines[i] != "vector":
             return None
-        ck = specs[i].catalog_key()
-        catalog = cache.peek(ck) if ck is not None else None
-        return None if catalog is None else rank_projection(specs[i], catalog, ladders)
+        return dynamics_key(specs[i], catalog, ladders, catalog_key)
 
-    for i in positions:
-        rep = twin_of.get(i)
-        proj = project(i) if rep is None else None
+    for i, spec in enumerate(specs):
+        proj = project(i)
+        rep = None
         if proj is not None:
             rkey, reverse = proj
             if reverse is None:
@@ -297,21 +295,21 @@ def _run_unit(
                     (j for band, j in band_reps.get(rkey, ()) if band_matches(band, reverse)),
                     None,
                 )
-            if rep is not None:
-                # The twin consumed the cached catalog to prove its
-                # equivalence; account the lookup as a hit.
-                cache.get_or_build(specs[i].catalog_key())
         if rep is not None:
-            done[i] = _clone(done[rep], specs[i].label)
+            # The twin consumed the cached catalog to prove its
+            # equivalence; account the lookup as a hit.
+            cache.get_or_build(catalog_key)
+            done[i] = _clone(done[rep], spec.label)
             yield i, done[i]
             continue
         notes: dict = {}
         done[i] = _execute_one(
-            specs[i], cache, retries, retry_backoff_s, engines[i], notes=notes
+            spec, cache, retries, retry_backoff_s, engines[i], notes=notes
         )
-        if proj is None:
-            # This run built its catalog: project its key now so later
-            # threshold-equivalent specs clone it.
+        if catalog is None and catalog_key is not None:
+            # This run built the unit's catalog: project its key now so
+            # later threshold-equivalent specs clone it.
+            catalog = cache.peek(catalog_key)
             proj = project(i)
         if proj is not None:
             rkey, reverse = proj

@@ -358,26 +358,64 @@ def check_jobs_determinism(
     return report
 
 
+def _twin_key(spec) -> Optional[tuple]:
+    """Plain dynamics identity of one spec, or ``None``: its catalog key,
+    the rest of its non-label configuration and the bidding policy's
+    frozen ``dynamics_components`` — no rank projection, no capability
+    projection. ``None`` under the same guards as
+    :func:`~repro.runtime.fused.dynamics_key`."""
+    from repro.runtime.spec import StrategySpec
+    from repro.traces.calibration import on_demand_price
+
+    comp_fn = getattr(spec.bidding, "dynamics_components", None)
+    catalog_key = spec.catalog_key()
+    if (
+        catalog_key is None
+        or not callable(comp_fn)
+        or spec.capture_trace
+        or spec.faults is not None
+        or spec.calibrations is not None
+        or not isinstance(spec.strategy, StrategySpec)
+    ):
+        return None
+    try:
+        comp = comp_fn(
+            tuple(on_demand_price(r, s) for r in spec.regions for s in spec.sizes)
+        )
+        key = (
+            catalog_key,
+            spec.strategy,
+            spec.mechanism,
+            spec.params,
+            float(spec.startup_cv),
+            float(spec.service_disk_gib),
+            tuple(sorted(comp.items())),
+        )
+        hash(key)
+    except Exception:
+        return None
+    return key
+
+
 def unfused_vector_results(specs, cache=None) -> List:
     """Results of ``specs`` run one by one on the vector engine.
 
     The reference for the executor's cross-run dedupe: every spec runs
     through :func:`~repro.core.simulation.run_simulation_observed` with
     ``engine="vector"`` on its cached catalog, except plain dynamics twins
-    (equal :func:`~repro.runtime.fused.fused_dedupe_key` with
-    ``project=False`` — no capability projection, no rank or band
-    matching), which clone their first occurrence under their own label.
+    (equal catalog key, configuration and ``dynamics_components``; no rank
+    or band matching), which clone their first occurrence under their own
+    label.
     """
     from repro.core.simulation import run_simulation_observed
     from repro.runtime.cache import shared_catalog_cache
-    from repro.runtime.fused import fused_dedupe_key
 
     if cache is None:
         cache = shared_catalog_cache()
     results: List = []
     first_of: dict = {}
     for spec in specs:
-        key = fused_dedupe_key(spec, project=False)
+        key = _twin_key(spec)
         if key is not None and key in first_of:
             rep = first_of[key]
             results.append(replace(rep, label=spec.label or rep.label))

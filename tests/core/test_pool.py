@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.pool import PoolConfig, SpotPool, concurrent_events, spare_requirement
+from repro.fleet.spares import concurrent_events
+from repro.pool import PoolConfig, SpotPool
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.trace import PriceTrace
 from repro.units import days, hours
@@ -32,9 +33,6 @@ class TestConcurrency:
     def test_invalid_window(self):
         with pytest.raises(SchedulingError):
             concurrent_events([0.0], 0.0)
-
-    def test_spare_requirement_merges_services(self):
-        assert spare_requirement([[0.0], [10.0], [2000.0]], window_s=60.0) == 2
 
 
 class TestPoolConfig:

@@ -1,24 +1,19 @@
-"""Shared spare pool semantics + the generalized sizing math underneath.
+"""Shared spare pool semantics + the sizing sweep underneath.
 
 Covers the multi-consumer contract documented in docs/FLEET.md: half-open
 handover windows, quota-before-capacity miss classification, deterministic
-ordering of simultaneous claims — and the `repro.pool.spares`
-generalization (per-service windows and caps) with its single-consumer
-back-compat.
+ordering of simultaneous claims — and the sizing sweep
+(`concurrent_events`) over several services' forced migrations.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.fleet.spares import (
     MISS_EXHAUSTED,
     MISS_QUOTA,
     SharedSparePool,
-)
-from repro.pool.spares import (
     concurrent_events,
-    service_demand_profile,
-    spare_requirement,
 )
 from repro.testkit.oracles import check_spare_pool
 
@@ -122,50 +117,9 @@ class TestSharedSparePool:
 
 
 class TestGeneralizedSizing:
-    def test_profile_merges_equal_instants(self):
-        # Two claims at t=0 with no cap: one +2 step, then one -2 step.
-        assert service_demand_profile([0.0, 0.0], 60.0) == [(0.0, 2), (60.0, -2)]
-
-    def test_profile_cap_clamps_concurrency(self):
-        profile = service_demand_profile([0.0, 10.0, 20.0], 60.0, cap=1)
-        level, peak = 0, 0
-        for _, delta in profile:
-            level += delta
-            peak = max(peak, level)
-        assert peak == 1 and level == 0
-
-    def test_profile_validation(self):
-        with pytest.raises(SchedulingError):
-            service_demand_profile([0.0], 0.0)
-        with pytest.raises(SchedulingError):
-            service_demand_profile([0.0], 60.0, cap=-1)
-
-    def test_legacy_single_service_matches_concurrent_events(self):
-        times = [0.0, 30.0, 45.0, 200.0, 210.0, 1000.0]
-        assert spare_requirement([times], 60.0) == concurrent_events(times, 60.0)
-
     def test_legacy_merge_unchanged(self):
-        assert spare_requirement([[0.0], [10.0], [2000.0]], window_s=60.0) == 2
-
-    def test_per_service_windows(self):
-        # Same instants; service 0 holds its spare 10x longer, so its own
-        # events overlap while service 1's do not.
-        per_svc = [[0.0, 100.0], [0.0, 100.0]]
-        assert spare_requirement(per_svc, 60.0) == 2
-        assert spare_requirement(per_svc, [600.0, 60.0]) == 3
-
-    def test_per_service_cap_bounds_one_tenants_storm(self):
-        storm = [[0.0, 1.0, 2.0, 3.0], [5.0]]
-        assert spare_requirement(storm, 60.0) == 5
-        assert spare_requirement(storm, 60.0, per_service_cap=1) == 2
-        assert spare_requirement(storm, 60.0, per_service_cap=[2, None]) == 3
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(SchedulingError):
-            spare_requirement([[0.0], [1.0]], [60.0])
-        with pytest.raises(SchedulingError):
-            spare_requirement([[0.0], [1.0]], 60.0, per_service_cap=[1])
+        # Services' forced migrations merge into one sweep over their union.
+        assert concurrent_events([0.0, 10.0, 2000.0], window_s=60.0) == 2
 
     def test_empty(self):
-        assert spare_requirement([], 60.0) == 0
-        assert spare_requirement([[], []], 60.0) == 0
+        assert concurrent_events([], 60.0) == 0

@@ -9,7 +9,7 @@ REPO = Path(__file__).resolve().parents[2]
 
 def test_tracing_docs_checker_passes():
     proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "check_tracing_docs.py")],
+        [sys.executable, str(REPO / "tools" / "check_docs.py")],
         capture_output=True,
         text=True,
     )

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.cloud.provider import CloudProvider
 from repro.core.elastic import DemandCurve, ElasticSpotFleet
-from repro.pool import PoolConfig, SpotPool, concurrent_events
+from repro.fleet.spares import SharedSparePool, concurrent_events
+from repro.pool import PoolConfig, SpotPool
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
 from repro.traces.catalog import build_catalog
@@ -23,6 +24,29 @@ def test_concurrency_bounds(times, window):
         assert c >= 1
     # widening the window can only raise concurrency
     assert concurrent_events(times, window * 2) >= c
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=60).map(float),
+            st.sampled_from(["a", "b", "c"]),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=1, max_value=10).map(float),
+)
+def test_unbounded_pool_peak_is_the_sizing_sweep(claims, window):
+    """With room for every claim, the shared pool grants them all, and its
+    peak occupancy is the sizing sweep over the claim instants. Instants
+    and windows on an integer grid make simultaneous claims and releases
+    at a claim's instant (the half-open edge) common."""
+    pool = SharedSparePool(
+        capacity=len(claims), handover_window_s=window, default_quota=len(claims)
+    )
+    out = pool.replay(claims)
+    assert out.misses == 0
+    assert out.peak_in_use == concurrent_events([t for t, _ in claims], window)
 
 
 @given(

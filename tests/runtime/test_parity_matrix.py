@@ -8,7 +8,7 @@ SIGKILL plus resume. The batch mixes everything the unit partition
 distinguishes:
 
 * a frontier sweep over two catalogs whose proactive bids clamp at the
-  provider's cap, so static twins and rank/band clones occur;
+  provider's cap, so rank and band clones occur;
 * a faulted spec (its own unit, event-routed);
 * a ``NoFaultToleranceStrategy`` spec (not vectorizable, event-routed);
 * a legacy-factory spec (vector-routed but not portable, so its whole
