@@ -10,7 +10,10 @@ by copying the current file after an intentional perf change.
 * ``test_bench_decision_queries_compiled_vs_naive`` replays a realistic
   scheduler interrogation mix (crossing lookups + window aggregates) on a
   month-long trace through both the compiled plan and the ``naive_*``
-  oracles, asserting the >= 3x acceptance-criterion speedup.
+  oracles of :mod:`repro.testkit.oracles`, asserting the >= 3x
+  acceptance-criterion speedup.
+* ``test_bench_scalar_boundary_visit`` times one traced month on the
+  per-event engine and records microseconds per boundary visit.
 * ``test_bench_batch_sweep_64_jobs4`` times a 64-run policy sweep
   (32 proactive variants x 2 seeds) serially and at ``jobs=4``. Both go
   through the same unit pipeline, so the pool run must return the serial
@@ -34,10 +37,19 @@ import numpy as np
 import pytest
 
 from repro.core.bidding import ProactiveBidding
+from repro.core.simulation import SimulationConfig, build_stack
+from repro.obs.events import BillingTick
+from repro.obs.sinks import MemorySink
 from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
-from repro.testkit.oracles import unfused_vector_results
+from repro.testkit.oracles import (
+    naive_first_time_above,
+    naive_first_time_at_or_below,
+    naive_mean_price,
+    naive_time_above,
+    unfused_vector_results,
+)
 from repro.traces.calibration import calibration_for
-from repro.traces.catalog import MarketKey
+from repro.traces.catalog import MarketKey, build_catalog
 from repro.traces.generator import generate_trace
 from repro.traces.trace import PriceTrace
 from repro.units import days, hours
@@ -91,10 +103,10 @@ def test_bench_decision_queries_compiled_vs_naive():
     def naive_pass():
         acc = 0.0
         for probe in probes:
-            acc += trace.naive_first_time_above(bid, probe) or 0.0
-            acc += trace.naive_first_time_at_or_below(on_demand, probe) or 0.0
-            acc += trace.naive_mean_price(probe, probe + hours(1))
-            acc += trace.naive_time_above(on_demand, probe, probe + hours(1))
+            acc += naive_first_time_above(trace, bid, probe) or 0.0
+            acc += naive_first_time_at_or_below(trace, on_demand, probe) or 0.0
+            acc += naive_mean_price(trace, probe, probe + hours(1))
+            acc += naive_time_above(trace, on_demand, probe, probe + hours(1))
         return acc
 
     assert compiled_pass() == naive_pass()  # exactness, then speed
@@ -108,6 +120,51 @@ def test_bench_decision_queries_compiled_vs_naive():
     )
     print(f"\ndecision mix: compiled {compiled_s:.4f}s, naive {naive_s:.4f}s, {speedup:.1f}x")
     assert speedup >= 3.0, f"compiled decision path only {speedup:.2f}x faster"
+
+
+# ------------------------------------------------------ scalar boundary path
+@pytest.mark.benchmark(group="decisions")
+def test_bench_scalar_boundary_visit():
+    """Microseconds per boundary visit on the per-event engine, traced.
+
+    One month on one market under proactive bidding, run per event into a
+    memory sink, the way every ``--trace`` run executes. Nearly every
+    engine event is one boundary visit: a timer wake-up, a stay decision
+    and its ``BillingTick``. The scheduler's run time (stack assembly
+    excluded), best of five, is divided by the number of ticks.
+    """
+    key = MarketKey(REGION, "small")
+    config = SimulationConfig(
+        strategy=StrategySpec.single(key),
+        seed=11,
+        horizon_s=days(30),
+        regions=(REGION,),
+        sizes=("small",),
+    )
+    config = config.with_(
+        catalog=build_catalog(config.seed, config.horizon_s, config.regions, config.sizes)
+    )
+
+    def traced_run():
+        sink = MemorySink()
+        stack = build_stack(config, sink=sink, engine="event")
+        t0 = time.perf_counter()
+        stack.scheduler.run()
+        elapsed = time.perf_counter() - t0
+        return elapsed, sum(1 for e in sink.events if isinstance(e, BillingTick))
+
+    runs = [traced_run() for _ in range(5)]
+    visits = runs[0][1]
+    assert visits > 600  # about one check per billing hour
+    visit_us = min(elapsed for elapsed, _ in runs) / visits * 1e6
+    record(
+        scalar_boundary_visit_us={
+            "value": visit_us,
+            "unit": "us",
+            "cores": os.cpu_count() or 1,
+        }
+    )
+    print(f"\nscalar boundary visit: {visit_us:.2f} us over {visits} visits")
 
 
 # ------------------------------------------------------- 64-run batch sweep

@@ -60,8 +60,12 @@ class SpotMarket:
             raise BidTooHighError(bid, self.bid_cap, self.name)
 
     def price_at(self, t: float) -> float:
-        """Spot price in force at time ``t``."""
-        return float(self.trace.price_at(t))
+        """Spot price in force at scalar time ``t``.
+
+        Goes straight to the compiled plan's list bisect: the scheduler
+        asks this at every boundary visit.
+        """
+        return self.trace.compiled.price_at(t)
 
     def grantable(self, bid: float, t: float) -> bool:
         """Would a request with this bid be granted at time ``t``?"""

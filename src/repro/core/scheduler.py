@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -139,6 +139,41 @@ class _Placement:
         return max(l.ready_at for l in self.leases)
 
 
+class _Tenure:
+    """One placement's boundary-loop constants (see :meth:`CloudScheduler._tenure`).
+
+    ``market``, ``bid``, ``lead`` and the boundary ``anchor`` are fixed for
+    the life of a placement. On spot, ``warning`` is the first instant at
+    or after the last recompute at which the price exceeds the bid.
+    """
+
+    __slots__ = ("placement", "market", "bid", "lead", "anchor", "warning")
+
+    def __init__(self, scheduler: "CloudScheduler", placement: _Placement, now: float) -> None:
+        self.placement = placement
+        self.market = scheduler._market(placement.key)
+        self.lead = scheduler._planned_lead(placement.key)
+        self.anchor = placement.ready_at
+        self.bid: Optional[float] = None
+        self.warning: Optional[float] = None
+        if placement.kind is LeaseKind.SPOT:
+            bid = placement.leases[0].bid
+            assert bid is not None
+            self.bid = bid
+            self.warning = self.market.revocation_warning_time(bid, now)
+
+
+def _boundary_check_after(anchor: float, now: float, lead: float) -> float:
+    """Next (billing boundary - lead) instant strictly after ``now``, with
+    boundaries every hour from ``anchor``."""
+    k = max(1, math.ceil((now + lead - anchor) / SECONDS_PER_HOUR - 1e-9))
+    check = anchor + k * SECONDS_PER_HOUR - lead
+    while check <= now + 1e-9:
+        k += 1
+        check = anchor + k * SECONDS_PER_HOUR - lead
+    return check
+
+
 @dataclass
 class ServiceContext:
     """Persistent identity of the hosted service: volume plus address.
@@ -211,6 +246,7 @@ class CloudScheduler:
         #: the same handful of keys hundreds of times per run.
         self._keystr_cache: dict[MarketKey, str] = {}
         self._disk_copy_cache: dict[tuple, float] = {}
+        self._tenure_memo: Optional[_Tenure] = None
         self.service: Optional[ServiceContext] = None
 
     # ------------------------------------------------------------- placement
@@ -422,17 +458,24 @@ class CloudScheduler:
         self._lead_cache[source] = lead
         return lead
 
-    def _next_boundary_check(self, now: float, lead: float) -> float:
-        """Next (billing boundary - lead) instant strictly after ``now``,
-        with boundaries anchored at the placement's ready time."""
-        assert self.placement is not None
-        anchor = self.placement.ready_at
-        k = max(1, math.ceil((now + lead - anchor) / SECONDS_PER_HOUR - 1e-9))
-        check = anchor + k * SECONDS_PER_HOUR - lead
-        while check <= now + 1e-9:
-            k += 1
-            check = anchor + k * SECONDS_PER_HOUR - lead
-        return check
+    def _tenure(self, now: float) -> _Tenure:
+        """The current placement's boundary-loop constants, built once per
+        placement and keyed on its identity (``_acquire`` never mutates a
+        placement's leases afterwards).
+
+        The memoised revocation warning stays exact between visits: the
+        first bid crossing at or after ``t`` is monotone in ``t``, so every
+        ``now`` up to and including the memoised instant yields the same
+        answer. It is recomputed only once ``now`` reaches it.
+        """
+        tenure = self._tenure_memo
+        placement = self.placement
+        if tenure is None or tenure.placement is not placement:
+            assert placement is not None
+            tenure = self._tenure_memo = _Tenure(self, placement, now)
+        elif tenure.warning is not None and now >= tenure.warning:
+            tenure.warning = tenure.market.revocation_warning_time(tenure.bid, now)
+        return tenure
 
     def _best_local_on_demand(self, source: MarketKey):
         """Cheapest on-demand placement in the source's own region, falling
@@ -490,8 +533,8 @@ class CloudScheduler:
     # ============================================================= main loop
     def _main(self) -> Generator:
         yield from self._initial_placement(self.engine.now)
-        while self.engine.now < self.horizon and self.placement is not None:
-            if self.placement.kind is LeaseKind.SPOT:
+        while self.engine.now < self.horizon and self._placement is not None:
+            if self._placement.kind is LeaseKind.SPOT:
                 yield from self._spot_phase()
             else:
                 yield from self._on_demand_phase()
@@ -537,22 +580,16 @@ class CloudScheduler:
 
     # ------------------------------------------------------------ spot phase
     def _spot_phase(self) -> Generator:
-        placement = self.placement
-        assert placement is not None and placement.kind is LeaseKind.SPOT
+        assert self._placement is not None and self._placement.kind is LeaseKind.SPOT
         now = self.engine.now
-        bid = placement.leases[0].bid
-        assert bid is not None
-        market = self._market(placement.key)
-        lead = self._planned_lead(placement.key)
-
-        warning = market.revocation_warning_time(bid, now)
-        check = self._next_boundary_check(now, lead)
-        t_next = min(
-            warning if warning is not None else float("inf"),
-            check,
-            self.horizon,
-        )
-        yield Timeout(max(0.0, t_next - now))
+        tenure = self._tenure(now)
+        warning = tenure.warning
+        t_next = _boundary_check_after(tenure.anchor, now, tenure.lead)
+        if t_next > self.horizon:
+            t_next = self.horizon
+        if warning is not None and warning < t_next:
+            t_next = warning
+        yield Timeout(t_next - now if t_next > now else 0.0)
         now = self.engine.now
         if now >= self.horizon:
             return
@@ -568,21 +605,21 @@ class CloudScheduler:
         touched, no RNG is drawn, no metrics move. Both engines call this
         with the same ``now`` and read the same answer.
         """
-        placement = self.placement
+        placement = self._placement
         assert placement is not None
-        market = self._market(placement.key)
+        tenure = self._tenure(now)
+        market = tenure.market
         price = market.price_at(now)
         od_price = market.on_demand_price
 
         if self.sink.enabled:
-            lead = self._planned_lead(placement.key)
             self.sink.emit(
                 BillingTick(
                     t=now,
-                    market=str(placement.key),
+                    market=self._key_str(placement.key),
                     price=price,
                     on_demand_price=od_price,
-                    boundary=now + lead,
+                    boundary=now + tenure.lead,
                 )
             )
 
@@ -632,23 +669,31 @@ class CloudScheduler:
                                     LeaseKind.SPOT, "spot-switch")
         return _STAY
 
-    def _boundary_decision_on_spot(self, now: float) -> Generator:
+    def _boundary_decision_on_spot(self, now: float) -> Iterable:
+        """Apply the planned-migration step at ``now``.
+
+        Returns what the phase should ``yield from``: the migration, or an
+        empty tuple to stay. A plain method rather than a generator, so the
+        common stay costs no generator frame.
+        """
         decision = self.decide_spot_boundary(now)
-        if decision.migrates:
-            assert decision.target_key is not None and decision.target_kind is not None
-            yield from self._voluntary_migration(
-                now, decision.target_key, decision.n_servers,
-                decision.target_kind, decision.kind,
-            )
+        if not decision.migrates:
+            return ()
+        assert decision.target_key is not None and decision.target_kind is not None
+        return self._voluntary_migration(
+            now, decision.target_key, decision.n_servers,
+            decision.target_kind, decision.kind,
+        )
 
     # ------------------------------------------------------- on-demand phase
     def _on_demand_phase(self) -> Generator:
-        placement = self.placement
-        assert placement is not None and placement.kind is LeaseKind.ON_DEMAND
+        assert self._placement is not None and self._placement.kind is LeaseKind.ON_DEMAND
         now = self.engine.now
-        lead = self._planned_lead(placement.key)
-        check = min(self._next_boundary_check(now, lead), self.horizon)
-        yield Timeout(max(0.0, check - now))
+        tenure = self._tenure(now)
+        check = _boundary_check_after(tenure.anchor, now, tenure.lead)
+        if check > self.horizon:
+            check = self.horizon
+        yield Timeout(check - now if check > now else 0.0)
         now = self.engine.now
         if now >= self.horizon:
             return
@@ -675,15 +720,15 @@ class CloudScheduler:
         placement = self.placement
         assert placement is not None
         if self.sink.enabled:
-            lead = self._planned_lead(placement.key)
-            own = self._market(placement.key)
+            tenure = self._tenure(now)
+            own = tenure.market
             self.sink.emit(
                 BillingTick(
                     t=now,
-                    market=str(placement.key),
+                    market=self._key_str(placement.key),
                     price=own.price_at(now),
                     on_demand_price=own.on_demand_price,
-                    boundary=now + lead,
+                    boundary=now + tenure.lead,
                 )
             )
         od_rate = self.strategy.on_demand_rate(self.provider, placement.key)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import write_jsonl_line
+from repro.obs.sinks import JSONL_ENCODER
 
 __all__ = [
     "RunObservation",
@@ -84,40 +84,42 @@ class ObservationScope:
     def event_count(self) -> int:
         return sum(len(r.events) for r in self.runs)
 
-    def iter_event_records(
-        self, extra_tags: Optional[Dict[str, Any]] = None
-    ) -> Iterator[Dict[str, Any]]:
-        """Per-event records tagged with their run's label and seed."""
-        for run in self.runs:
-            for event in run.events:
-                record: Dict[str, Any] = dict(extra_tags or {})
-                record["run"] = run.label
-                record["seed"] = run.seed
-                record["engine"] = run.engine
-                # Presence-based tag: omitted when False so ordinary
-                # trace lines don't grow for the common case.
-                if run.deduped:
-                    record["deduped"] = True
-                record.update(event)
-                yield record
-
     # ----------------------------------------------------------------- output
     def write_jsonl(
         self,
         target: Union[str, IO[str]],
         extra_tags: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Write every captured event as JSONL; returns the line count."""
-        n = 0
+        """Write every captured event as JSONL; returns the line count.
+
+        Each line is the run's tags (the extra tags, then run label, seed,
+        engine and, for a clone, ``deduped``) updated with one event's
+        fields, compact-encoded. Each run's lines go out in one write.
+        """
         if hasattr(target, "write"):
-            for record in self.iter_event_records(extra_tags):
-                write_jsonl_line(target, record)  # type: ignore[arg-type]
-                n += 1
-            return n
+            return self._write_lines(target, extra_tags)  # type: ignore[arg-type]
         with open(target, "w", encoding="utf-8") as fp:
-            for record in self.iter_event_records(extra_tags):
-                write_jsonl_line(fp, record)
-                n += 1
+            return self._write_lines(fp, extra_tags)
+
+    def _write_lines(self, fp: IO[str], extra_tags: Optional[Dict[str, Any]]) -> int:
+        encode = JSONL_ENCODER.encode
+        n = 0
+        for run in self.runs:
+            tags: Dict[str, Any] = dict(extra_tags or {})
+            tags["run"] = run.label
+            tags["seed"] = run.seed
+            tags["engine"] = run.engine
+            # Presence-based tag: omitted when False so ordinary
+            # trace lines don't grow for the common case.
+            if run.deduped:
+                tags["deduped"] = True
+            lines = []
+            for event in run.events:
+                record = dict(tags)
+                record.update(event)
+                lines.append(encode(record) + "\n")
+            fp.write("".join(lines))
+            n += len(lines)
         return n
 
     def metrics_summary(self) -> str:

@@ -22,7 +22,7 @@ inverts :meth:`TraceEvent.to_dict`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 __all__ = [
     "TraceEvent",
@@ -46,6 +46,10 @@ __all__ = [
 
 #: Wire name -> event class, populated by :func:`_register`.
 EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
+
+#: Event class -> its dataclass field names in declaration order, filled
+#: on each class's first :meth:`TraceEvent.to_dict`.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 
 
 def _register(cls: Type["TraceEvent"]) -> Type["TraceEvent"]:
@@ -72,9 +76,13 @@ class TraceEvent:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict with the wire ``type`` first, then the fields."""
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
         out: Dict[str, Any] = {"type": self.etype}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        for name in names:
+            out[name] = getattr(self, name)
         return out
 
 

@@ -104,10 +104,15 @@ class RingBufferSink:
         return len(self._buffer)
 
 
+#: The compact encoder behind every trace line: the same output as
+#: ``json.dumps(record, separators=(",", ":"))``, which would build a new
+#: encoder on each call.
+JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_jsonl_line(fp: IO[str], record: Dict[str, Any]) -> None:
     """Write one event record as a compact JSON line."""
-    fp.write(json.dumps(record, separators=(",", ":")))
-    fp.write("\n")
+    fp.write(JSONL_ENCODER.encode(record) + "\n")
 
 
 class JsonlSink:

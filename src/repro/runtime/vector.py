@@ -9,7 +9,7 @@ no-action machinery and nothing else:
 * at the start of each placement tenure it generates the sequence of
   boundary-check instants the event engine would visit (the same
   ``anchor + k·3600 − lead`` floats, from the same
-  ``_next_boundary_check`` arithmetic) in geometrically growing windows;
+  ``_boundary_check_after`` arithmetic) in geometrically growing windows;
 * it evaluates the boundary decision predicate over each window at once
   as NumPy comparisons against the shared :class:`~repro.traces.compiled.
   CompiledTrace` segment tables (a ``markets × epochs`` price matrix for
@@ -61,7 +61,7 @@ from typing import Generator
 import numpy as np
 
 from repro.cloud.provider import LeaseKind
-from repro.core.scheduler import CloudScheduler
+from repro.core.scheduler import CloudScheduler, _boundary_check_after, _Tenure
 from repro.simulator.process import SleepUntil
 from repro.units import SECONDS_PER_HOUR
 
@@ -186,18 +186,19 @@ class VectorScheduler(CloudScheduler):
     _SCAN_WINDOW = 64
     _SCAN_WINDOW_MAX = 512
 
-    def _first_acting_arrival(self, now: float, lead: float, t_hi: float, act_mask) -> float:
+    def _first_acting_arrival(self, now: float, tenure: _Tenure, t_hi: float, act_mask) -> float:
         """Chained-arrival instant of the first acting boundary check in
         ``(now, t_hi)`` — or of ``t_hi`` itself when none acts.
 
         Boundary checks are the bit-identical floats the event engine
-        visits: the first is the scalar :meth:`_next_boundary_check`
-        answer, the rest advance ``k`` by one per epoch (the recurrence
-        the event engine's ceil/guard arithmetic resolves to — its 1e-9
-        guard absorbs the sub-nanosecond float error, so consecutive
-        checks always step ``k`` by exactly one). They are generated in
-        geometrically growing windows; ``act_mask(window)`` marks acting
-        instants, and the scan stops at the first.
+        visits: the first is the scalar ``_boundary_check_after`` answer
+        for the tenure's anchor and lead, the rest advance ``k`` by one
+        per epoch (the recurrence the event engine's ceil/guard arithmetic
+        resolves to — its 1e-9 guard absorbs the sub-nanosecond float
+        error, so consecutive checks always step ``k`` by exactly one).
+        They are generated in geometrically growing windows;
+        ``act_mask(window)`` marks acting instants, and the scan stops at
+        the first.
 
         The return value replays the event engine's timeout chain: it
         arrives at stop ``s_i`` at ``a_i = a_{i-1} + max(0, s_i −
@@ -209,9 +210,8 @@ class VectorScheduler(CloudScheduler):
         """
         arrive = now
         if t_hi > now:
-            assert self.placement is not None
-            anchor = self.placement.ready_at
-            first = self._next_boundary_check(now, lead)
+            anchor, lead = tenure.anchor, tenure.lead
+            first = _boundary_check_after(anchor, now, lead)
             if first < t_hi:
                 k0 = round((first + lead - anchor) / SECONDS_PER_HOUR)
                 # Overshoot the k range by one and trim against t_hi:
@@ -265,15 +265,11 @@ class VectorScheduler(CloudScheduler):
         if not self.vectorized:
             yield from super()._spot_phase()
             return
-        placement = self.placement
-        assert placement is not None and placement.kind is LeaseKind.SPOT
+        assert self._placement is not None and self._placement.kind is LeaseKind.SPOT
         now = self.engine.now
-        bid = placement.leases[0].bid
-        assert bid is not None
-        market = self._market(placement.key)
-        lead = self._planned_lead(placement.key)
-
-        warning = market.revocation_warning_time(bid, now)
+        tenure = self._tenure(now)
+        market = tenure.market
+        warning = tenure.warning
         t_hi = min(warning if warning is not None else float("inf"), self.horizon)
         if warning is not None:
             # A check within the event engine's 1e-9 epsilon below the
@@ -291,7 +287,7 @@ class VectorScheduler(CloudScheduler):
             def act_mask(checks: np.ndarray) -> np.ndarray:
                 return self._spot_act_mask(market, checks)
 
-        yield SleepUntil(self._first_acting_arrival(now, lead, t_hi, act_mask))
+        yield SleepUntil(self._first_acting_arrival(now, tenure, t_hi, act_mask))
 
         # From here down: the event engine's epilogue, verbatim.
         now = self.engine.now
@@ -380,12 +376,12 @@ class VectorScheduler(CloudScheduler):
         if not self.vectorized:
             yield from super()._on_demand_phase()
             return
-        placement = self.placement
-        assert placement is not None and placement.kind is LeaseKind.ON_DEMAND
+        assert self._placement is not None and self._placement.kind is LeaseKind.ON_DEMAND
         now = self.engine.now
-        lead = self._planned_lead(placement.key)
         yield SleepUntil(
-            self._first_acting_arrival(now, lead, self.horizon, self._od_act_builder())
+            self._first_acting_arrival(
+                now, self._tenure(now), self.horizon, self._od_act_builder()
+            )
         )
 
         now = self.engine.now

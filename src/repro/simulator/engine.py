@@ -109,30 +109,39 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
             )
-        ev = Event(
-            time=float(time),
-            priority=priority,
-            seq=self._seq,
-            kind=kind,
-            callback=callback,
-            payload=payload,
-            label=label,
-        )
-        self._seq += 1
-        handle = EventHandle(ev)
-        heapq.heappush(self._heap, (ev.time, ev.priority, ev.seq, handle))
-        return handle
+        return self._push(float(time), priority, kind, callback, payload, label)
 
     def schedule_after(
         self,
         delay: float,
         callback: Callable[["Engine", Event], None],
-        **kwargs: Any,
+        *,
+        priority: int = 0,
+        kind: EventKind = EventKind.GENERIC,
+        payload: Any = None,
+        label: str = "",
     ) -> EventHandle:
         """Schedule relative to the current clock (``delay`` seconds ahead)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule(self._now + delay, callback, **kwargs)
+        # A non-negative delay never lands before now: no past-time check.
+        return self._push(float(self._now + delay), priority, kind, callback, payload, label)
+
+    def _push(
+        self,
+        time: float,
+        priority: int,
+        kind: EventKind,
+        callback: Callable[["Engine", Event], None],
+        payload: Any,
+        label: str,
+    ) -> EventHandle:
+        """Queue one event under the next insertion ``seq``."""
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(Event(time, priority, seq, kind, callback, payload, label))
+        heapq.heappush(self._heap, (time, priority, seq, handle))
+        return handle
 
     # ---------------------------------------------------------------- running
     def peek(self) -> Optional[float]:

@@ -147,6 +147,10 @@ class Process:
         self._pending_handle: Optional[EventHandle] = None
         self._waiting_on: Optional[WaitEvent] = None
         self.completion = WaitEvent(engine)
+        # Built once: a scheduler process sleeps on a Timeout at every
+        # boundary visit, so its wake-up callback and label are reused.
+        self._wake = lambda _e, _ev: self._advance(None)
+        self._timeout_label = f"{label}-timeout"
         # Start the generator at the current simulation instant (via a
         # zero-delay event so construction order doesn't matter).
         engine.schedule_after(
@@ -182,10 +186,7 @@ class Process:
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, Timeout):
             self._pending_handle = self.engine.schedule_after(
-                command.delay,
-                lambda _e, _ev: self._advance(None),
-                kind=EventKind.TIMER,
-                label=f"{self.label}-timeout",
+                command.delay, self._wake, kind=EventKind.TIMER, label=self._timeout_label
             )
         elif isinstance(command, SleepUntil):
             at = command.at
@@ -196,7 +197,7 @@ class Process:
                 )
             self._pending_handle = self.engine.schedule(
                 at,
-                lambda _e, _ev: self._advance(None),
+                self._wake,
                 kind=EventKind.TIMER,
                 label=f"{self.label}-sleep-until",
             )

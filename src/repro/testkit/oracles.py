@@ -22,6 +22,11 @@ Each oracle audits one conservation law of the completed
 :func:`unfused_vector_results` is the per-run reference the batch
 executor's cross-run dedupe is checked (and benchmarked) against.
 
+The ``naive_*`` functions are the O(n) reference answers to every
+:class:`~repro.traces.trace.PriceTrace` query. The compiled query plan
+(:mod:`repro.traces.compiled`) must return the bit-identical float each
+one returns; ``tests/props/test_compiled_equivalence.py`` holds it to that.
+
 Run them via ``run_simulation(config, verify=True)``, :func:`run_verified`,
 or the ``repro-verify`` CLI.
 """
@@ -33,7 +38,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import InvariantViolation
+import numpy as np
+
+from repro.errors import InvariantViolation, TraceFormatError
 from repro.traces.catalog import MarketKey
 from repro.units import SECONDS_PER_HOUR
 
@@ -47,6 +54,19 @@ __all__ = [
     "unfused_vector_results",
     "check_spare_pool",
     "verify_fleet",
+    "naive_price_at",
+    "naive_next_change_after",
+    "naive_segments",
+    "naive_segment_durations",
+    "naive_mean_price",
+    "naive_price_std",
+    "naive_time_above",
+    "naive_max_price",
+    "naive_min_price",
+    "naive_crossings_above",
+    "naive_crossings_below",
+    "naive_first_time_above",
+    "naive_first_time_at_or_below",
 ]
 
 #: Tolerance for comparing recomputed sums of floats (order-of-addition
@@ -587,3 +607,149 @@ def verify_fleet(spec, fleet_report, results=None) -> OracleReport:
             f"vs report {sp.claims}/{sp.hits}/{sp.misses}",
         )
     return report
+
+
+# ------------------------------------------------------ price-trace oracles
+def _window(trace, t0: Optional[float], t1: Optional[float]) -> Tuple[float, float]:
+    return (trace.start if t0 is None else t0, trace.horizon if t1 is None else t1)
+
+
+def naive_price_at(trace, t):
+    """Price in force at time(s) ``t``: one ``searchsorted`` over all times,
+    clamped to the first and last segment."""
+    arr = np.asarray(t, dtype=np.float64)
+    idx = trace.times.searchsorted(arr, side="right")
+    last = len(trace) - 1
+    if arr.ndim == 0:
+        return float(trace.prices[min(max(int(idx) - 1, 0), last)])
+    return trace.prices[np.clip(idx - 1, 0, last)]
+
+
+def naive_next_change_after(trace, t: float) -> Optional[float]:
+    """First change time strictly after ``t``, or ``None``."""
+    idx = int(np.searchsorted(trace.times, t, side="right"))
+    if idx >= len(trace.times):
+        return None
+    return float(trace.times[idx])
+
+
+def naive_segments(trace, t0: Optional[float] = None, t1: Optional[float] = None):
+    """Python-loop ``(seg_start, seg_end, price)`` segments covering ``[t0, t1)``."""
+    lo = trace.start if t0 is None else max(t0, trace.start)
+    hi = trace.horizon if t1 is None else min(t1, trace.horizon)
+    if hi <= lo:
+        return
+    bounds = np.concatenate([trace.times, [trace.horizon]])
+    n = len(trace.times)
+    i = int(np.clip(np.searchsorted(trace.times, lo, side="right") - 1, 0, n - 1))
+    while i < n and bounds[i] < hi:
+        seg_lo = max(float(bounds[i]), lo)
+        seg_hi = min(float(bounds[i + 1]), hi)
+        if seg_hi > seg_lo:
+            yield (seg_lo, seg_hi, float(trace.prices[i]))
+        i += 1
+
+
+def naive_segment_durations(trace, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(durations, prices) of the segments clipped to ``[t0, t1)``, by
+    clipping the *full* bounds array — O(n) per call."""
+    bounds = np.concatenate([trace.times, [trace.horizon]])
+    lo = np.clip(bounds[:-1], t0, t1)
+    hi = np.clip(bounds[1:], t0, t1)
+    dur = hi - lo
+    mask = dur > 0
+    return dur[mask], trace.prices[mask]
+
+
+def naive_mean_price(trace, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
+    """Time-weighted mean price over ``[t0, t1)`` (default: whole trace)."""
+    a, b = _window(trace, t0, t1)
+    dur, prices = naive_segment_durations(trace, a, b)
+    total = dur.sum()
+    if total <= 0:
+        raise TraceFormatError(f"empty window [{a}, {b})")
+    return float(np.dot(dur, prices) / total)
+
+
+def naive_price_std(trace, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
+    """Time-weighted price standard deviation over the window."""
+    a, b = _window(trace, t0, t1)
+    dur, prices = naive_segment_durations(trace, a, b)
+    total = dur.sum()
+    if total <= 0:
+        raise TraceFormatError(f"empty window [{a}, {b})")
+    mean = np.dot(dur, prices) / total
+    var = np.dot(dur, (prices - mean) ** 2) / total
+    return float(np.sqrt(max(var, 0.0)))
+
+
+def naive_time_above(
+    trace, threshold: float, t0: Optional[float] = None, t1: Optional[float] = None
+) -> float:
+    """Seconds in the window during which price > ``threshold``."""
+    a, b = _window(trace, t0, t1)
+    dur, prices = naive_segment_durations(trace, a, b)
+    return float(dur[prices > threshold].sum())
+
+
+def naive_max_price(trace, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
+    """Maximum price attained in the window."""
+    a, b = _window(trace, t0, t1)
+    dur, prices = naive_segment_durations(trace, a, b)
+    if prices.size == 0:
+        raise TraceFormatError(f"empty window [{a}, {b})")
+    return float(prices.max())
+
+
+def naive_min_price(trace, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
+    """Minimum price attained in the window."""
+    a, b = _window(trace, t0, t1)
+    dur, prices = naive_segment_durations(trace, a, b)
+    if prices.size == 0:
+        raise TraceFormatError(f"empty window [{a}, {b})")
+    return float(prices.min())
+
+
+def naive_crossings_above(trace, threshold: float) -> np.ndarray:
+    """Change times where the price rises above ``threshold`` (the trace
+    start counts when the trace opens above it)."""
+    above = trace.prices > threshold
+    rising = np.flatnonzero(above[1:] & ~above[:-1]) + 1
+    out = trace.times[rising]
+    if above[0]:
+        out = np.concatenate([[trace.times[0]], out])
+    return out
+
+
+def naive_crossings_below(trace, threshold: float) -> np.ndarray:
+    """Change times where the price falls to or below ``threshold``."""
+    above = trace.prices > threshold
+    falling = np.flatnonzero(~above[1:] & above[:-1]) + 1
+    return trace.times[falling]
+
+
+def naive_first_time_above(trace, threshold: float, from_t: float) -> Optional[float]:
+    """Earliest time >= ``from_t`` with price > ``threshold``, or ``None``:
+    rebuilds the whole crossing mask on every call."""
+    if from_t >= trace.horizon:
+        return None
+    if float(naive_price_at(trace, from_t)) > threshold:
+        return max(from_t, trace.start)
+    cross = naive_crossings_above(trace, threshold)
+    later = cross[cross > from_t]
+    if later.size == 0:
+        return None
+    return float(later[0])
+
+
+def naive_first_time_at_or_below(trace, threshold: float, from_t: float) -> Optional[float]:
+    """Earliest time >= ``from_t`` with price <= ``threshold``, or ``None``."""
+    if from_t >= trace.horizon:
+        return None
+    if float(naive_price_at(trace, from_t)) <= threshold:
+        return max(from_t, trace.start)
+    cross = naive_crossings_below(trace, threshold)
+    later = cross[cross > from_t]
+    if later.size == 0:
+        return None
+    return float(later[0])

@@ -77,6 +77,10 @@ class TraceCatalog:
                     f"trace {key} horizon {trace.horizon} != catalog horizon {horizon}"
                 )
         self._traces = dict(traces)
+        #: The catalog never changes after construction, so the sorted
+        #: keys and the per-region subsets are computed once.
+        self._sorted = tuple(sorted(self._traces))
+        self._by_region: dict[str, tuple[MarketKey, ...]] = {}
         self._on_demand = {k: float(v) for k, v in on_demand.items()}
         self.horizon = float(horizon)
         #: When the catalog was loaded from an ingested segment directory
@@ -100,12 +104,17 @@ class TraceCatalog:
             raise CalibrationError(f"market {key} not in catalog") from exc
 
     def markets(self) -> list[MarketKey]:
-        """All market keys, sorted for determinism."""
-        return sorted(self._traces)
+        """All market keys, sorted for determinism (a fresh list)."""
+        return list(self._sorted)
 
     def markets_in_region(self, region: str) -> list[MarketKey]:
-        """Markets belonging to one availability zone."""
-        return [k for k in self.markets() if k.region == region]
+        """Markets belonging to one availability zone (a fresh list)."""
+        keys = self._by_region.get(region)
+        if keys is None:
+            keys = self._by_region[region] = tuple(
+                k for k in self._sorted if k.region == region
+            )
+        return list(keys)
 
     def regions(self) -> list[str]:
         """Distinct regions present, sorted."""
@@ -115,7 +124,7 @@ class TraceCatalog:
         return key in self._traces
 
     def __iter__(self) -> Iterator[MarketKey]:
-        return iter(self.markets())
+        return iter(self._sorted)
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -3,7 +3,7 @@
 Every scheduler decision in the proactive-bidding loop is a price-trace
 interrogation — "when does the price next cross my bid?", "what fraction
 of this window sat above on-demand?". The naive answers are O(n) per
-call: :meth:`PriceTrace.naive_first_time_above` rebuilds the full
+call: :func:`repro.testkit.oracles.naive_first_time_above` rebuilds the full
 crossing mask, and the window aggregates re-concatenate and re-clip the
 whole bounds array even for a one-hour window.
 
@@ -20,7 +20,9 @@ A :class:`CompiledTrace` is the one-time "query compilation" of a trace:
   queries form a tiny set — the user bid, the on-demand price, the bid
   cap — so ``first_time_above`` / ``first_time_at_or_below`` and the
   crossing-attribution lookups become O(log n) bisects into tables built
-  once per (trace, threshold).
+  once per (trace, threshold). Each table also gets a plain-list mirror,
+  so these scalar lookups run through :func:`bisect.bisect_right` rather
+  than a one-element NumPy ``searchsorted``.
 
 Exactness is a hard contract, not an aspiration: every query here
 returns the **bit-identical** float the naive implementation returns,
@@ -35,7 +37,7 @@ scenario corpus pins it end to end.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +70,7 @@ class CompiledTrace:
         "_prices_list",
         "_above",
         "_below",
+        "_cross_lists",
         "_rolling",
     )
 
@@ -102,6 +105,8 @@ class CompiledTrace:
         self._prices_list = prices.tolist()
         self._above: Dict[float, np.ndarray] = {}
         self._below: Dict[float, np.ndarray] = {}
+        #: ``(rising?, threshold)`` -> list mirror of that crossing table.
+        self._cross_lists: Dict[Tuple[bool, float], List[float]] = {}
         self._rolling: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------- scalar lookup
@@ -114,7 +119,9 @@ class CompiledTrace:
 
     def price_at(self, t: float) -> float:
         """Price in force at scalar time ``t`` (same clamping as the trace)."""
-        return self._prices_list[self.index_at(t)]
+        # index_at inlined: every boundary visit asks this at least once.
+        idx = bisect_right(self._times_list, t) - 1
+        return self._prices_list[idx if idx > 0 else 0]
 
     def next_change_after(self, t: float) -> Optional[float]:
         """First change time strictly after ``t``, or ``None``."""
@@ -142,8 +149,9 @@ class CompiledTrace:
     def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         """Clipped ``(durations, prices)`` of the segments in ``[t0, t1)``.
 
-        Bit-for-bit the arrays :meth:`PriceTrace._segment_durations`
-        produces. By construction of :meth:`window_bounds`, interior
+        Bit-for-bit the arrays
+        :func:`repro.testkit.oracles.naive_segment_durations` produces.
+        By construction of :meth:`window_bounds`, interior
         bounds already lie inside ``[t0, t1]`` — the naive full-array
         ``np.clip`` only ever moves the two endpoint bounds, so two
         scalar adjustments replace it. Where the endpoint-only adjustment
@@ -308,6 +316,24 @@ class CompiledTrace:
             self._below[threshold] = cached
         return cached
 
+    def _crossing_list(self, rising: bool, threshold: float) -> List[float]:
+        """Plain-list mirror of one crossing table, memoized like the table.
+
+        Scalar lookups bisect the list: the same floats in the same order,
+        so ``bisect_right`` lands on the index ``searchsorted(side="right")``
+        would return, without boxing the probe into a NumPy scalar.
+        """
+        key = (rising, threshold)
+        cached = self._cross_lists.get(key)
+        if cached is None:
+            table = (
+                self.crossings_above(threshold)
+                if rising
+                else self.crossings_below(threshold)
+            )
+            cached = self._cross_lists[key] = table.tolist()
+        return cached
+
     def first_time_above(self, threshold: float, from_t: float) -> Optional[float]:
         """Earliest time >= ``from_t`` with price > ``threshold``, or ``None``."""
         if from_t >= self.horizon:
@@ -315,11 +341,9 @@ class CompiledTrace:
         if self.price_at(from_t) > threshold:
             start = self._times_list[0]
             return from_t if from_t > start else start
-        cross = self.crossings_above(threshold)
-        idx = int(np.searchsorted(cross, from_t, side="right"))
-        if idx >= cross.shape[0]:
-            return None
-        return float(cross[idx])
+        cross = self._crossing_list(True, threshold)
+        idx = bisect_right(cross, from_t)
+        return cross[idx] if idx < len(cross) else None
 
     def first_time_at_or_below(self, threshold: float, from_t: float) -> Optional[float]:
         """Earliest time >= ``from_t`` with price <= ``threshold``, or ``None``."""
@@ -328,31 +352,25 @@ class CompiledTrace:
         if self.price_at(from_t) <= threshold:
             start = self._times_list[0]
             return from_t if from_t > start else start
-        cross = self.crossings_below(threshold)
-        idx = int(np.searchsorted(cross, from_t, side="right"))
-        if idx >= cross.shape[0]:
-            return None
-        return float(cross[idx])
+        cross = self._crossing_list(False, threshold)
+        idx = bisect_right(cross, from_t)
+        return cross[idx] if idx < len(cross) else None
 
     def last_crossing_above_at_or_before(
         self, threshold: float, at: float
     ) -> Optional[float]:
         """Most recent rising crossing of ``threshold`` at or before ``at``."""
-        cross = self.crossings_above(threshold)
-        idx = int(np.searchsorted(cross, at, side="right"))
-        if idx == 0:
-            return None
-        return float(cross[idx - 1])
+        cross = self._crossing_list(True, threshold)
+        idx = bisect_right(cross, at)
+        return cross[idx - 1] if idx else None
 
     def last_crossing_below_at_or_before(
         self, threshold: float, at: float
     ) -> Optional[float]:
         """Most recent falling crossing of ``threshold`` at or before ``at``."""
-        cross = self.crossings_below(threshold)
-        idx = int(np.searchsorted(cross, at, side="right"))
-        if idx == 0:
-            return None
-        return float(cross[idx - 1])
+        cross = self._crossing_list(False, threshold)
+        idx = bisect_right(cross, at)
+        return cross[idx - 1] if idx else None
 
     # -------------------------------------------------------------- statistics
     def cached_thresholds(self) -> Tuple[int, int]:

@@ -9,8 +9,9 @@ and threshold crossings hit per-threshold memoized tables — so month-long
 traces with thousands of change points stay cheap even when the scheduler
 interrogates them at every decision point.
 
-The original O(n) implementations survive as ``naive_*`` methods: they are
-the reference oracle for the exact-equivalence property suite
+The original O(n) implementations live on as the ``naive_*`` functions of
+:mod:`repro.testkit.oracles`: they are the reference oracle for the
+exact-equivalence property suite
 (``tests/props/test_compiled_equivalence.py``), and every public query is
 guaranteed to return the bit-identical float its naive twin returns.
 """
@@ -166,24 +167,9 @@ class PriceTrace:
             return float(out)
         return out
 
-    def naive_price_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Reference O(n)-array lookup (oracle for the compiled fast path)."""
-        arr = np.asarray(t, dtype=np.float64)
-        out = self.prices[self._index_at(arr)]
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
-
     def next_change_after(self, t: float) -> float | None:
         """First change time strictly after ``t``, or ``None`` if none before horizon."""
         return self.compiled.next_change_after(t)
-
-    def naive_next_change_after(self, t: float) -> float | None:
-        """Reference implementation of :meth:`next_change_after`."""
-        idx = int(np.searchsorted(self.times, t, side="right"))
-        if idx >= len(self.times):
-            return None
-        return float(self.times[idx])
 
     # --------------------------------------------------------------- segments
     def segments(self, t0: float | None = None, t1: float | None = None) -> Iterator[
@@ -209,105 +195,26 @@ class PriceTrace:
             self.prices[first:last][keep].tolist(),
         )
 
-    def naive_segments(self, t0: float | None = None, t1: float | None = None) -> Iterator[
-        tuple[float, float, float]
-    ]:
-        """Reference Python-loop implementation of :meth:`segments`."""
-        lo = self.start if t0 is None else max(t0, self.start)
-        hi = self.horizon if t1 is None else min(t1, self.horizon)
-        if hi <= lo:
-            return
-        bounds = np.concatenate([self.times, [self.horizon]])
-        i = int(np.clip(np.searchsorted(self.times, lo, side="right") - 1, 0, len(self.times) - 1))
-        while i < len(self.times) and bounds[i] < hi:
-            seg_lo = max(float(bounds[i]), lo)
-            seg_hi = min(float(bounds[i + 1]), hi)
-            if seg_hi > seg_lo:
-                yield (seg_lo, seg_hi, float(self.prices[i]))
-            i += 1
-
     # -------------------------------------------------------------- aggregates
-    def _segment_durations(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """Reference (durations, prices) of segments clipped to [t0, t1).
-
-        Clips the *full* bounds array — O(n) per call; the compiled plan
-        produces the identical arrays from just the covered segments.
-        """
-        bounds = np.concatenate([self.times, [self.horizon]])
-        lo = np.clip(bounds[:-1], t0, t1)
-        hi = np.clip(bounds[1:], t0, t1)
-        dur = hi - lo
-        mask = dur > 0
-        return dur[mask], self.prices[mask]
-
     def mean_price(self, t0: float | None = None, t1: float | None = None) -> float:
         """Time-weighted mean price over ``[t0, t1)`` (default: whole trace)."""
         return self.compiled.mean_price(t0, t1)
-
-    def naive_mean_price(self, t0: float | None = None, t1: float | None = None) -> float:
-        """Reference implementation of :meth:`mean_price`."""
-        a = self.start if t0 is None else t0
-        b = self.horizon if t1 is None else t1
-        dur, prices = self._segment_durations(a, b)
-        total = dur.sum()
-        if total <= 0:
-            raise TraceFormatError(f"empty window [{a}, {b})")
-        return float(np.dot(dur, prices) / total)
 
     def price_std(self, t0: float | None = None, t1: float | None = None) -> float:
         """Time-weighted standard deviation of the price over the window."""
         return self.compiled.price_std(t0, t1)
 
-    def naive_price_std(self, t0: float | None = None, t1: float | None = None) -> float:
-        """Reference implementation of :meth:`price_std`."""
-        a = self.start if t0 is None else t0
-        b = self.horizon if t1 is None else t1
-        dur, prices = self._segment_durations(a, b)
-        total = dur.sum()
-        if total <= 0:
-            raise TraceFormatError(f"empty window [{a}, {b})")
-        mean = np.dot(dur, prices) / total
-        var = np.dot(dur, (prices - mean) ** 2) / total
-        return float(np.sqrt(max(var, 0.0)))
-
     def time_above(self, threshold: float, t0: float | None = None, t1: float | None = None) -> float:
         """Total seconds in the window during which price > ``threshold``."""
         return self.compiled.time_above(threshold, t0, t1)
-
-    def naive_time_above(
-        self, threshold: float, t0: float | None = None, t1: float | None = None
-    ) -> float:
-        """Reference implementation of :meth:`time_above`."""
-        a = self.start if t0 is None else t0
-        b = self.horizon if t1 is None else t1
-        dur, prices = self._segment_durations(a, b)
-        return float(dur[prices > threshold].sum())
 
     def max_price(self, t0: float | None = None, t1: float | None = None) -> float:
         """Maximum price attained in the window."""
         return self.compiled.max_price(t0, t1)
 
-    def naive_max_price(self, t0: float | None = None, t1: float | None = None) -> float:
-        """Reference implementation of :meth:`max_price`."""
-        a = self.start if t0 is None else t0
-        b = self.horizon if t1 is None else t1
-        dur, prices = self._segment_durations(a, b)
-        if prices.size == 0:
-            raise TraceFormatError(f"empty window [{a}, {b})")
-        return float(prices.max())
-
     def min_price(self, t0: float | None = None, t1: float | None = None) -> float:
         """Minimum price attained in the window."""
         return self.compiled.min_price(t0, t1)
-
-    def naive_min_price(self, t0: float | None = None, t1: float | None = None) -> float:
-        """Reference implementation of :meth:`min_price`."""
-        a = self.start if t0 is None else t0
-        b = self.horizon if t1 is None else t1
-        dur, prices = self._segment_durations(a, b)
-        if prices.size == 0:
-            raise TraceFormatError(f"empty window [{a}, {b})")
-        return float(prices.min())
 
     # -------------------------------------------------------------- crossings
     def crossings_above(self, threshold: float) -> np.ndarray:
@@ -319,27 +226,12 @@ class PriceTrace:
         """
         return self.compiled.crossings_above(threshold)
 
-    def naive_crossings_above(self, threshold: float) -> np.ndarray:
-        """Reference implementation of :meth:`crossings_above`."""
-        above = self.prices > threshold
-        rising = np.flatnonzero(above[1:] & ~above[:-1]) + 1
-        out = self.times[rising]
-        if above[0]:
-            out = np.concatenate([[self.times[0]], out])
-        return out
-
     def crossings_below(self, threshold: float) -> np.ndarray:
         """Change times at which price transitions from > threshold to <= it.
 
         Memoized per threshold; the returned array is read-only.
         """
         return self.compiled.crossings_below(threshold)
-
-    def naive_crossings_below(self, threshold: float) -> np.ndarray:
-        """Reference implementation of :meth:`crossings_below`."""
-        above = self.prices > threshold
-        falling = np.flatnonzero(~above[1:] & above[:-1]) + 1
-        return self.times[falling]
 
     def first_time_above(self, threshold: float, from_t: float) -> float | None:
         """Earliest time >= ``from_t`` with price > ``threshold``, or ``None``.
@@ -349,33 +241,9 @@ class PriceTrace:
         """
         return self.compiled.first_time_above(threshold, from_t)
 
-    def naive_first_time_above(self, threshold: float, from_t: float) -> float | None:
-        """Reference implementation of :meth:`first_time_above`."""
-        if from_t >= self.horizon:
-            return None
-        if float(self.naive_price_at(from_t)) > threshold:
-            return max(from_t, self.start)
-        cross = self.naive_crossings_above(threshold)
-        later = cross[cross > from_t]
-        if later.size == 0:
-            return None
-        return float(later[0])
-
     def first_time_at_or_below(self, threshold: float, from_t: float) -> float | None:
         """Earliest time >= ``from_t`` with price <= ``threshold``, or ``None``."""
         return self.compiled.first_time_at_or_below(threshold, from_t)
-
-    def naive_first_time_at_or_below(self, threshold: float, from_t: float) -> float | None:
-        """Reference implementation of :meth:`first_time_at_or_below`."""
-        if from_t >= self.horizon:
-            return None
-        if float(self.naive_price_at(from_t)) <= threshold:
-            return max(from_t, self.start)
-        cross = self.naive_crossings_below(threshold)
-        later = cross[cross > from_t]
-        if later.size == 0:
-            return None
-        return float(later[0])
 
     # -------------------------------------------------------------- transforms
     def resample(self, grid: np.ndarray) -> np.ndarray:

@@ -10,10 +10,11 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.core.bidding import ProactiveBidding
-from repro.core.scheduler import CloudScheduler, _Placement
+from repro.core.scheduler import CloudScheduler, _boundary_check_after
 from repro.core.strategies import MultiRegionStrategy, SingleMarketStrategy
 from repro.cloud.provider import LeaseKind
 from repro.simulator.engine import Engine
+from repro.testkit.oracles import naive_first_time_above
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.trace import PriceTrace
 from repro.units import SECONDS_PER_HOUR, days
@@ -39,43 +40,72 @@ def make_scheduler(keys=(SMALL,), strategy=None):
 
 
 class TestBoundaryChecks:
-    def _with_placement(self, sch, ready_at):
-        lease = sch.provider.request_on_demand(SMALL, max(0.0, ready_at - 94.85))
-        placement = _Placement(kind=LeaseKind.ON_DEMAND, key=SMALL, leases=[lease])
-        # pin the deterministic ready time
-        lease.ready_at = ready_at
-        sch.placement = placement
-        return placement
+    """``_boundary_check_after``: boundaries every hour from the anchor."""
 
     def test_check_lands_lead_before_each_boundary(self):
-        sch = make_scheduler()
-        self._with_placement(sch, ready_at=281.47)
         lead = 400.0
-        check = sch._next_boundary_check(now=281.47, lead=lead)
+        check = _boundary_check_after(anchor=281.47, now=281.47, lead=lead)
         assert check == pytest.approx(281.47 + SECONDS_PER_HOUR - lead)
 
     def test_check_strictly_in_future(self):
-        sch = make_scheduler()
-        self._with_placement(sch, ready_at=0.0)
         boundary_minus_lead = SECONDS_PER_HOUR - 400.0
-        check = sch._next_boundary_check(now=boundary_minus_lead, lead=400.0)
+        check = _boundary_check_after(anchor=0.0, now=boundary_minus_lead, lead=400.0)
         assert check > boundary_minus_lead
         assert check == pytest.approx(2 * SECONDS_PER_HOUR - 400.0)
 
     def test_checks_advance_hourly(self):
-        sch = make_scheduler()
-        self._with_placement(sch, ready_at=100.0)
-        c1 = sch._next_boundary_check(now=100.0, lead=300.0)
-        c2 = sch._next_boundary_check(now=c1, lead=300.0)
+        c1 = _boundary_check_after(anchor=100.0, now=100.0, lead=300.0)
+        c2 = _boundary_check_after(anchor=100.0, now=c1, lead=300.0)
         assert c2 - c1 == pytest.approx(SECONDS_PER_HOUR)
 
     def test_anchored_at_ready_not_wall_clock(self):
-        sch = make_scheduler()
-        self._with_placement(sch, ready_at=1234.5)
-        check = sch._next_boundary_check(now=1300.0, lead=200.0)
+        check = _boundary_check_after(anchor=1234.5, now=1300.0, lead=200.0)
         assert (check + 200.0 - 1234.5) % SECONDS_PER_HOUR == pytest.approx(
             0.0, abs=1e-6
         )
+
+
+class TestTenureMemo:
+    """``_tenure`` hoists a placement's constants and memoises its warning."""
+
+    def _spot_scheduler(self):
+        # Above the proactive bid (0.24) over [5h, 7h) and [20h, 21h).
+        trace = PriceTrace(
+            np.array([0.0, 5.0, 7.0, 20.0, 21.0]) * SECONDS_PER_HOUR,
+            np.array([0.02, 1.00, 0.02, 0.30, 0.02]),
+            HORIZON,
+        )
+        cat = TraceCatalog({SMALL: trace}, {SMALL: 0.06}, HORIZON)
+        provider = CloudProvider(cat, rng=np.random.default_rng(0), startup_cv=0.0)
+        sch = CloudScheduler(
+            engine=Engine(), provider=provider, bidding=ProactiveBidding(),
+            strategy=SingleMarketStrategy(SMALL),
+            migration_model=MigrationModel(Mechanism.CKPT_LR_LIVE, TYPICAL_PARAMS),
+            rng=np.random.default_rng(1), horizon=HORIZON,
+        )
+        sch.placement = sch._acquire(SMALL, 1, LeaseKind.SPOT, 0.0)
+        return sch, trace
+
+    def test_warning_matches_naive_before_at_and_past_the_memo(self):
+        sch, trace = self._spot_scheduler()
+        first = sch._tenure(0.0)
+        assert first.bid == pytest.approx(0.24)
+        assert first.anchor == sch.placement.ready_at
+        assert first.lead == sch._planned_lead(SMALL)
+        for hours in (0.0, 3.0, 5.0, 6.0, 6.5, 8.0, 20.0, 20.5, 22.0, 47.0):
+            now = hours * SECONDS_PER_HOUR
+            tenure = sch._tenure(now)
+            assert tenure is first  # one memo per placement
+            assert tenure.warning == naive_first_time_above(trace, tenure.bid, now)
+
+    def test_new_placement_rebuilds_the_memo(self):
+        sch, _ = self._spot_scheduler()
+        first = sch._tenure(0.0)
+        sch.placement = sch._acquire(SMALL, 1, LeaseKind.ON_DEMAND, 0.0)
+        second = sch._tenure(0.0)
+        assert second is not first
+        assert second.bid is None and second.warning is None
+        assert second.anchor == sch.placement.ready_at
 
 
 class TestPlannedLead:

@@ -9,10 +9,12 @@ Usage (what CI's perf-smoke step runs after the benchmark tests)::
 
 Both files share the schema written by ``benchmarks/test_bench_decisions.py``::
 
-    {"schema": 1, "benchmarks": {"<name>": {"value": 1.23, "unit": "s"|"x"}}}
+    {"schema": 1, "benchmarks": {"<name>": {"value": 1.23, "unit": "s"|"us"|"x"}}}
 
-``s`` entries are wall-clock (lower is better); ``x`` entries are speedup
-ratios (higher is better). Only names present in *both* files are compared
+``s`` entries are wall-clock and ``us`` entries per-operation latency
+(lower is better); ``x`` entries are speedup ratios (higher is better).
+An entry may also carry ``"cores"``, the core count it was taken on.
+Only names present in *both* files are compared
 — a partial benchmark run (the PR lane runs just the decision group)
 gates what it measured and reports the rest as skipped. The tolerance is
 deliberately generous: timings on shared CI runners jitter, and this gate
@@ -79,9 +81,12 @@ def main(argv=None) -> int:
         if unit == "x":  # speedup ratio: higher is better
             ok = cur >= base / args.tolerance
             verdict = f"{cur:10.3f}x vs baseline {base:8.3f}x (floor {base / args.tolerance:.3f}x)"
-        else:  # wall-clock seconds: lower is better
+        else:  # wall-clock or latency: lower is better
             ok = cur <= base * args.tolerance
-            verdict = f"{cur:10.4f}s vs baseline {base:8.4f}s (ceiling {base * args.tolerance:.4f}s)"
+            verdict = (
+                f"{cur:10.4f}{unit} vs baseline {base:8.4f}{unit} "
+                f"(ceiling {base * args.tolerance:.4f}{unit})"
+            )
         print(f"  {'ok' if ok else 'FAIL':>4s}  {name:35s} {verdict}")
         if not ok:
             failures.append(name)
