@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro.core.bidding import ProactiveBidding
-from repro.core.simulation import SimulationConfig, build_stack
+from repro.core.simulation import RunSpec, build_stack
 from repro.obs.events import BillingTick
 from repro.obs.sinks import MemorySink
 from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
@@ -134,20 +134,18 @@ def test_bench_scalar_boundary_visit():
     excluded), best of five, is divided by the number of ticks.
     """
     key = MarketKey(REGION, "small")
-    config = SimulationConfig(
+    spec = RunSpec(
         strategy=StrategySpec.single(key),
         seed=11,
         horizon_s=days(30),
         regions=(REGION,),
         sizes=("small",),
     )
-    config = config.with_(
-        catalog=build_catalog(config.seed, config.horizon_s, config.regions, config.sizes)
-    )
+    catalog = build_catalog(spec.seed, spec.horizon_s, spec.regions, spec.sizes)
 
     def traced_run():
         sink = MemorySink()
-        stack = build_stack(config, sink=sink, engine="event")
+        stack = build_stack(spec, sink=sink, engine="event", catalog=catalog)
         t0 = time.perf_counter()
         stack.scheduler.run()
         elapsed = time.perf_counter() - t0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.bidding import ProactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import RunSpec, run_simulation
 from repro.core.strategies import SingleMarketStrategy
 from repro.runtime.cache import shared_catalog_cache
 from repro.simulator.engine import Engine
@@ -81,7 +81,7 @@ def test_bench_perf_mva_sweep(benchmark):
 @pytest.mark.benchmark(group="perf")
 def test_bench_perf_single_simulation(benchmark):
     """One full 30-day proactive single-market scheduler run."""
-    cfg = SimulationConfig(
+    spec = RunSpec(
         strategy=lambda: SingleMarketStrategy(KEY),
         bidding=ProactiveBidding(),
         seed=7,
@@ -89,5 +89,5 @@ def test_bench_perf_single_simulation(benchmark):
         regions=("us-east-1a",),
         sizes=("small",),
     )
-    result = benchmark(run_simulation, cfg)
+    result = benchmark(run_simulation, spec)
     assert result.duration_hours > 700

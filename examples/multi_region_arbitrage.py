@@ -25,7 +25,7 @@ from repro import (
     MultiMarketStrategy,
     MultiRegionStrategy,
     ProactiveBidding,
-    SimulationConfig,
+    RunSpec,
     SingleMarketStrategy,
     StabilityAwareStrategy,
     aggregate,
@@ -65,14 +65,14 @@ def main() -> None:
         title=f"8-unit fleet, {n_seeds} trace samples x 30 days",
     )
     for label, (strategy, regions) in scopes.items():
-        cfg = SimulationConfig(
+        spec = RunSpec(
             strategy=strategy,
             bidding=ProactiveBidding(),
             horizon_s=days(30),
             regions=regions,
             label=label,
         )
-        agg = aggregate(run_many(cfg, seeds), label=label)
+        agg = aggregate(run_many(spec, seeds), label=label)
         t.add_row(
             label,
             agg.normalized_cost_percent,

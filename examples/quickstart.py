@@ -18,7 +18,7 @@ from repro import (
     Mechanism,
     OnDemandOnlyStrategy,
     ProactiveBidding,
-    SimulationConfig,
+    RunSpec,
     SingleMarketStrategy,
     run_simulation,
 )
@@ -37,7 +37,7 @@ def main() -> None:
     )
 
     ours = run_simulation(
-        SimulationConfig(
+        RunSpec(
             strategy=lambda: SingleMarketStrategy(key),
             bidding=ProactiveBidding(k=4.0),
             mechanism=Mechanism.CKPT_LR_LIVE,
@@ -46,7 +46,7 @@ def main() -> None:
         )
     )
     baseline = run_simulation(
-        SimulationConfig(
+        RunSpec(
             strategy=lambda: OnDemandOnlyStrategy(key),
             label="on-demand-only",
             **base,

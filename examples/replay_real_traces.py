@@ -25,7 +25,7 @@ from repro import (
     MarketKey,
     ProactiveBidding,
     ReactiveBidding,
-    SimulationConfig,
+    RunSpec,
     SingleMarketStrategy,
     TraceCatalog,
     calibration_for,
@@ -61,13 +61,13 @@ def main() -> None:
     t = Table(headers=("policy", "norm cost %", "unavail %", "forced", "planned+rev"))
     for bidding in (ReactiveBidding(), ProactiveBidding()):
         r = run_simulation(
-            SimulationConfig(
+            RunSpec(
                 strategy=lambda: SingleMarketStrategy(key),
                 bidding=bidding,
-                catalog=catalog,
                 horizon_s=trace.horizon,
                 label=bidding.name,
-            )
+            ),
+            catalog=catalog,
         )
         t.add_row(
             bidding.name,

@@ -12,12 +12,12 @@ four-nines target.
 Quick start::
 
     from repro import (
-        SimulationConfig, run_simulation, SingleMarketStrategy,
+        RunSpec, run_simulation, SingleMarketStrategy,
         ProactiveBidding, MarketKey,
     )
 
     key = MarketKey("us-east-1a", "small")
-    result = run_simulation(SimulationConfig(
+    result = run_simulation(RunSpec(
         strategy=lambda: SingleMarketStrategy(key),
         bidding=ProactiveBidding(),
         regions=("us-east-1a",), sizes=("small",),
@@ -55,7 +55,6 @@ from repro.core import (
     ProactiveBidding,
     PureSpotStrategy,
     ReactiveBidding,
-    SimulationConfig,
     SimulationResult,
     SingleMarketStrategy,
     StabilityAwareStrategy,
@@ -121,7 +120,6 @@ __all__ = [
     "ProactiveBidding",
     "PureSpotStrategy",
     "ReactiveBidding",
-    "SimulationConfig",
     "SimulationResult",
     "SingleMarketStrategy",
     "StabilityAwareStrategy",

@@ -30,7 +30,7 @@ from repro.analysis.tables import Table
 from repro.core import registry
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
-from repro.core.simulation import SimulationConfig, run_many, run_simulation_observed
+from repro.core.simulation import RunSpec, run_many, run_simulation_observed
 from repro.obs import NULL_SINK, MemorySink, observe
 from repro.runtime import ENGINE_KINDS, StrategySpec
 from repro.errors import TraceFormatError
@@ -205,7 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         catalog = _csv_catalog(args) if args.csv is not None else _segment_catalog(args)
         horizon = catalog.horizon
 
-    cfg = SimulationConfig(
+    spec = RunSpec(
         strategy=strategy,
         bidding=bidding,
         mechanism=MECHANISMS[args.mechanism],
@@ -213,7 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         horizon_s=horizon,
         regions=regions,
         sizes=tuple(SIZES),
-        catalog=catalog,
         label=f"{args.bidding}/{args.strategy}",
     )
 
@@ -233,18 +232,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             # scheduler, which itself degrades to per-event under --trace
             # or for non-vectorizable policies (results are identical).
             one_engine = "vector" if args.engine == "auto" else "event"
-            observed = run_simulation_observed(cfg, sink=sink, engine=one_engine)
+            observed = run_simulation_observed(
+                spec, sink=sink, engine=one_engine, catalog=catalog
+            )
             results = [observed.result]
             scope.add_run(
                 observed.result.label,
-                cfg.seed,
+                spec.seed,
                 events=tuple(e.to_dict() for e in sink.events) if want_trace else None,
                 metrics=observed.metrics.to_dict(),
                 engine=observed.engine_kind,
             )
         else:
             results = run_many(
-                cfg, args.seeds, jobs=args.jobs,
+                spec, args.seeds, jobs=args.jobs,
                 ledger=args.ledger, resume=args.resume,
                 engine=args.engine,
             )

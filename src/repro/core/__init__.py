@@ -45,9 +45,8 @@ from repro.core.elastic import DemandCurve, ElasticResult, ElasticSpotFleet
 from repro.core.results import SimulationResult, AggregateResult, aggregate
 from repro.core.simulation import (
     ObservedRun,
-    SimulationConfig,
+    RunSpec,
     run_simulation,
-    run_simulation_instrumented,
     run_simulation_observed,
     run_many,
 )
@@ -88,10 +87,9 @@ __all__ = [
     "SimulationResult",
     "AggregateResult",
     "aggregate",
-    "SimulationConfig",
+    "RunSpec",
     "ObservedRun",
     "run_simulation",
     "run_many",
-    "run_simulation_instrumented",
     "run_simulation_observed",
 ]

@@ -247,7 +247,7 @@ def register_strategy_kind(
     override: bool = False,
     **metadata: Any,
 ) -> None:
-    """Functional registration (the historical ``runtime.spec`` surface).
+    """Functional registration (also exported by :mod:`repro.runtime`).
 
     Re-registering an existing kind raises
     :class:`~repro.errors.ConfigurationError`; pass ``override=True`` to

@@ -1,16 +1,19 @@
-"""One-call simulation facade: config in, results out.
+"""One-call simulation facade: a run description in, results out.
 
-:func:`run_simulation` builds the whole stack for one seed — trace catalog,
-provider, scheduler — runs it to the horizon, and distils a
-:class:`~repro.core.results.SimulationResult`. :func:`run_many` repeats it
-over seeds, mirroring the paper's "different sample for each simulation
-run" methodology.
+A :class:`RunSpec` describes one seeded scheduler run declaratively.
+:func:`build_stack` is the one place a run is set up — trace catalog,
+provider, scheduler — :func:`run_simulation` runs that stack to the
+horizon and distils a :class:`~repro.core.results.SimulationResult`, and
+:func:`run_many` repeats it over seeds, mirroring the paper's "different
+sample for each simulation run" methodology.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import SimulationResult
@@ -33,32 +36,29 @@ from repro.vm.mechanisms import (
 )
 
 __all__ = [
-    "SimulationConfig",
+    "RunSpec",
     "SimStack",
     "ObservedRun",
     "build_stack",
     "summarize_stack",
     "run_simulation",
-    "run_simulation_instrumented",
     "run_simulation_observed",
     "run_many",
 ]
 
-#: Strategy factory: builds a fresh strategy per run (strategies are cheap
-#: and some hold per-run state in the future).
-StrategyFactory = Callable[[], HostingStrategy]
-
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Everything one scheduler run needs.
+class RunSpec:
+    """One scheduler run, declaratively: everything :func:`build_stack`
+    needs apart from an optional prebuilt catalog.
 
-    ``catalog`` may be supplied to reuse a pre-built trace set (e.g. to run
-    several policies on the *same* price sample, as the paper's policy
-    comparisons require); otherwise a catalog is generated from ``seed``.
+    ``strategy`` builds a fresh strategy per run. A
+    :class:`~repro.runtime.spec.StrategySpec` also pickles to worker
+    processes and fingerprints for run ledgers; a plain callable runs
+    in-process only.
     """
 
-    strategy: StrategyFactory
+    strategy: Callable[[], HostingStrategy]
     bidding: BiddingPolicy = field(default_factory=ProactiveBidding)
     mechanism: Mechanism = Mechanism.CKPT_LR_LIVE
     params: MechanismParams = TYPICAL_PARAMS
@@ -66,30 +66,55 @@ class SimulationConfig:
     horizon_s: float = days(30)
     regions: tuple = REGIONS
     sizes: tuple = SIZES
-    catalog: Optional[TraceCatalog] = None
     calibrations: Optional[Mapping[tuple, MarketCalibration]] = None
     startup_cv: float = 0.25
     service_disk_gib: float = 2.0
     label: str = ""
-    #: Optional :class:`repro.testkit.faults.FaultPlan` (duck-typed — any
-    #: object with ``apply_to_catalog``/``wrap_provider``). Applied while
-    #: building the stack: spikes overlay the catalog *before* the provider
+    #: Optional :class:`repro.testkit.faults.FaultPlan` (any object with
+    #: ``apply_to_catalog``/``wrap_provider``), applied by
+    #: :func:`build_stack`: spikes overlay the catalog before the provider
     #: sees it, so billing and bids both face the faulted prices.
-    faults: Optional[object] = None
+    faults: Optional[Any] = None
+    #: Capture :mod:`repro.obs` trace events in ``run_batch`` and return
+    #: them on the run's telemetry (set automatically inside an
+    #: ``observe(trace=True)`` scope). Does not affect results.
+    capture_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon_s <= SECONDS_PER_HOUR:
             raise ConfigurationError("horizon must exceed one hour")
 
-    def with_(self, **kw) -> "SimulationConfig":
+    def with_(self, **kw) -> "RunSpec":
         """A copy with fields replaced."""
         return replace(self, **kw)
 
+    def catalog_key(self):
+        """The trace-catalog cache key for this run, or ``None`` when the
+        run is uncacheable (unhashable calibration overrides)."""
+        # Imported lazily: repro.runtime builds on this module.
+        from repro.runtime.cache import CatalogKey
 
-def _result_label(config: SimulationConfig, strategy: HostingStrategy) -> str:
-    if config.label:
-        return config.label
-    return f"{config.bidding.name}/{config.mechanism.value}/{strategy!r}"
+        return CatalogKey.of(
+            self.seed, self.horizon_s, self.regions, self.sizes, self.calibrations
+        )
+
+    def is_portable(self) -> bool:
+        """Can this spec cross a process boundary?"""
+        from repro.runtime.spec import StrategySpec
+
+        if not isinstance(self.strategy, StrategySpec):
+            return False
+        try:
+            pickle.dumps(self)
+        except Exception:
+            return False
+        return True
+
+
+def _result_label(spec: RunSpec, strategy: HostingStrategy) -> str:
+    if spec.label:
+        return spec.label
+    return f"{spec.bidding.name}/{spec.mechanism.value}/{strategy!r}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +150,7 @@ class SimStack:
     :class:`~repro.core.results.SimulationResult`.
     """
 
-    config: SimulationConfig
+    spec: RunSpec
     catalog: TraceCatalog
     provider: CloudProvider
     engine: Engine
@@ -134,13 +159,22 @@ class SimStack:
 
 
 def build_stack(
-    config: SimulationConfig,
+    spec: RunSpec,
     sink: TraceSink = NULL_SINK,
     engine: str = "event",
+    *,
+    catalog: Optional[TraceCatalog] = None,
 ) -> SimStack:
     """Assemble catalog, provider, engine and scheduler for one run.
 
-    If ``config.faults`` is set, its spikes are overlaid on the catalog
+    The one place a run is set up, on every path (direct calls,
+    ``run_batch`` at any ``jobs``, the golden corpus). ``catalog`` reuses
+    a prebuilt trace set (an ingested archive, or one sample shared by
+    several policies); otherwise one is generated from ``spec.seed``. The
+    bidding policy is deep-copied, so no run sees state an earlier run
+    left in it.
+
+    If ``spec.faults`` is set, its spikes are overlaid on the catalog
     before the provider is constructed (so billing sees the spiked
     prices) and its provider-level faults are applied before the
     scheduler takes the provider.
@@ -155,28 +189,27 @@ def build_stack(
     """
     if engine not in ("event", "vector"):
         raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
-    catalog = config.catalog
     if catalog is None:
         catalog = build_catalog(
-            seed=config.seed,
-            horizon=config.horizon_s,
-            regions=config.regions,
-            sizes=config.sizes,
-            calibrations=config.calibrations,
+            seed=spec.seed,
+            horizon=spec.horizon_s,
+            regions=spec.regions,
+            sizes=spec.sizes,
+            calibrations=spec.calibrations,
         )
-    faults = config.faults
+    faults = spec.faults
     if faults is not None:
         catalog = faults.apply_to_catalog(catalog)
-    streams = RngStreams(config.seed)
+    streams = RngStreams(spec.seed)
     provider = CloudProvider(
         catalog,
         rng=streams.get("provider/startup"),
-        startup_cv=config.startup_cv,
+        startup_cv=spec.startup_cv,
         sink=sink,
     )
     if faults is not None:
-        provider = faults.wrap_provider(provider, run_seed=config.seed)
-    strategy = config.strategy()
+        provider = faults.wrap_provider(provider, run_seed=spec.seed)
+    strategy = spec.strategy()
     scheduler_cls = CloudScheduler
     if engine == "vector":
         # Imported lazily: repro.runtime builds on this module.
@@ -187,16 +220,16 @@ def build_stack(
     scheduler = scheduler_cls(
         engine=sim_engine,
         provider=provider,
-        bidding=config.bidding,
+        bidding=copy.deepcopy(spec.bidding),
         strategy=strategy,
-        migration_model=MigrationModel(config.mechanism, config.params),
+        migration_model=MigrationModel(spec.mechanism, spec.params),
         rng=streams.get("scheduler/jitter"),
-        horizon=config.horizon_s,
-        service_disk_gib=config.service_disk_gib,
+        horizon=spec.horizon_s,
+        service_disk_gib=spec.service_disk_gib,
         sink=sink,
     )
     return SimStack(
-        config=config,
+        spec=spec,
         catalog=catalog,
         provider=provider,
         engine=sim_engine,
@@ -208,7 +241,7 @@ def build_stack(
 def summarize_stack(stack: SimStack) -> SimulationResult:
     """Distil a completed stack into a :class:`SimulationResult` and set
     the summary gauges on the scheduler's metric registry."""
-    config = stack.config
+    spec = stack.spec
     scheduler = stack.scheduler
     avail = scheduler.availability
     ledger = scheduler.ledger
@@ -224,8 +257,8 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
     for iv in avail.downtime:
         by_cause[iv.cause] = by_cause.get(iv.cause, 0.0) + iv.duration
     result = SimulationResult(
-        label=_result_label(config, stack.strategy),
-        seed=config.seed,
+        label=_result_label(spec, stack.strategy),
+        seed=spec.seed,
         duration_hours=duration_h,
         total_cost=ledger.total,
         baseline_cost=baseline_cost,
@@ -253,30 +286,29 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
     return result
 
 
-def run_simulation(config: SimulationConfig, verify: bool = False) -> SimulationResult:
+def run_simulation(
+    spec: RunSpec,
+    verify: bool = False,
+    *,
+    catalog: Optional[TraceCatalog] = None,
+) -> SimulationResult:
     """Run one seeded scheduler simulation and summarise it.
 
+    ``catalog`` reuses a prebuilt trace set (see :func:`build_stack`).
     ``verify=True`` runs the :mod:`repro.testkit.oracles` conservation
     checks after the run and raises
     :class:`~repro.errors.InvariantViolation` if any fail.
     """
-    return run_simulation_observed(config, verify=verify).result
-
-
-def run_simulation_instrumented(
-    config: SimulationConfig,
-) -> tuple[SimulationResult, int]:
-    """Like :func:`run_simulation`, also returning the engine's fired-event
-    count (the runtime layer's events-processed telemetry)."""
-    observed = run_simulation_observed(config)
-    return observed.result, observed.fired_events
+    return run_simulation_observed(spec, verify=verify, catalog=catalog).result
 
 
 def run_simulation_observed(
-    config: SimulationConfig,
+    spec: RunSpec,
     sink: TraceSink = NULL_SINK,
     verify: bool = False,
     engine: str = "event",
+    *,
+    catalog: Optional[TraceCatalog] = None,
 ) -> ObservedRun:
     """Run one simulation with decision tracing and metrics attached.
 
@@ -287,10 +319,11 @@ def run_simulation_observed(
     metric registry alongside the usual summary. ``verify=True`` audits
     the completed stack with the invariant oracles and raises
     :class:`~repro.errors.InvariantViolation` on any red check.
-    ``engine`` selects the execution engine (see :func:`build_stack`);
-    the returned run's ``engine_kind`` reports which one actually ran.
+    ``engine`` selects the execution engine and ``catalog`` reuses a
+    prebuilt trace set (see :func:`build_stack`); the returned run's
+    ``engine_kind`` reports which engine actually ran.
     """
-    stack = build_stack(config, sink=sink, engine=engine)
+    stack = build_stack(spec, sink=sink, engine=engine, catalog=catalog)
     stack.scheduler.run()
     result = summarize_stack(stack)
     if verify:
@@ -310,7 +343,7 @@ def run_simulation_observed(
 
 
 def run_many(
-    config: SimulationConfig,
+    spec: RunSpec,
     seeds: List[int],
     jobs: int = 1,
     ledger: Optional[object] = None,
@@ -320,19 +353,19 @@ def run_many(
     """Run the same configuration over several trace samples.
 
     A thin wrapper over :func:`repro.runtime.run_batch`: each seed becomes
-    a :class:`~repro.runtime.RunSpec` (any attached catalog is dropped —
-    every seed gets its own sample, served through the runtime's catalog
-    cache). ``jobs > 1`` fans the seeds across worker processes with
-    results in seed order, identical to the serial run. ``ledger`` /
-    ``resume`` journal completed seeds to a crash-safe run ledger and
-    replay them on restart (see :mod:`repro.runtime.ledger`).
+    ``spec.with_(seed=s)``, and every seed gets its own sample, served
+    through the runtime's catalog cache. ``jobs > 1`` fans the seeds
+    across worker processes with results in seed order, identical to the
+    serial run. ``ledger`` / ``resume`` journal completed seeds to a
+    crash-safe run ledger and replay them on restart (see
+    :mod:`repro.runtime.ledger`).
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     # Imported lazily: repro.runtime builds on this module.
-    from repro.runtime import RunSpec, run_batch
+    from repro.runtime import run_batch
 
-    specs = [RunSpec.from_config(config, seed=s) for s in seeds]
+    specs = [spec.with_(seed=s) for s in seeds]
     return list(
         run_batch(specs, jobs=jobs, ledger=ledger, resume=resume, engine=engine).results
     )

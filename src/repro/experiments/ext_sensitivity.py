@@ -20,7 +20,7 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
-from repro.core.simulation import SimulationConfig, run_many
+from repro.core.simulation import RunSpec, run_many
 from repro.experiments.common import ExperimentConfig
 from repro.runtime import StrategySpec
 from repro.traces.calibration import calibration_for
@@ -61,7 +61,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     rows = {}
     for name, cal in VARIANTS:
         for bidding in (ReactiveBidding(), ProactiveBidding()):
-            sim = SimulationConfig(
+            sim = RunSpec(
                 strategy=StrategySpec.single(KEY),
                 bidding=bidding,
                 mechanism=Mechanism.CKPT_LR,

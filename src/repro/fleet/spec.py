@@ -39,9 +39,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding, ReactiveBidding
+from repro.core.simulation import RunSpec
 from repro.errors import ConfigurationError
 from repro.fleet.spares import DEFAULT_HANDOVER_WINDOW_S
-from repro.runtime.spec import RunSpec, StrategySpec
+from repro.runtime.spec import StrategySpec
 from repro.traces.calibration import ALL_REGIONS, SIZES
 from repro.traces.catalog import MarketKey
 from repro.units import days

@@ -1,7 +1,7 @@
 """Observation scopes: collect traces and metrics across batch boundaries.
 
 The experiment drivers never see sinks — they submit
-:class:`~repro.runtime.spec.RunSpec` batches. An :func:`observe` scope
+:class:`~repro.core.simulation.RunSpec` batches. An :func:`observe` scope
 bridges the gap the same way :func:`repro.runtime.collect_telemetry` does:
 while a scope with ``trace=True`` is active, :func:`repro.runtime.run_batch`
 switches every spec to capture mode (workers record into a

@@ -15,6 +15,8 @@ and :class:`RunTelemetry` / :class:`BatchTelemetry` records surface
 wall-clock, events-processed, and cache-hit counters in experiment reports.
 """
 
+from repro.core.registry import register_strategy_kind, strategy_kinds
+from repro.core.simulation import RunSpec
 from repro.runtime.cache import (
     CatalogKey,
     TraceCatalogCache,
@@ -32,12 +34,9 @@ from repro.runtime.ledger import (
 )
 from repro.runtime.spec import (
     BatchSpec,
-    RunSpec,
     StrategySpec,
     batch_fingerprint,
-    register_strategy_kind,
     spec_fingerprint,
-    strategy_kinds,
 )
 from repro.runtime.telemetry import (
     BatchTelemetry,

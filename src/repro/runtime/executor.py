@@ -1,6 +1,6 @@
 """The batch executor: seed×variant fan-out with deterministic ordering.
 
-``run_batch`` executes a sequence of :class:`~repro.runtime.spec.RunSpec`s
+``run_batch`` executes a sequence of :class:`~repro.core.simulation.RunSpec`s
 and returns results **in submission order**, whatever the worker count —
 ``jobs=4`` is field-for-field identical to ``jobs=1`` because every run is
 fully determined by its spec (seed-derived RNG, deterministic catalog
@@ -55,12 +55,13 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import SimulationResult
+from repro.core.simulation import RunSpec
 from repro.errors import ConfigurationError, LedgerError, WorkerCrashError
 from repro.obs.capture import notify_run, trace_capture_active
 from repro.obs.sinks import NULL_SINK, MemorySink, TraceSink
 from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
-from repro.runtime.spec import BatchSpec, RunSpec, batch_fingerprint, spec_fingerprint
+from repro.runtime.spec import BatchSpec, StrategySpec, batch_fingerprint, spec_fingerprint
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry, notify_batch
 from repro.runtime.vector import ENGINE_KINDS, spec_vector_eligible
 
@@ -121,9 +122,7 @@ def _attempt_one(
         catalog, cache_hit, catalog_wall = cache.get_or_build(key)
         source = "cache" if cache_hit else "build"
     sink: TraceSink = MemorySink() if spec.capture_trace else NULL_SINK
-    observed = run_simulation_observed(
-        spec.to_config(catalog=catalog), sink=sink, engine=engine
-    )
+    observed = run_simulation_observed(spec, sink=sink, engine=engine, catalog=catalog)
     result = observed.result
     if notes is not None:
         notes["reverse_band"] = observed.reverse_band
@@ -462,6 +461,12 @@ def run_batch(
         uninterrupted run at any ``jobs``. A fingerprint mismatch raises
         :class:`~repro.errors.LedgerError`; a missing file simply starts
         a fresh journal.
+
+    A ledgered batch needs every run's strategy to be a
+    :class:`~repro.runtime.spec.StrategySpec`: a closure has no stable
+    fingerprint, so two different closures could replay each other's
+    results. Such a batch raises :class:`~repro.errors.ConfigurationError`
+    before the ledger is opened.
     """
     specs: Tuple[RunSpec, ...] = tuple(runs.runs if isinstance(runs, BatchSpec) else runs)
     if not specs:
@@ -472,6 +477,11 @@ def run_batch(
         raise ConfigurationError("retries must be >= 0")
     if resume and ledger is None:
         raise ConfigurationError("resume=True needs a ledger path")
+    if ledger is not None and not all(isinstance(s.strategy, StrategySpec) for s in specs):
+        raise ConfigurationError(
+            "a ledgered batch needs StrategySpec strategies; a closure "
+            "cannot be fingerprinted"
+        )
     if engine not in ENGINE_KINDS:
         raise ConfigurationError(
             f"unknown engine {engine!r} (choices: {', '.join(ENGINE_KINDS)})"

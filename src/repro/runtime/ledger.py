@@ -2,7 +2,7 @@
 
 A :class:`RunLedger` is an append-only JSONL file that records a batch's
 identity (one *header* record) followed by one *run* record per completed
-:class:`~repro.runtime.spec.RunSpec` — its spec fingerprint, distilled
+:class:`~repro.core.simulation.RunSpec` — its spec fingerprint, distilled
 :class:`~repro.core.results.SimulationResult`, telemetry payload, and
 attempt count. ``run_batch(..., ledger=path)`` journals as it goes;
 ``run_batch(..., ledger=path, resume=True)`` validates the header against

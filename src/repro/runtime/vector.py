@@ -94,23 +94,19 @@ def policies_vectorizable(strategy: object, bidding: object) -> bool:
     )
 
 
-def spec_vector_eligible(spec: object) -> bool:
-    """Is a :class:`~repro.runtime.spec.RunSpec` runnable on the vector
+def spec_vector_eligible(spec) -> bool:
+    """Is a :class:`~repro.core.simulation.RunSpec` runnable on the vector
     engine at all (capability check only — the executor layers its own
     routing policy for faults/capture on top)?
 
     Building the strategy to inspect its flag is safe: factories build a
     fresh instance per call and strategies are cheap by contract.
     """
-    factory = getattr(spec, "strategy", None)
-    bidding = getattr(spec, "bidding", None)
-    if factory is None or bidding is None:
-        return False
     try:
-        strategy = factory()
+        strategy = spec.strategy()
     except Exception:
         return False
-    return policies_vectorizable(strategy, bidding)
+    return policies_vectorizable(strategy, spec.bidding)
 
 
 class VectorScheduler(CloudScheduler):

@@ -9,8 +9,7 @@ makes the hostile regimes first-class:
   fault schedule (revocation storms, correlated multi-market spikes,
   delayed/failed checkpoint writes, stretched disk copies and startups,
   worker-process crashes) that rides a
-  :class:`~repro.core.simulation.SimulationConfig` /
-  :class:`~repro.runtime.spec.RunSpec` across process boundaries;
+  :class:`~repro.core.simulation.RunSpec` across process boundaries;
 * :mod:`repro.testkit.oracles` — post-run conservation checks (billing,
   availability, metrics/results agreement, lease hygiene) runnable after
   any simulation via ``run_simulation(..., verify=True)`` or the
@@ -42,6 +41,7 @@ from repro.testkit.faults import (
     FaultStats,
     PriceSpike,
     kill_orchestrator_after_n_runs,
+    run_kill_drill,
 )
 from repro.testkit.golden import (
     FLEET_SCENARIOS,
@@ -71,6 +71,7 @@ __all__ = [
     "FaultStats",
     "PriceSpike",
     "kill_orchestrator_after_n_runs",
+    "run_kill_drill",
     "conformance_check",
     "GRID_REGIONS",
     "GRID_SIZES",

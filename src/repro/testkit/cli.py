@@ -102,7 +102,7 @@ def _cmd_golden(names: Optional[List[str]], golden_dir: Optional[Path], update: 
 
 
 def _cmd_storm(seed: int, jobs: int, horizon_days: float) -> int:
-    from repro.core.simulation import SimulationConfig
+    from repro.core.simulation import RunSpec
     from repro.runtime.spec import StrategySpec
     from repro.testkit.faults import FaultPlan
     from repro.testkit.oracles import (
@@ -123,7 +123,7 @@ def _cmd_storm(seed: int, jobs: int, horizon_days: float) -> int:
         checkpoint_failure_rate=0.2,
         disk_copy_factor=1.5,
     )
-    config = SimulationConfig(
+    spec = RunSpec(
         strategy=StrategySpec.single(MarketKey("us-east-1a", "small")),
         seed=seed,
         horizon_s=horizon,
@@ -132,9 +132,9 @@ def _cmd_storm(seed: int, jobs: int, horizon_days: float) -> int:
         faults=plan,
         label="verify/storm",
     )
-    observed, report = run_verified(config)
-    check_rerun_determinism(config, report)
-    check_jobs_determinism(config, seeds=[seed, seed + 1, seed + 2, seed + 3], jobs=jobs, report=report)
+    observed, report = run_verified(spec)
+    check_rerun_determinism(spec, report)
+    check_jobs_determinism(spec, seeds=[seed, seed + 1, seed + 2, seed + 3], jobs=jobs, report=report)
     print(report.summary())
     r = observed.result
     print(

@@ -40,7 +40,7 @@ import numpy as np
 from repro.cloud.instance_types import instance_type
 from repro.cloud.provider import CloudProvider
 from repro.core import registry
-from repro.core.simulation import SimulationConfig, run_simulation_observed
+from repro.core.simulation import RunSpec, run_simulation_observed
 from repro.core.strategies import HostingStrategy
 from repro.errors import ConfigurationError
 from repro.runtime.spec import StrategySpec, spec_fingerprint
@@ -85,8 +85,8 @@ def _resolve_spec(strategy: Union[str, StrategySpec, type]) -> StrategySpec:
     )
 
 
-def _config(spec: StrategySpec, **kw) -> SimulationConfig:
-    return SimulationConfig(
+def _run_spec(spec: StrategySpec, **kw) -> RunSpec:
+    return RunSpec(
         strategy=spec,
         seed=kw.pop("seed", _RUN_SEED),
         horizon_s=_HORIZON_S,
@@ -128,7 +128,7 @@ def conformance_check(strategy: Union[str, StrategySpec, type]) -> OracleReport:
         f"{spec.kind}: spec-round-trip",
         thawed == spec
         and pickle.dumps(thawed) == blob
-        and spec_fingerprint(_config(thawed)) == spec_fingerprint(_config(spec)),
+        and spec_fingerprint(_run_spec(thawed)) == spec_fingerprint(_run_spec(spec)),
         "pickle round trip is byte-identical and fingerprint-stable",
     )
 
@@ -189,8 +189,8 @@ def conformance_check(strategy: Union[str, StrategySpec, type]) -> OracleReport:
         f"registry says {info.vectorizable}, instance says {built.vectorizable}"
     )
     if honest and info.vectorizable:
-        event = run_simulation_observed(_config(spec), engine="event").result
-        vector = run_simulation_observed(_config(spec), engine="vector").result
+        event = run_simulation_observed(_run_spec(spec), engine="event").result
+        vector = run_simulation_observed(_run_spec(spec), engine="vector").result
         honest = dataclasses.asdict(event) == dataclasses.asdict(vector)
         detail = (
             "event/vector engines agree field-for-field"
@@ -200,7 +200,7 @@ def conformance_check(strategy: Union[str, StrategySpec, type]) -> OracleReport:
     report.add(f"{spec.kind}: vectorizable-honesty", honest, detail)
 
     # --- survive a revocation storm with every invariant oracle green.
-    storm = _config(
+    storm = _run_spec(
         spec,
         seed=_STORM_SEED,
         faults=FaultPlan.revocation_storm(

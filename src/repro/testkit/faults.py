@@ -21,22 +21,28 @@ one simulation run:
 Separately, :func:`kill_orchestrator_after_n_runs` builds an
 *orchestrator-death* fault: a ``run_batch`` progress hook that SIGKILLs
 the batch parent after ``n`` completed runs, exercising the run ledger's
-crash/resume path end-to-end (see :mod:`repro.runtime.ledger`).
+crash/resume path end-to-end (see :mod:`repro.runtime.ledger`);
+:func:`run_kill_drill` runs that drill and reaps the workers it orphans.
 
 Everything in a plan is deterministic given ``(plan, run seed)``: spike
 schedules derive from ``FaultPlan.seed``, checkpoint faults from a stream
 keyed on ``(plan seed, run seed)``. Plans are frozen, hashable and
-pickleable, so they ride a :class:`~repro.runtime.spec.RunSpec` across the
+pickleable, so they ride a :class:`~repro.core.simulation.RunSpec` across the
 process-pool boundary — a faulted batch is byte-identical at any
 ``--jobs`` value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
+import subprocess
+import sys
+import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from pathlib import Path
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +50,13 @@ from repro.errors import ConfigurationError
 from repro.traces.catalog import TraceCatalog
 from repro.traces.trace import PriceTrace
 
-__all__ = ["PriceSpike", "FaultPlan", "FaultStats", "kill_orchestrator_after_n_runs"]
+__all__ = [
+    "PriceSpike",
+    "FaultPlan",
+    "FaultStats",
+    "kill_orchestrator_after_n_runs",
+    "run_kill_drill",
+]
 
 #: Seed-stream tags keeping fault RNG independent of simulation streams.
 _STORM_STREAM = 0x5707B10
@@ -132,6 +144,75 @@ def kill_orchestrator_after_n_runs(
             os.kill(os.getpid(), sig)
 
     return hook
+
+
+def _running_in_group(pgid: int) -> List[int]:
+    """PIDs of process group ``pgid`` that have not exited. Zombies have:
+    an orphan's new parent may never reap it. Reads ``/proc`` (Linux)."""
+    live = []
+    for stat_path in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            stat = stat_path.read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command name: state, ppid, pgrp.
+        state, _, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state not in ("Z", "X"):
+            live.append(int(stat_path.parent.name))
+    return live
+
+
+#: The drill's orchestrator: journal the batch a ``module:function``
+#: factory returns, under a hook that SIGKILLs it after ``kill_after`` runs.
+_DRILL_SCRIPT = """\
+import importlib, sys
+from repro.runtime import run_batch
+from repro.testkit.faults import kill_orchestrator_after_n_runs
+factory, ledger, jobs, kill_after = sys.argv[1:]
+module, _, name = factory.partition(":")
+specs = getattr(importlib.import_module(module), name)()
+hook = kill_orchestrator_after_n_runs(int(kill_after))
+run_batch(specs, jobs=int(jobs), ledger=ledger, progress=hook)
+raise SystemExit(99)  # unreachable: the hook SIGKILLs the process first
+"""
+
+
+def run_kill_drill(
+    specs: str,
+    ledger,
+    *,
+    jobs: int,
+    kill_after: int,
+    env: Optional[Mapping[str, str]] = None,
+    stderr=subprocess.DEVNULL,
+    timeout: float = 300.0,
+) -> int:
+    """Journal a batch to ``ledger`` in an orchestrator that SIGKILLs itself
+    after ``kill_after`` runs, then reap what it leaves behind.
+
+    ``specs`` names a function returning the batch as ``"module:function"``,
+    importable on ``env``'s ``PYTHONPATH``. The orchestrator's pool workers
+    outlive its SIGKILL, blocked forever on their call queue, so it runs in
+    its own session and its whole process group is SIGKILLed once it exits.
+    Returns its exit status; raises :class:`RuntimeError` if a process of
+    the group still runs ten seconds later. Pass ``stderr`` a file, not a
+    pipe: an orphaned worker would hold a pipe open.
+    """
+    argv = [sys.executable, "-c", _DRILL_SCRIPT, specs, str(ledger), str(jobs), str(kill_after)]
+    proc = subprocess.Popen(
+        argv, env=env, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True
+    )
+    try:
+        return proc.wait(timeout=timeout)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while live := _running_in_group(proc.pid):
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"kill drill left processes {live} of group {proc.pid}")
+            time.sleep(0.01)
 
 
 class _StretchedStartup:
@@ -231,8 +312,8 @@ def _overlay(trace: PriceTrace, windows: list) -> PriceTrace:
 class FaultPlan:
     """A reproducible fault schedule for one simulation run.
 
-    Attach a plan via ``SimulationConfig(..., faults=plan)`` (or
-    ``RunSpec(..., faults=plan)``); the stack builder overlays the spikes
+    Attach a plan via ``RunSpec(..., faults=plan)``; the stack builder
+    overlays the spikes
     onto the trace catalog and wraps the provider before the scheduler
     ever sees either. All fields have inert defaults — an empty plan is a
     no-op.

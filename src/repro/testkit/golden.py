@@ -32,13 +32,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bidding import ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation_observed
+from repro.core.simulation import RunSpec, run_simulation_observed
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
 from repro.runtime.spec import StrategySpec
 from repro.testkit.faults import FaultPlan
 from repro.traces.calibration import MarketCalibration, calibration_for
-from repro.traces.catalog import MarketKey
+from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.units import days, hours
 
 __all__ = [
@@ -64,14 +64,22 @@ REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GoldenScenario:
-    """One committed scenario: a name, a story, and a seeded config."""
+    """One committed scenario: a name, a story, a seeded run and, for a
+    scenario that replays a prebuilt catalog, that catalog's factory."""
 
     name: str
     description: str
-    build: Callable[[], SimulationConfig]
+    build: Callable[[], RunSpec]
+    build_catalog: Optional[Callable[[], TraceCatalog]] = None
 
-    def config(self) -> SimulationConfig:
-        return self.build()
+    def spec(self) -> RunSpec:
+        """The scenario's run, labelled ``golden/<name>``."""
+        return self.build().with_(label=f"golden/{self.name}")
+
+    def catalog(self) -> Optional[TraceCatalog]:
+        """The prebuilt catalog every runner passes as ``catalog=``, or
+        ``None`` to generate one from the spec's seed."""
+        return self.build_catalog() if self.build_catalog is not None else None
 
 
 def default_golden_dir() -> Path:
@@ -88,83 +96,77 @@ _EAST = MarketKey("us-east-1a", "small")
 _WEEK = days(7)
 
 
-def _calm_single() -> SimulationConfig:
-    return SimulationConfig(
+def _calm_single() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=11,
         horizon_s=_WEEK,
         regions=("us-east-1a",),
         sizes=("small",),
-        label="golden/calm-single",
     )
 
 
-def _calm_large() -> SimulationConfig:
-    return SimulationConfig(
+def _calm_large() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(MarketKey("us-east-1a", "large")),
         seed=23,
         horizon_s=_WEEK,
         regions=("us-east-1a",),
         sizes=("large",),
-        label="golden/calm-large",
     )
 
 
-def _storm_single() -> SimulationConfig:
-    return SimulationConfig(
+def _storm_single() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=31,
         horizon_s=_WEEK,
         regions=("us-east-1a",),
         sizes=("small",),
         faults=FaultPlan.revocation_storm(401, _WEEK, n_spikes=6, duration_s=1800.0),
-        label="golden/storm-single",
     )
 
 
-def _spike_at_boundary() -> SimulationConfig:
+def _spike_at_boundary() -> RunSpec:
     # The spike opens 90 s before the lease's 5th billing boundary — the
     # window where revocation is cheapest for the provider-side adversary
     # and the partial-hour-free rule matters most.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=43,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
         faults=FaultPlan.correlated_spike(hours(5) - 90.0, hours(2)),
-        label="golden/spike-at-boundary",
     )
 
 
-def _pure_spot_outage() -> SimulationConfig:
+def _pure_spot_outage() -> RunSpec:
     # No on-demand fallback: a correlated spike forces a dark period.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.pure_spot(_EAST),
         seed=53,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
         faults=FaultPlan.correlated_spike(hours(30), hours(4)),
-        label="golden/pure-spot-outage",
     )
 
 
-def _on_demand_baseline() -> SimulationConfig:
-    return SimulationConfig(
+def _on_demand_baseline() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.on_demand(_EAST),
         seed=61,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
-        label="golden/on-demand-baseline",
     )
 
 
-def _multi_market_storm() -> SimulationConfig:
+def _multi_market_storm() -> RunSpec:
     # Spikes hit only the small market, so the multi-market strategy can
     # escape sideways within the region.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_market("us-east-1a"),
         seed=71,
         horizon_s=_WEEK,
@@ -173,39 +175,36 @@ def _multi_market_storm() -> SimulationConfig:
         faults=FaultPlan.revocation_storm(
             402, _WEEK, n_spikes=4, duration_s=3600.0, markets=("us-east-1a/small",)
         ),
-        label="golden/multi-market-storm",
     )
 
 
-def _multi_region() -> SimulationConfig:
-    return SimulationConfig(
+def _multi_region() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.multi_region(("us-east-1a", "us-west-1a")),
         seed=83,
         horizon_s=_WEEK,
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium", "large", "xlarge"),
-        label="golden/multi-region",
     )
 
 
-def _multi_region_correlated() -> SimulationConfig:
+def _multi_region_correlated() -> RunSpec:
     # Every market spikes at once: cross-region escape can't help, the
     # scheduler must ride out the storm on on-demand.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_region(("us-east-1a", "eu-west-1a")),
         seed=97,
         horizon_s=_WEEK,
         regions=("us-east-1a", "eu-west-1a"),
         sizes=("small", "medium", "large", "xlarge"),
         faults=FaultPlan.correlated_spike(days(2), hours(6)),
-        label="golden/multi-region-correlated",
     )
 
 
-def _slow_checkpoint_storm() -> SimulationConfig:
+def _slow_checkpoint_storm() -> RunSpec:
     # Storm plus degraded infrastructure: delayed/failing checkpoint
     # writes, doubled WAN disk copies, sluggish allocations.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=101,
         horizon_s=_WEEK,
@@ -221,46 +220,42 @@ def _slow_checkpoint_storm() -> SimulationConfig:
             disk_copy_factor=2.0,
             startup_factor=1.5,
         ),
-        label="golden/slow-checkpoint-storm",
     )
 
 
-def _index_tracking_basket() -> SimulationConfig:
+def _index_tracking_basket() -> RunSpec:
     # The Shastri & Irwin index tracker: a 3-market basket across two
     # regions, rebalanced within a 15 % band of the on-demand index.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.index_tracking(("us-east-1a", "us-west-1a")),
         seed=113,
         horizon_s=days(3),
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium"),
-        label="golden/index-tracking-basket",
     )
 
 
-def _no_ft_storm() -> SimulationConfig:
+def _no_ft_storm() -> RunSpec:
     # No checkpoints: the correlated spike revokes the tenant, the
     # partial hour rides free, and recovery recomputes from the volume.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.no_fault_tolerance(_EAST),
         seed=127,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
         faults=FaultPlan.correlated_spike(hours(30), hours(4)),
-        label="golden/no-ft-storm",
     )
 
 
-def _portfolio_bid_lp() -> SimulationConfig:
+def _portfolio_bid_lp() -> RunSpec:
     # The LP bid family: per-epoch risk/cost program over four markets.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.portfolio_bid(("us-east-1a", "us-west-1a")),
         seed=131,
         horizon_s=days(3),
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium"),
-        label="golden/portfolio-bid-lp",
     )
 
 
@@ -315,23 +310,22 @@ def _quiet_cal(region: str, size: str) -> MarketCalibration:
     )
 
 
-def _sustained_high_single() -> SimulationConfig:
-    return SimulationConfig(
+def _sustained_high_single() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=137,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
         calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-single",
     )
 
 
-def _sustained_high_reactive() -> SimulationConfig:
+def _sustained_high_reactive() -> RunSpec:
     # Reactive bidding on a sustained-high market: the bid-the-ceiling
     # policy pays nearly on-demand rates, the regime where Fig 5's
     # proactive/reactive gap collapses.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         bidding=ReactiveBidding(),
         seed=139,
@@ -339,78 +333,72 @@ def _sustained_high_reactive() -> SimulationConfig:
         regions=("us-east-1a",),
         sizes=("small",),
         calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-reactive",
     )
 
 
-def _sustained_high_multi_market() -> SimulationConfig:
+def _sustained_high_multi_market() -> RunSpec:
     # Only the small market is sustained-high; sideways escape within the
     # region recovers most of the spot discount.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_market("us-east-1a"),
         seed=149,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small", "medium", "large", "xlarge"),
         calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-multi-market",
     )
 
 
-def _sustained_high_pure_spot() -> SimulationConfig:
+def _sustained_high_pure_spot() -> RunSpec:
     # No on-demand fallback on a market that is expensive but rarely
     # revokes: high cost, little downtime.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.pure_spot(_EAST),
         seed=193,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
         calibrations={("us-east-1a", "small"): _sustained_high_cal("us-east-1a", "small")},
-        label="golden/sustained-high-pure-spot",
     )
 
 
 _XL_EAST = MarketKey("us-east-1a", "xlarge")
 
 
-def _gpu_scarcity_single() -> SimulationConfig:
-    return SimulationConfig(
+def _gpu_scarcity_single() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(_XL_EAST),
         seed=151,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("xlarge",),
         calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-single",
     )
 
 
-def _gpu_scarcity_no_ft() -> SimulationConfig:
+def _gpu_scarcity_no_ft() -> RunSpec:
     # Sharp spike trains against a tenant with no checkpoints: every
     # revocation recomputes from the volume.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.no_fault_tolerance(_XL_EAST),
         seed=157,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("xlarge",),
         calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-no-ft",
     )
 
 
-def _gpu_scarcity_multi_market() -> SimulationConfig:
+def _gpu_scarcity_multi_market() -> RunSpec:
     # Scarcity hits only the xlarge market; the multi-market scheduler can
     # wait it out on the calmer sizes.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_market("us-east-1a"),
         seed=163,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small", "medium", "large", "xlarge"),
         calibrations={("us-east-1a", "xlarge"): _gpu_scarcity_cal("us-east-1a", "xlarge")},
-        label="golden/gpu-scarcity-multi-market",
     )
 
 
@@ -418,24 +406,23 @@ def _storm_cals(regions, sizes):
     return {(r, s): _stormy_cal(r, s) for r in regions for s in sizes}
 
 
-def _correlated_storm_regional() -> SimulationConfig:
+def _correlated_storm_regional() -> RunSpec:
     # Heavy shared-shock shares: excursions synchronize within and across
     # regions, eroding the diversification the multi-region escape buys.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_region(("us-east-1a", "us-west-1a")),
         seed=167,
         horizon_s=days(3),
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium"),
         calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-regional",
     )
 
 
-def _correlated_storm_global() -> SimulationConfig:
+def _correlated_storm_global() -> RunSpec:
     # Correlated generator shocks plus a scripted all-market spike: the
     # worst case for cross-region hosting.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_region(("us-east-1a", "eu-west-1a")),
         seed=173,
         horizon_s=days(3),
@@ -443,40 +430,37 @@ def _correlated_storm_global() -> SimulationConfig:
         sizes=("small", "medium"),
         calibrations=_storm_cals(("us-east-1a", "eu-west-1a"), ("small", "medium")),
         faults=FaultPlan.correlated_spike(days(1), hours(3)),
-        label="golden/correlated-storm-global",
     )
 
 
-def _correlated_storm_portfolio() -> SimulationConfig:
+def _correlated_storm_portfolio() -> RunSpec:
     # The LP bid family under correlated shocks: predicted revocation risk
     # rises everywhere at once, stressing the risk-cap constraint.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.portfolio_bid(("us-east-1a", "us-west-1a")),
         seed=179,
         horizon_s=days(3),
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium"),
         calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-portfolio",
     )
 
 
-def _correlated_storm_index() -> SimulationConfig:
-    return SimulationConfig(
+def _correlated_storm_index() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.index_tracking(("us-east-1a", "us-west-1a")),
         seed=181,
         horizon_s=days(3),
         regions=("us-east-1a", "us-west-1a"),
         sizes=("small", "medium"),
         calibrations=_storm_cals(("us-east-1a", "us-west-1a"), ("small", "medium")),
-        label="golden/correlated-storm-index",
     )
 
 
-def _stability_weighted_storm() -> SimulationConfig:
+def _stability_weighted_storm() -> RunSpec:
     # The stability-weighted family pays a premium to avoid churn; a storm
     # on one market shows what that premium buys.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.stability(("us-east-1a", "us-west-1a"), stability_weight=2.0),
         seed=191,
         horizon_s=days(3),
@@ -485,26 +469,24 @@ def _stability_weighted_storm() -> SimulationConfig:
         faults=FaultPlan.revocation_storm(
             404, days(3), n_spikes=3, duration_s=1800.0, markets=("us-east-1a/small",)
         ),
-        label="golden/stability-weighted-storm",
     )
 
 
-def _calm_quiet_eu() -> SimulationConfig:
-    return SimulationConfig(
+def _calm_quiet_eu() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(MarketKey("eu-west-1a", "large")),
         seed=197,
         horizon_s=days(3),
         regions=("eu-west-1a",),
         sizes=("large",),
         calibrations={("eu-west-1a", "large"): _quiet_cal("eu-west-1a", "large")},
-        label="golden/calm-quiet-eu",
     )
 
 
-def _storm_reactive() -> SimulationConfig:
+def _storm_reactive() -> RunSpec:
     # Reactive bidding through a storm: every spike revokes immediately
     # (the ceiling bid is always crossed), maximizing migration traffic.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         bidding=ReactiveBidding(),
         seed=223,
@@ -512,25 +494,23 @@ def _storm_reactive() -> SimulationConfig:
         regions=("us-east-1a",),
         sizes=("small",),
         faults=FaultPlan.revocation_storm(405, days(3), n_spikes=3, duration_s=1800.0),
-        label="golden/storm-reactive",
     )
 
 
-def _spike_train_medium() -> SimulationConfig:
+def _spike_train_medium() -> RunSpec:
     # A seeded three-spike train on the medium market: repeated forced
     # migrations with full recovery between spikes.
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.single(MarketKey("us-east-1a", "medium")),
         seed=227,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("medium",),
         faults=FaultPlan.revocation_storm(406, days(3), n_spikes=3, duration_s=1200.0),
-        label="golden/spike-train-medium",
     )
 
 
-def _archive_roundtrip() -> SimulationConfig:
+def _archive_catalog() -> TraceCatalog:
     # End-to-end data-path pin: generate one market, write it as an AWS
     # CSV archive, stream-ingest it into mmap-compiled segments, and run
     # the simulation off the memory-mapped catalog. The pinned report
@@ -557,18 +537,20 @@ def _archive_roundtrip() -> SimulationConfig:
     # The catalog's arrays are views over the segment files; keep the
     # temporary directory alive for as long as the catalog is.
     catalog._tmpdir = tmp
-    return SimulationConfig(
+    return catalog
+
+
+def _archive_roundtrip() -> RunSpec:
+    return RunSpec(
         strategy=StrategySpec.single(_EAST),
         seed=199,
-        horizon_s=horizon,
+        horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
-        catalog=catalog,
-        label="golden/archive-roundtrip",
     )
 
 
-def _refit_regenerated() -> SimulationConfig:
+def _refit_regenerated() -> RunSpec:
     # Closes the refit loop inside the corpus: fit the regime-switching
     # parameters to a generated two-market history, then simulate on
     # traces regenerated *from the fit*. Any drift in the fit -> generate
@@ -578,14 +560,13 @@ def _refit_regenerated() -> SimulationConfig:
 
     source = build_catalog(7, days(10), regions=("us-east-1a",), sizes=("small", "medium"))
     fitted = fit_catalog(source, grid_step_s=900.0)
-    return SimulationConfig(
+    return RunSpec(
         strategy=StrategySpec.multi_market("us-east-1a"),
         seed=211,
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small", "medium"),
         calibrations=fitted,
-        label="golden/refit-regenerated",
     )
 
 
@@ -692,7 +673,7 @@ SCENARIOS: Tuple[GoldenScenario, ...] = (
     ),
     GoldenScenario(
         "archive-roundtrip", "CSV -> streaming ingest -> mmap segment replay",
-        _archive_roundtrip,
+        _archive_roundtrip, build_catalog=_archive_catalog,
     ),
     GoldenScenario(
         "refit-regenerated", "simulate on calibrations refit from a generated archive",
@@ -757,7 +738,9 @@ def scenario_by_name(name: str):
 def run_scenario(scenario: GoldenScenario, verify: bool = True) -> Dict[str, object]:
     """Run one scenario (with the invariant oracles by default) and return
     its report as a JSON-ready dict."""
-    observed = run_simulation_observed(scenario.config(), verify=verify)
+    observed = run_simulation_observed(
+        scenario.spec(), verify=verify, catalog=scenario.catalog()
+    )
     return dataclasses.asdict(observed.result)
 
 

@@ -27,7 +27,7 @@ The ``naive_*`` functions are the O(n) reference answers to every
 (:mod:`repro.traces.compiled`) must return the bit-identical float each
 one returns; ``tests/props/test_compiled_equivalence.py`` holds it to that.
 
-Run them via ``run_simulation(config, verify=True)``, :func:`run_verified`,
+Run them via ``run_simulation(spec, verify=True)``, :func:`run_verified`,
 or the ``repro-verify`` CLI.
 """
 
@@ -308,16 +308,16 @@ def verify_stack(stack, result) -> OracleReport:
 
 
 # ------------------------------------------------------------------ entry points
-def run_verified(config, sink=None):
+def run_verified(spec, sink=None):
     """Run one simulation and audit it; returns ``(ObservedRun, OracleReport)``.
 
-    Unlike ``run_simulation(config, verify=True)`` this never raises on a
+    Unlike ``run_simulation(spec, verify=True)`` this never raises on a
     red check — callers inspect (or render) the report themselves.
     """
     from repro.core.simulation import ObservedRun, build_stack, summarize_stack
     from repro.obs.sinks import NULL_SINK
 
-    stack = build_stack(config, sink=sink if sink is not None else NULL_SINK)
+    stack = build_stack(spec, sink=sink if sink is not None else NULL_SINK)
     stack.scheduler.run()
     result = summarize_stack(stack)
     report = verify_stack(stack, result)
@@ -329,8 +329,8 @@ def run_verified(config, sink=None):
     return observed, report
 
 
-def check_rerun_determinism(config, report: Optional[OracleReport] = None) -> OracleReport:
-    """Run ``config`` twice and check the reports are byte-identical.
+def check_rerun_determinism(spec, report: Optional[OracleReport] = None) -> OracleReport:
+    """Run ``spec`` twice and check the reports are byte-identical.
 
     Results are compared field-for-field (dataclass equality — exact float
     equality, not tolerance) and the metric registries via their dict
@@ -339,23 +339,23 @@ def check_rerun_determinism(config, report: Optional[OracleReport] = None) -> Or
     from repro.core.simulation import run_simulation_observed
 
     report = report if report is not None else OracleReport()
-    first = run_simulation_observed(config)
-    second = run_simulation_observed(config)
+    first = run_simulation_observed(spec)
+    second = run_simulation_observed(spec)
     report.add(
         "determinism.rerun-results",
         first.result == second.result,
-        f"seed {config.seed}",
+        f"seed {spec.seed}",
     )
     report.add(
         "determinism.rerun-metrics",
         first.metrics.to_dict() == second.metrics.to_dict(),
-        f"seed {config.seed}",
+        f"seed {spec.seed}",
     )
     return report
 
 
 def check_jobs_determinism(
-    config,
+    spec,
     seeds: Sequence[int],
     jobs: int = 4,
     report: Optional[OracleReport] = None,
@@ -364,8 +364,8 @@ def check_jobs_determinism(
     from repro.core.simulation import run_many
 
     report = report if report is not None else OracleReport()
-    serial = run_many(config, list(seeds), jobs=1)
-    parallel = run_many(config, list(seeds), jobs=jobs)
+    serial = run_many(spec, list(seeds), jobs=1)
+    parallel = run_many(spec, list(seeds), jobs=jobs)
     mismatches = [
         f"seed {s}" for s, a, b in zip(seeds, serial, parallel) if a != b
     ]
@@ -442,9 +442,7 @@ def unfused_vector_results(specs, cache=None) -> List:
             continue
         catalog_key = spec.catalog_key()
         catalog = cache.get_or_build(catalog_key)[0] if catalog_key is not None else None
-        result = run_simulation_observed(
-            spec.to_config(catalog=catalog), engine="vector"
-        ).result
+        result = run_simulation_observed(spec, engine="vector", catalog=catalog).result
         if key is not None:
             first_of[key] = result
         results.append(result)

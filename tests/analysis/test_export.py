@@ -14,7 +14,7 @@ from repro.analysis.export import (
     trace_to_json,
 )
 from repro.analysis.report import ExperimentReport
-from repro.core.simulation import SimulationConfig, run_many
+from repro.core.simulation import RunSpec, run_many
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
 from repro.traces.catalog import MarketKey
@@ -26,7 +26,7 @@ KEY = MarketKey("us-east-1a", "small")
 
 @pytest.fixture(scope="module")
 def results():
-    cfg = SimulationConfig(
+    cfg = RunSpec(
         strategy=lambda: SingleMarketStrategy(KEY),
         regions=("us-east-1a",), sizes=("small",),
         horizon_s=days(7), label="export-test",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cloud.spot_market import SpotMarket
 from repro.core.adaptive import AdaptiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import RunSpec, run_simulation
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
 from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog
@@ -102,7 +102,7 @@ class TestBidSelection:
 class TestInScheduler:
     def test_full_simulation_runs(self):
         key = MarketKey("us-east-1a", "small")
-        r = run_simulation(SimulationConfig(
+        r = run_simulation(RunSpec(
             strategy=lambda: SingleMarketStrategy(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
             seed=5, horizon_s=days(14),
@@ -118,11 +118,11 @@ class TestInScheduler:
         key = MarketKey("us-east-1a", "small")
         horizon = days(14)
         cat = TraceCatalog({key: calm_trace(horizon)}, {key: OD}, horizon)
-        r = run_simulation(SimulationConfig(
+        r = run_simulation(RunSpec(
             strategy=lambda: SingleMarketStrategy(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
-            catalog=cat, horizon_s=horizon,
+            horizon_s=horizon,
             regions=("us-east-1a",), sizes=("small",), label="adaptive-calm",
-        ))
+        ), catalog=cat)
         assert r.forced_migrations == 0
         assert r.unavailability_percent == 0.0

@@ -370,9 +370,9 @@ class TestPlacementTimeline:
         assert all(r.kind == "on_demand" for r in sch.placement_log)
 
     def test_result_carries_fraction(self):
-        from repro.core.simulation import SimulationConfig, run_simulation
+        from repro.core.simulation import RunSpec, run_simulation
         from repro.units import days as _days
-        r = run_simulation(SimulationConfig(
+        r = run_simulation(RunSpec(
             strategy=lambda: SingleMarketStrategy(SMALL),
             regions=("us-east-1a",), sizes=("small",),
             horizon_s=_days(7), seed=3,

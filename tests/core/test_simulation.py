@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import SimulationResult, aggregate
-from repro.core.simulation import SimulationConfig, run_many, run_simulation
+from repro.core.simulation import RunSpec, run_many, run_simulation
 from repro.core.strategies import OnDemandOnlyStrategy, SingleMarketStrategy
 from repro.errors import ConfigurationError, SchedulingError
 from repro.traces.catalog import MarketKey, build_catalog
@@ -22,7 +22,7 @@ def cfg(**kw):
         seed=3,
     )
     base.update(kw)
-    return SimulationConfig(**base)
+    return RunSpec(**base)
 
 
 def test_run_simulation_basic_sanity():
@@ -58,7 +58,7 @@ def test_on_demand_baseline_exactly_100():
 
 def test_prebuilt_catalog_reused():
     cat = build_catalog(seed=3, horizon=days(10), regions=("us-east-1a",), sizes=("small",))
-    a = run_simulation(cfg(catalog=cat))
+    a = run_simulation(cfg(), catalog=cat)
     b = run_simulation(cfg())  # same seed builds the same catalog
     assert a.total_cost == pytest.approx(b.total_cost)
 
@@ -130,7 +130,7 @@ class TestAggregate:
 def test_proactive_beats_reactive_on_same_sample():
     """Policy comparison on the *same* trace sample (shared catalog)."""
     cat = build_catalog(seed=8, horizon=days(30), regions=("us-east-1a",), sizes=("small",))
-    pro = run_simulation(cfg(catalog=cat, bidding=ProactiveBidding(), horizon_s=days(30)))
-    rea = run_simulation(cfg(catalog=cat, bidding=ReactiveBidding(), horizon_s=days(30)))
+    pro = run_simulation(cfg(bidding=ProactiveBidding(), horizon_s=days(30)), catalog=cat)
+    rea = run_simulation(cfg(bidding=ReactiveBidding(), horizon_s=days(30)), catalog=cat)
     assert pro.unavailability_percent < rea.unavailability_percent
     assert pro.forced_migrations < rea.forced_migrations

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
-from repro.core.simulation import SimulationConfig, run_many
+from repro.core.simulation import RunSpec, run_many
 from repro.core.strategies import (
     MultiMarketStrategy,
     MultiRegionStrategy,
@@ -30,7 +30,7 @@ KEY = MarketKey("us-east-1a", "small")
 
 def sim(strategy, bidding=None, mechanism=Mechanism.CKPT_LR, params=TYPICAL_PARAMS,
         regions=("us-east-1a",), sizes=("small",), label="x"):
-    cfg = SimulationConfig(
+    cfg = RunSpec(
         strategy=strategy,
         bidding=bidding or ProactiveBidding(),
         mechanism=mechanism,

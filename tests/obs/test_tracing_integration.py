@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bidding import ReactiveBidding
 from repro.core.simulation import (
-    SimulationConfig,
+    RunSpec,
     run_simulation,
     run_simulation_observed,
 )
@@ -25,7 +25,7 @@ def cfg(**kw):
         seed=23,
     )
     base.update(kw)
-    return SimulationConfig(**base)
+    return RunSpec(**base)
 
 
 class TestEmission:

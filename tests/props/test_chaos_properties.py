@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cloud.spot_market import BID_CAP_MULTIPLIER
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, build_stack, summarize_stack
+from repro.core.simulation import RunSpec, build_stack, summarize_stack
 from repro.runtime.spec import StrategySpec
 from repro.testkit.oracles import verify_stack
 from repro.testkit.strategies import fault_plans
@@ -45,7 +45,7 @@ def build_config(seed, plan, policy):
         strategy = StrategySpec.single(KEY)
         bidding = ProactiveBidding()
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
-    return SimulationConfig(
+    return RunSpec(
         strategy=strategy,
         bidding=bidding,
         seed=seed,

@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from repro.cloud.provider import CloudProvider
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.policies import IndexTrackingStrategy, solve_portfolio_lp
-from repro.core.simulation import SimulationConfig, build_stack, summarize_stack
+from repro.core.simulation import RunSpec, build_stack, summarize_stack
 from repro.obs import CheckpointRestore, CheckpointWrite, MemorySink, Revocation
 from repro.runtime.spec import StrategySpec
 from repro.testkit.faults import FaultPlan
@@ -150,7 +150,7 @@ def test_no_ft_never_pays_revoked_partial_hour(seed, spike_start_h):
     """A correlated spike revokes the no-FT tenant; every revoked partial
     hour bills zero, no on-demand server is ever bought, and the
     checkpoint machinery stays cold."""
-    cfg = SimulationConfig(
+    cfg = RunSpec(
         strategy=StrategySpec.no_fault_tolerance(MarketKey("us-east-1a", "small")),
         bidding=ReactiveBidding(),
         seed=seed,

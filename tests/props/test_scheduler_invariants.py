@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import RunSpec, run_simulation
 from repro.core.strategies import (
     MultiMarketStrategy,
     PureSpotStrategy,
@@ -37,7 +37,7 @@ def build_config(seed, cal, policy):
         strategy = lambda: SingleMarketStrategy(KEY)
         bidding = ProactiveBidding()
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
-    return SimulationConfig(
+    return RunSpec(
         strategy=strategy,
         bidding=bidding,
         seed=seed,
@@ -87,15 +87,17 @@ def test_proactive_never_noticeably_more_unavailable_than_reactive(seed):
 
     cat = build_catalog(seed=seed, horizon=days(7), regions=("us-east-1a",), sizes=("small",))
     pro = run_simulation(
-        SimulationConfig(
+        RunSpec(
             strategy=lambda: SingleMarketStrategy(KEY), bidding=ProactiveBidding(),
-            catalog=cat, horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
-        )
+            horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
+        ),
+        catalog=cat,
     )
     rea = run_simulation(
-        SimulationConfig(
+        RunSpec(
             strategy=lambda: SingleMarketStrategy(KEY), bidding=ReactiveBidding(),
-            catalog=cat, horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
-        )
+            horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
+        ),
+        catalog=cat,
     )
     assert pro.unavailability_percent <= rea.unavailability_percent + 0.002

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.scheduler import CloudScheduler
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import RunSpec, run_simulation
 from repro.core.strategies import (
     MultiMarketStrategy,
     PureSpotStrategy,
@@ -39,7 +39,7 @@ def checked_spot_visits(seed, cal, policy):
     naive scan at every spot visit; return how many visits were checked."""
     strategy, bidding = POLICIES[policy]
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
-    config = SimulationConfig(
+    config = RunSpec(
         strategy=strategy,
         bidding=bidding,
         seed=seed,

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_many, run_simulation
+from repro.core.simulation import run_many, run_simulation
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
 from repro.runtime import (
@@ -54,7 +54,7 @@ class TestSerial:
     def test_matches_run_simulation(self):
         run = fig6_style_runs(seeds=(7,), sizes=("small",))[0]
         batch = run_batch([run], cache=TraceCatalogCache())
-        assert batch.results[0] == run_simulation(run.to_config())
+        assert batch.results[0] == run_simulation(run)
 
     def test_progress_called_per_run(self):
         runs = fig6_style_runs(seeds=(1, 2), sizes=("small",))
@@ -114,13 +114,13 @@ class TestParallelDeterminism:
         assert batch.run_telemetry[1].worker_pid == os.getpid()
 
     def test_run_many_jobs_matches_serial(self):
-        cfg = SimulationConfig(
+        spec = RunSpec(
             strategy=StrategySpec.single(MarketKey(REGION, "small")),
             horizon_s=days(3),
             regions=(REGION,),
             sizes=("small",),
         )
-        assert run_many(cfg, [1, 2, 3], jobs=4) == run_many(cfg, [1, 2, 3])
+        assert run_many(spec, [1, 2, 3], jobs=4) == run_many(spec, [1, 2, 3])
 
 
 class TestTelemetry:

@@ -52,10 +52,14 @@ def _results(specs, engine):
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_fused_matches_event_on_golden_corpus(scenario):
     """``--engine auto`` is byte-identical to ``event`` on every golden
-    scenario — including the ones whose policies route per-event."""
-    config = scenario.config()
-    event = run_simulation_observed(config)
-    auto = run_batch([RunSpec.from_config(scenario.config())], engine="auto")
+    scenario — including the ones whose policies route per-event.
+
+    ``run_batch`` takes no catalog: it generates the spec's sample. For
+    ``archive-roundtrip`` the event run replays the ingested archive, so
+    the check also pins the archive path to the generated sample."""
+    spec = scenario.spec()
+    event = run_simulation_observed(spec, catalog=scenario.catalog())
+    auto = run_batch([spec], engine="auto")
     assert auto.results[0] == event.result
 
 

@@ -10,13 +10,11 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
+from repro.core.bidding import ReactiveBidding
 from repro.errors import ConfigurationError, LedgerError
 from repro.runtime import (
     LEDGER_VERSION,
@@ -28,11 +26,12 @@ from repro.runtime import (
     run_batch,
     spec_fingerprint,
 )
-from repro.testkit.faults import kill_orchestrator_after_n_runs
+from repro.testkit.faults import kill_orchestrator_after_n_runs, run_kill_drill
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
 KEY = MarketKey("us-east-1a", "small")
+REPO = Path(__file__).parents[2]
 
 
 def _spec(seed=1, **kw):
@@ -75,14 +74,33 @@ class TestFingerprints:
     def test_batch_fingerprint_sees_order(self):
         assert batch_fingerprint(_specs(1, 2)) != batch_fingerprint(_specs(2, 1))
 
-    def test_legacy_callable_strategies_fingerprintable(self):
+    def test_fingerprints_pinned(self):
+        # Ledgers journaled by earlier versions resume only while these
+        # hashes hold.
+        assert spec_fingerprint(_spec()) == (
+            "7ffb0deed25aaf97c6673c7cddd38eeda8de38a7b9776da55125a2c302d06b66"
+        )
+        assert spec_fingerprint(_spec().with_(bidding=ReactiveBidding(), label="x")) == (
+            "a6c1a1ecfb6cacc154d8365270ffec6b76f9cf02fbb6b22d8793d78cc85bb3ee"
+        )
+
+    def test_ledger_refuses_closure_strategies(self, tmp_path):
+        # Closures made by one function share a qualified name, so no
+        # fingerprint tells these two configurations apart: a ledger would
+        # replay one's results for the other.
         from repro.core.strategies import SingleMarketStrategy
 
-        def factory():
-            return SingleMarketStrategy(KEY)
+        def mk(key):
+            return RunSpec(strategy=lambda: SingleMarketStrategy(key))
 
-        fp = spec_fingerprint(_spec().with_(strategy=factory))
-        assert fp == spec_fingerprint(_spec().with_(strategy=factory))
+        specs = [mk(MarketKey("us-east-1a", "small")), mk(MarketKey("us-east-1b", "large"))]
+        led = tmp_path / "batch.jsonl"
+        for resume in (False, True):
+            with pytest.raises(ConfigurationError, match="StrategySpec"):
+                run_batch(specs, ledger=led, resume=resume)
+        assert not led.exists()
+        with pytest.raises(ConfigurationError):
+            spec_fingerprint(specs[0])
 
     def test_same_named_dataclasses_from_different_modules_differ(self):
         from repro.runtime.spec import _canonical
@@ -369,34 +387,9 @@ class TestResume:
 
 
 # ----------------------------------------------------- orchestrator SIGKILL
-_KILL_SCRIPT = textwrap.dedent(
-    """
-    import sys
-    from repro.runtime import RunSpec, StrategySpec, run_batch
-    from repro.testkit.faults import kill_orchestrator_after_n_runs
-    from repro.traces.catalog import MarketKey
-    from repro.units import days
-
-    ledger, jobs, kill_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-    specs = [
-        RunSpec(
-            strategy=StrategySpec.single(MarketKey("us-east-1a", "small")),
-            seed=s,
-            horizon_s=days(2),
-            regions=("us-east-1a",),
-            sizes=("small",),
-        )
-        for s in (1, 2, 3, 4)
-    ]
-    run_batch(
-        specs,
-        jobs=jobs,
-        ledger=ledger,
-        progress=kill_orchestrator_after_n_runs(kill_after),
-    )
-    raise SystemExit(99)  # unreachable: the hook SIGKILLs us first
-    """
-)
+def drill_specs():
+    """The batch the kill drill's orchestrator journals."""
+    return _specs(1, 2, 3, 4)
 
 
 def _result_bytes(results):
@@ -414,21 +407,21 @@ def test_kill_orchestrator_then_resume_byte_identical(tmp_path, jobs):
     led = tmp_path / "batch.jsonl"
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "wb") as err:
-        # No pipes: orphaned pool workers (jobs=4) inherit them and would
-        # keep a captured stderr open long after the SIGKILL.
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILL_SCRIPT, str(led), str(jobs), "2"],
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
-            stdout=subprocess.DEVNULL,
+        # Reaps the orphaned pool workers (jobs=4) and fails if any survive.
+        returncode = run_kill_drill(
+            "tests.runtime.test_ledger:drill_specs",
+            led,
+            jobs=jobs,
+            kill_after=2,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
             stderr=err,
-            timeout=300,
         )
-    assert proc.returncode == -signal.SIGKILL, err_path.read_text()
+    assert returncode == -signal.SIGKILL, err_path.read_text()
     journaled = len(_ledger_lines(led)) - 1
     assert journaled >= 2  # the kill threshold, plus racing pool workers
 
-    baseline = run_batch(_specs(1, 2, 3, 4), jobs=jobs)
-    resumed = run_batch(_specs(1, 2, 3, 4), ledger=led, resume=True, jobs=jobs)
+    baseline = run_batch(drill_specs(), jobs=jobs)
+    resumed = run_batch(drill_specs(), ledger=led, resume=True, jobs=jobs)
     assert _result_bytes(resumed.results) == _result_bytes(baseline.results)
     assert resumed.telemetry.resumed
     assert resumed.telemetry.replayed_runs == journaled

@@ -12,7 +12,8 @@ distinguishes:
 * a faulted spec (its own unit, event-routed);
 * a ``NoFaultToleranceStrategy`` spec (not vectorizable, event-routed);
 * a legacy-factory spec (vector-routed but not portable, so its whole
-  catalog unit stays in-process at ``jobs=2``).
+  catalog unit stays in-process at ``jobs=2``). It comes last, because a
+  ledger refuses it: the ledgered configurations run the batch without it.
 
 Every configuration is compared with the per-event engine, run spec by
 spec.
@@ -22,17 +23,15 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.core.bidding import ProactiveBidding
 from repro.core.strategies import SingleMarketStrategy
+from repro.errors import ConfigurationError
 from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch
-from repro.testkit.faults import FaultPlan
+from repro.testkit.faults import FaultPlan, run_kill_drill
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
@@ -77,6 +76,16 @@ def matrix_specs():
     return specs
 
 
+def ledgerable(specs):
+    """The matrix without its legacy-factory run, which a ledger refuses."""
+    return specs[:-1]
+
+
+def ledgerable_matrix():
+    """The batch the kill drill's orchestrator journals."""
+    return ledgerable(matrix_specs())
+
+
 def _executed(batch) -> int:
     return batch.telemetry.runs - batch.telemetry.deduped_runs
 
@@ -108,34 +117,21 @@ def test_batch_exercises_every_unit_kind(specs, serial):
 @pytest.mark.parametrize("ledgered", [False, True], ids=["no-ledger", "ledger"])
 def test_results_match_event_engine(tmp_path, specs, event_results, serial, jobs, ledgered):
     ledger = tmp_path / "batch.jsonl" if ledgered else None
-    batch = run_batch(specs, jobs=jobs, ledger=ledger)
-    assert batch.results == event_results
+    runs = specs
+    if ledgered:
+        with pytest.raises(ConfigurationError, match="StrategySpec"):
+            run_batch(specs, jobs=jobs, ledger=ledger)
+        assert not ledger.exists()
+        runs = ledgerable(specs)
+    batch = run_batch(runs, jobs=jobs, ledger=ledger)
+    assert batch.results == event_results[: len(runs)]
     assert _executed(batch) <= _executed(serial)
     assert batch.telemetry.deduped_runs == serial.telemetry.deduped_runs
     if ledgered:
         _, state = RunLedger.load(ledger)
-        assert sorted(state.records) == list(range(len(specs)))
+        assert sorted(state.records) == list(range(len(runs)))
         clones = [i for i, t in enumerate(batch.run_telemetry) if t.deduped]
         assert clones and all(state.records[i].telemetry.deduped for i in clones)
-
-
-_KILL_SCRIPT = textwrap.dedent(
-    """
-    import sys
-    from repro.runtime import run_batch
-    from repro.testkit.faults import kill_orchestrator_after_n_runs
-    from tests.runtime.test_parity_matrix import matrix_specs
-
-    ledger, jobs, kill_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-    run_batch(
-        matrix_specs(),
-        jobs=jobs,
-        ledger=ledger,
-        progress=kill_orchestrator_after_n_runs(kill_after),
-    )
-    raise SystemExit(99)  # unreachable: the hook SIGKILLs us first
-    """
-)
 
 
 def _result_bytes(results):
@@ -149,22 +145,23 @@ def test_sigkill_then_resume_matches_event_engine(tmp_path, specs, event_results
     err_path = tmp_path / "stderr.txt"
     pythonpath = os.pathsep.join([str(REPO / "src"), str(REPO)])
     with open(err_path, "wb") as err:
-        # No pipes: orphaned pool workers inherit them and would keep a
-        # captured stderr open long after the SIGKILL.
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILL_SCRIPT, str(led), str(jobs), "7"],
+        # Reaps the orphaned pool workers (jobs=2) and fails if any survive.
+        returncode = run_kill_drill(
+            "tests.runtime.test_parity_matrix:ledgerable_matrix",
+            led,
+            jobs=jobs,
+            kill_after=7,
             env={**os.environ, "PYTHONPATH": pythonpath},
-            stdout=subprocess.DEVNULL,
             stderr=err,
-            timeout=300,
         )
-    assert proc.returncode == -signal.SIGKILL, err_path.read_text()
+    assert returncode == -signal.SIGKILL, err_path.read_text()
     _, state = RunLedger.load(led)
     journaled = len(state.records)
-    assert 7 <= journaled < len(specs)
+    runs = ledgerable(specs)
+    assert 7 <= journaled < len(runs)
 
-    resumed = run_batch(specs, ledger=led, resume=True, jobs=jobs)
-    assert _result_bytes(resumed.results) == _result_bytes(event_results)
+    resumed = run_batch(runs, ledger=led, resume=True, jobs=jobs)
+    assert _result_bytes(resumed.results) == _result_bytes(event_results[: len(runs)])
     assert resumed.telemetry.replayed_runs == journaled
     _, state = RunLedger.load(led)
-    assert sorted(state.records) == list(range(len(specs)))
+    assert sorted(state.records) == list(range(len(runs)))

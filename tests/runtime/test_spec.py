@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.adaptive import AdaptiveBidding
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.simulation import SimulationConfig, run_simulation
+from repro.core.simulation import run_simulation
 from repro.core.policies import (
     IndexTrackingStrategy,
     NoFaultToleranceStrategy,
@@ -23,8 +23,14 @@ from repro.core.strategies import (
     StabilityAwareStrategy,
 )
 from repro.errors import ConfigurationError
-from repro.runtime import BatchSpec, RunSpec, StrategySpec, register_strategy_kind
-from repro.runtime.spec import strategy_kinds
+from repro.runtime import (
+    BatchSpec,
+    RunSpec,
+    StrategySpec,
+    register_strategy_kind,
+    run_batch,
+    strategy_kinds,
+)
 from repro.traces.catalog import MarketKey
 from repro.units import days
 from repro.vm.mechanisms import Mechanism, PESSIMISTIC_PARAMS, TYPICAL_PARAMS
@@ -101,11 +107,8 @@ def test_run_spec_pickles_for_every_combination(kind, bidding, mechanism):
     assert run.is_portable()
     clone = pickle.loads(pickle.dumps(run))
     assert clone == run
-    config = clone.to_config()
-    assert isinstance(config, SimulationConfig)
-    built = config.strategy()
-    assert isinstance(built, cls)
-    assert config.bidding.name == bidding.name
+    assert isinstance(clone.strategy(), cls)
+    assert clone.bidding.name == bidding.name
 
 
 def test_run_spec_executes_after_pickling():
@@ -117,7 +120,7 @@ def test_run_spec_executes_after_pickling():
         sizes=("small",),
     )
     clone = pickle.loads(pickle.dumps(run))
-    result = run_simulation(clone.to_config())
+    result = run_simulation(clone)
     assert result.seed == 5
     assert result.duration_hours > 0
 
@@ -160,21 +163,26 @@ def test_duplicate_registration_via_runtime_facade_raises():
         unregister_strategy("dup-facade-test")
 
 
-def test_run_spec_from_config_drops_catalog(month_catalog):
-    config = SimulationConfig(
-        strategy=StrategySpec.single(KEY),
-        seed=1,
-        catalog=month_catalog,
-    )
-    spec = RunSpec.from_config(config, seed=9)
-    assert spec.seed == 9
-    assert spec.to_config().catalog is None
-
-
-def test_to_config_deep_copies_bidding():
-    bidding = AdaptiveBidding()
-    spec = RunSpec(strategy=StrategySpec.single(KEY), bidding=bidding)
-    assert spec.to_config().bidding is not bidding
+def test_direct_runs_isolate_a_reused_stateful_policy():
+    """One :class:`AdaptiveBidding` reused across direct runs gives each
+    run the policy as the spec holds it, exactly as ``run_batch`` does.
+    Its bid cache is keyed on market and time bucket, not on the trace, so
+    without a per-run copy seed 2's bids would steer seed 102."""
+    policy = AdaptiveBidding(max_revocations_per_month=0.5)
+    specs = [
+        RunSpec(
+            strategy=StrategySpec.multi_market("us-east-1a", service_units=8),
+            bidding=policy,
+            seed=seed,
+            horizon_s=days(30),
+            regions=("us-east-1a",),
+        )
+        for seed in (2, 102)
+    ]
+    batch = run_batch(specs).results
+    direct = [run_simulation(spec) for spec in specs]
+    assert direct == list(batch)
+    assert run_batch(specs).results == batch
 
 
 def test_legacy_callable_strategy_is_not_portable():

@@ -50,11 +50,11 @@ def test_vector_matches_event_on_golden_corpus(scenario):
     portfolio-bid) exercise the degrade contract instead: a forced
     vector run falls back to per-event execution and reports it.
     """
-    config = scenario.config()
-    event = run_simulation_observed(config)
-    vector = run_simulation_observed(scenario.config(), engine="vector")
+    spec = scenario.spec()
+    event = run_simulation_observed(spec, catalog=scenario.catalog())
+    vector = run_simulation_observed(spec, engine="vector", catalog=scenario.catalog())
     assert event.engine_kind == "event"
-    if config.strategy().vectorizable:
+    if spec.strategy().vectorizable:
         assert vector.engine_kind == "vector"
         assert vector.vector_checks > 0
     else:
@@ -164,7 +164,7 @@ def test_forced_vector_degrades_on_nonvectorizable_strategy():
     spec = _spec(strategy=StrategySpec.no_fault_tolerance(EAST_SMALL))
     event = run_batch([spec], engine="event", cache=_CACHE)
     auto = run_batch([spec], engine="auto", cache=_CACHE)
-    vector = run_simulation_observed(spec.to_config(), engine="vector")
+    vector = run_simulation_observed(spec, engine="vector")
     assert auto.run_telemetry[0].engine_kind == "event"
     assert vector.engine_kind == "event"
     assert vector.vector_checks == 0
@@ -176,7 +176,7 @@ def test_unknown_engine_rejected():
         run_batch([_spec()], engine="bogus", cache=_CACHE)
     for engine in ("auto", "fused"):
         with pytest.raises(ConfigurationError):
-            run_simulation_observed(_spec().to_config(), engine=engine)
+            run_simulation_observed(_spec(), engine=engine)
 
 
 # --------------------------------------------------------------------- dedupe

@@ -66,13 +66,13 @@ def test_version_string():
 def test_readme_quickstart_snippet():
     """The exact flow the README's quickstart shows."""
     from repro import (
-        MarketKey, Mechanism, ProactiveBidding, SimulationConfig,
+        MarketKey, Mechanism, ProactiveBidding, RunSpec,
         SingleMarketStrategy, run_simulation,
     )
     from repro.units import days
 
     key = MarketKey("us-east-1a", "small")
-    result = run_simulation(SimulationConfig(
+    result = run_simulation(RunSpec(
         strategy=lambda: SingleMarketStrategy(key),
         bidding=ProactiveBidding(k=4.0),
         mechanism=Mechanism.CKPT_LR_LIVE,

@@ -1,15 +1,18 @@
 """Unit tests for the fault-injection layer."""
 
+import os
 import pickle
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.simulation import SimulationConfig, build_stack, run_simulation
+from repro.core.simulation import RunSpec, build_stack, run_simulation
 from repro.errors import ConfigurationError
 from repro.runtime.spec import StrategySpec
 from repro.testkit.builders import make_constant_trace, single_market_catalog
-from repro.testkit.faults import FaultPlan, PriceSpike
+from repro.testkit.faults import FaultPlan, PriceSpike, run_kill_drill
 from repro.traces.catalog import MarketKey
 from repro.units import days, hours
 
@@ -108,7 +111,7 @@ def test_storm_horizon_must_exceed_duration():
 
 # ------------------------------------------------------------ provider wrapping
 def _stack(plan, seed=3):
-    config = SimulationConfig(
+    config = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=seed,
         horizon_s=days(3),
@@ -176,7 +179,7 @@ def test_should_crash_schedule():
 
 # ------------------------------------------------------------------ end to end
 def test_storm_forces_migrations_and_raises_cost():
-    base_cfg = SimulationConfig(
+    base_cfg = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=3,
         horizon_s=days(7),
@@ -191,7 +194,7 @@ def test_storm_forces_migrations_and_raises_cost():
 
 
 def test_faulted_run_is_deterministic():
-    cfg = SimulationConfig(
+    cfg = RunSpec(
         strategy=StrategySpec.single(KEY),
         seed=5,
         horizon_s=days(5),
@@ -202,3 +205,34 @@ def test_faulted_run_is_deterministic():
         ),
     )
     assert run_simulation(cfg) == run_simulation(cfg)
+
+
+# ------------------------------------------------------------------ kill drill
+REPO = Path(__file__).parents[2]
+
+
+def drill_specs():
+    """Two runs on separate catalogs, so ``jobs=2`` starts pool workers."""
+    spec = RunSpec(
+        strategy=StrategySpec.single(KEY),
+        horizon_s=days(2),
+        regions=(KEY.region,),
+        sizes=(KEY.size,),
+    )
+    return [spec.with_(seed=s) for s in (1, 2)]
+
+
+def test_kill_drill_reaps_the_orphaned_pool_workers(tmp_path):
+    """The orchestrator dies with its pool workers still blocked on their
+    call queue; the drill returns only once none of them runs."""
+    ledger = tmp_path / "drill.jsonl"
+    returncode = run_kill_drill(
+        "tests.testkit.test_faults:drill_specs",
+        ledger,
+        jobs=2,
+        kill_after=1,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
+        timeout=120,
+    )
+    assert returncode == -signal.SIGKILL
+    assert ledger.exists()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.accounting import CostEntry
 from repro.core.simulation import (
-    SimulationConfig,
+    RunSpec,
     build_stack,
     run_simulation,
     summarize_stack,
@@ -35,7 +35,7 @@ def _config(**kw):
         sizes=("small",),
     )
     base.update(kw)
-    return SimulationConfig(**base)
+    return RunSpec(**base)
 
 
 def _completed_stack(**kw):

@@ -399,7 +399,7 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
     the vector scheduler, as ``repro-simulate --segments`` does)."""
     import dataclasses as dc
 
-    from repro.core.simulation import SimulationConfig, run_simulation_observed
+    from repro.core.simulation import RunSpec, run_simulation_observed
     from repro.runtime.spec import StrategySpec
     from repro.traces.catalog import TraceCatalog
 
@@ -417,17 +417,17 @@ def test_mmap_catalog_report_identical_to_in_memory(tmp_path, engine):
 
     one_engine = "vector" if engine == "auto" else "event"
 
+    spec = RunSpec(
+        strategy=StrategySpec.single(key),
+        seed=5,
+        horizon_s=horizon,
+        regions=("us-east-1a",),
+        sizes=("small",),
+        label="ingest-identity",
+    )
+
     def _run(catalog):
-        cfg = SimulationConfig(
-            strategy=StrategySpec.single(key),
-            seed=5,
-            horizon_s=horizon,
-            regions=("us-east-1a",),
-            sizes=("small",),
-            catalog=catalog,
-            label="ingest-identity",
-        )
-        observed = run_simulation_observed(cfg, engine=one_engine)
+        observed = run_simulation_observed(spec, engine=one_engine, catalog=catalog)
         assert observed.engine_kind == one_engine
         return dc.asdict(observed.result)
 

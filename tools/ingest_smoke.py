@@ -35,7 +35,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.simulation import SimulationConfig, run_simulation_observed  # noqa: E402
+from repro.core.simulation import RunSpec, run_simulation_observed  # noqa: E402
 from repro.runtime.spec import StrategySpec  # noqa: E402
 from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog  # noqa: E402
 from repro.traces.ingest import ingest_archive, load_segment_catalog  # noqa: E402
@@ -112,17 +112,17 @@ def main() -> int:
             HORIZON,
         )
 
+        spec = RunSpec(
+            strategy=StrategySpec.single(key),
+            seed=9,
+            horizon_s=HORIZON,
+            regions=(key.region,),
+            sizes=(key.size,),
+            label="ingest-smoke",
+        )
+
         def run(cat):
-            cfg = SimulationConfig(
-                strategy=StrategySpec.single(key),
-                seed=9,
-                horizon_s=HORIZON,
-                regions=(key.region,),
-                sizes=(key.size,),
-                catalog=cat,
-                label="ingest-smoke",
-            )
-            return dataclasses.asdict(run_simulation_observed(cfg).result)
+            return dataclasses.asdict(run_simulation_observed(spec, catalog=cat).result)
 
         mm = run(load_segment_catalog(root / "solo-seg").restricted([key]))
         mem = run(mem_catalog)

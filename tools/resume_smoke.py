@@ -5,8 +5,9 @@ Runs the acceptance scenario from docs/RESUME.md end to end, on a
 bid sweep whose clamped bids clone (2 catalogs x 8 policy variants):
 
 1. Launch a child orchestrator that journals the 16-run batch to a
-   ledger and SIGKILLs itself (via ``kill_orchestrator_after_n_runs``)
-   once three runs have completed.
+   ledger and SIGKILLs itself once three runs have completed
+   (``repro.testkit.faults.run_kill_drill``, which also reaps the pool
+   workers the child orphans).
 2. Resume the batch from the surviving ledger, and demand that the
    ledger then holds every slot, clone records included.
 3. Run the same batch uninterrupted, with no ledger, at ``--jobs`` and
@@ -28,36 +29,21 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+HERE = Path(__file__).resolve().parent
+REPO = HERE.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.bidding import ProactiveBidding  # noqa: E402
 from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch  # noqa: E402
+from repro.testkit.faults import run_kill_drill  # noqa: E402
 from repro.traces.catalog import MarketKey  # noqa: E402
 from repro.units import days  # noqa: E402
 
 SEEDS = (1, 2)
 KILL_AFTER = 3
-
-_CHILD = textwrap.dedent(
-    """
-    import sys
-    sys.path.insert(0, sys.argv[4])
-    from repro.runtime import run_batch
-    from repro.testkit.faults import kill_orchestrator_after_n_runs
-    from resume_smoke import specs
-
-    ledger, jobs, kill_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-    run_batch(specs(), jobs=jobs, ledger=ledger,
-              progress=kill_orchestrator_after_n_runs(kill_after))
-    raise SystemExit(99)  # unreachable: the hook SIGKILLs us first
-    """
-)
 
 
 def specs() -> list[RunSpec]:
@@ -98,19 +84,17 @@ def main(argv: list[str] | None = None) -> int:
     runs = specs()
     print(f"[resume-smoke] killing orchestrator after {KILL_AFTER} of "
           f"{len(runs)} runs (jobs={args.jobs})")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    # No output pipes: orphaned pool workers would hold them open past the
-    # SIGKILL and stall the wait.
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(args.ledger), str(args.jobs),
-         str(KILL_AFTER), str(Path(__file__).resolve().parent)],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+    # Reaps the pool workers the SIGKILLed child orphans.
+    returncode = run_kill_drill(
+        "resume_smoke:specs",
+        args.ledger,
+        jobs=args.jobs,
+        kill_after=KILL_AFTER,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(HERE)])},
         timeout=600,
     )
-    if proc.returncode != -signal.SIGKILL:
-        print(f"[resume-smoke] FAIL: child exited {proc.returncode}, "
+    if returncode != -signal.SIGKILL:
+        print(f"[resume-smoke] FAIL: child exited {returncode}, "
               f"expected SIGKILL ({-signal.SIGKILL})")
         return 1
     if not args.ledger.exists():
