@@ -1,23 +1,43 @@
 """Benchmarks of the repro.runtime batch executor.
 
-Two angles: (i) pytest-benchmark microbenchmarks of the batch hot path
-(catalog-cache hits), and (ii) a wall-clock comparison of the full fig6
+Three angles: (i) pytest-benchmark microbenchmarks of the batch hot path
+(catalog-cache hits), (ii) a wall-clock comparison of the full fig6
 driver at ``jobs=1`` versus ``jobs=4``, recorded to
-``benchmarks/output/runtime_speedup.txt``. The parallel run must render a
+``benchmarks/output/runtime_speedup.txt`` — the parallel run must render a
 byte-identical report; the >=2x speedup assertion only applies when the
-machine actually has >= 4 usable cores.
+machine actually has >= 4 usable cores — and (iii) the ledgered batch
+path, recorded to ``benchmarks/output/BENCH_perf.current.json``: a
+1,000-run frontier sweep journaled serially into a fresh ledger
+(``ledgered_sweep_1000_serial_s``), the mean cost of journaling one of
+its records (``ledger_record_us``), and the mean cost of building and
+encoding one record without writing it (``ledger_encode_us``).
+
+The first two include one fsync per record, so they measure the disk
+under the ledger as much as the code; only ``ledger_encode_us`` is
+storage-independent, and it is the one CI gates.
 """
 
 import os
+import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from test_bench_decisions import best_of, record
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
+from repro.runtime import (
+    RunLedger,
+    RunSpec,
+    StrategySpec,
+    TraceCatalogCache,
+    run_batch,
+    spec_fingerprints,
+)
 from repro.runtime.cache import shared_catalog_cache
+from repro.runtime.ledger import _ENCODE, _run_record
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
@@ -103,3 +123,97 @@ def test_runtime_fig6_parallel_speedup():
     print(f"\nfig6 serial {serial_s:.2f}s, jobs=4 {parallel_s:.2f}s -> {speedup:.2f}x")
     if cores >= 4:
         assert speedup >= 2.0, f"expected >=2x speedup on {cores} cores, got {speedup:.2f}x"
+
+
+def _ledgered_sweep_specs():
+    """The 1,000-run frontier family: 2 catalog seeds x 50 proactive bid
+    multipliers x 5 reverse thresholds x {single, pure-spot} on one market.
+    Most runs clone a representative, so per-run bookkeeping (fingerprints,
+    dedupe keys, clones, journal records) weighs as much as simulation."""
+    strategies = (StrategySpec.single(KEY), StrategySpec.pure_spot(KEY))
+    return [
+        RunSpec(
+            strategy=strategy,
+            bidding=ProactiveBidding(k=float(k), reverse_threshold_frac=frac),
+            seed=seed,
+            horizon_s=days(30),
+            regions=("us-east-1a",),
+            sizes=("small",),
+            label=f"s{seed}/k={k:.2f}/f={frac}",
+        )
+        for seed in range(2)
+        for k in np.linspace(1.5, 9.0, 50)
+        for frac in (0.80, 0.85, 0.90, 0.95, 0.99)
+        for strategy in strategies
+    ]
+
+
+@pytest.fixture(scope="module")
+def ledgered_sweep():
+    """The 1,000 specs and their un-journaled results (which also builds
+    the two catalogs)."""
+    specs = _ledgered_sweep_specs()
+    return specs, run_batch(specs)
+
+
+@pytest.mark.benchmark(group="ledger")
+def test_bench_ledger_encode(ledgered_sweep):
+    """One journal record built and JSON-encoded, nothing written.
+
+    ``ledger_encode_us`` is the mean over the sweep's 1,000 records (best
+    of five passes): the part of ``RunLedger.record_run`` that is code,
+    not fsync.
+    """
+    specs, base = ledgered_sweep
+    rows = list(zip(spec_fingerprints(specs), base.results, base.run_telemetry))
+
+    def encode_all():
+        for i, (fingerprint, result, telemetry) in enumerate(rows):
+            _ENCODE(_run_record(i, fingerprint, result, telemetry))
+
+    per_record = best_of(encode_all, repeats=5) / len(rows)
+    cores = len(os.sched_getaffinity(0))
+    record(ledger_encode_us={"value": per_record * 1e6, "unit": "us", "cores": cores})
+    print(f"\nledger record encode: {per_record * 1e6:.1f} us/record ({cores} cores)")
+
+
+@pytest.mark.benchmark(group="ledger")
+def test_bench_ledgered_sweep_1000_serial(ledgered_sweep):
+    """The 1,000-run sweep at ``jobs=1`` into a fresh ledger, warm catalogs.
+
+    ``ledgered_sweep_1000_serial_s`` is the best of three batches, each
+    into its own fresh ledger: routing, fingerprinting, dedupe, clones
+    and one fsynced record per run. ``ledger_record_us`` re-journals the
+    same 1,000 records through :meth:`RunLedger.record_run` and takes the
+    mean per record (best of three passes), fsync included.
+    """
+    specs, base = ledgered_sweep
+    cores = len(os.sched_getaffinity(0))
+    with tempfile.TemporaryDirectory() as root:
+        best = float("inf")
+        for attempt in range(3):
+            ledger = Path(root) / f"sweep-{attempt}"
+            t0 = time.perf_counter()
+            batch = run_batch(specs, ledger=f"{ledger}/")
+            best = min(best, time.perf_counter() - t0)
+            assert batch.results == base.results
+            assert len((next(ledger.iterdir())).read_text().splitlines()) == 1 + len(specs)
+
+        fingerprints = spec_fingerprints(specs)
+        pairs = list(zip(base.results, base.run_telemetry))
+        per_record = float("inf")
+        for attempt in range(3):
+            journal = RunLedger.start(Path(root) / f"records-{attempt}.jsonl", "bench", len(pairs))
+            t0 = time.perf_counter()
+            for i, (result, telemetry) in enumerate(pairs):
+                journal.record_run(i, fingerprints[i], result, telemetry)
+            per_record = min(per_record, (time.perf_counter() - t0) / len(pairs))
+            journal.close()
+    record(
+        ledgered_sweep_1000_serial_s={"value": best, "unit": "s", "cores": cores},
+        ledger_record_us={"value": per_record * 1e6, "unit": "us", "cores": cores},
+    )
+    print(
+        f"\nledgered 1000-run sweep (jobs=1): {best:.3f}s; "
+        f"record_run {per_record * 1e6:.0f} us/record ({cores} cores)"
+    )

@@ -11,7 +11,6 @@ sample for each simulation run" methodology.
 from __future__ import annotations
 
 import copy
-import pickle
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -97,18 +96,6 @@ class RunSpec:
         return CatalogKey.of(
             self.seed, self.horizon_s, self.regions, self.sizes, self.calibrations
         )
-
-    def is_portable(self) -> bool:
-        """Can this spec cross a process boundary?"""
-        from repro.runtime.spec import StrategySpec
-
-        if not isinstance(self.strategy, StrategySpec):
-            return False
-        try:
-            pickle.dumps(self)
-        except Exception:
-            return False
-        return True
 
 
 def _result_label(spec: RunSpec, strategy: HostingStrategy) -> str:

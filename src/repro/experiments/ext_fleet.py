@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import runtime
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.bidding import ProactiveBidding
 from repro.experiments.common import ExperimentConfig
-from repro.fleet.runner import run_fleet
+from repro.fleet.runner import assemble_report
 from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
 from repro.runtime.spec import StrategySpec
 from repro.traces.calibration import ALL_REGIONS
@@ -93,17 +94,21 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         title=f"{n}-service fleet over {len(ALL_REGIONS) * len(SIZES)} markets, "
         f"seed-averaged ({len(seeds)} seeds)",
     )
+    seed0 = seeds[0]
     for profile in PROFILES:
-        runs = [
-            run_fleet(
-                _build_fleet(profile, n, seed, horizon),
+        runs = []
+        for seed in seeds:
+            fleet = _build_fleet(profile, n, seed, horizon)
+            results = runtime.run_batch(
+                list(fleet.run_specs()),
                 jobs=cfg.jobs,
                 engine=cfg.engine,
                 ledger=cfg.effective_ledger(),
                 resume=cfg.resume,
-            )
-            for seed in seeds
-        ]
+            ).results
+            runs.append(assemble_report(fleet, results))
+            if profile == "balanced" and seed == seed0:
+                base, base_results = fleet, results
         stats[profile] = dict(
             cost=float(np.mean([r.normalized_cost_percent for r in runs])),
             unav=float(np.mean([r.mean_unavailability_percent for r in runs])),
@@ -116,21 +121,19 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                   100.0 * s["hit"], f"{100.0 * s['met']:.0f}%")
     report.add_artifact(t.render())
 
-    # Spare-pool sizing curve: same balanced fleet, growing capacity.
-    seed0 = seeds[0]
-    base = _build_fleet("balanced", n, seed0, horizon)
+    # Spare-pool sizing curve: same balanced fleet, growing capacity. The
+    # pool only replays the fleet's forced migrations, so the services'
+    # runs do not depend on its capacity: the balanced profile's seed-0
+    # results above give one report per capacity.
     ct = Table(
         headers=("spare capacity", "claims", "hits", "hit %", "peak in use"),
         title=f"balanced fleet, seed {seed0}: spare-pool sizing curve",
     )
     hit_rates = []
     for capacity in CAPACITY_SWEEP:
-        r = run_fleet(
-            base.with_(spare_capacity=capacity),
-            jobs=cfg.jobs,
-            engine=cfg.engine,
-        )
-        sp = r.spare_pool
+        sp = assemble_report(
+            base.with_(spare_capacity=capacity), base_results
+        ).spare_pool
         hit_rates.append(sp.hit_rate)
         ct.add_row(capacity, sp.claims, sp.hits, 100.0 * sp.hit_rate, sp.peak_in_use)
     report.add_artifact(ct.render())

@@ -37,6 +37,8 @@ from repro.runtime.spec import (
     StrategySpec,
     batch_fingerprint,
     spec_fingerprint,
+    spec_fingerprints,
+    specs_portable,
 )
 from repro.runtime.telemetry import (
     BatchTelemetry,
@@ -68,5 +70,7 @@ __all__ = [
     "shared_catalog",
     "shared_catalog_cache",
     "spec_fingerprint",
+    "spec_fingerprints",
+    "specs_portable",
     "strategy_kinds",
 ]

@@ -61,9 +61,15 @@ from repro.obs.capture import notify_run, trace_capture_active
 from repro.obs.sinks import NULL_SINK, MemorySink, TraceSink
 from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
-from repro.runtime.spec import BatchSpec, StrategySpec, batch_fingerprint, spec_fingerprint
+from repro.runtime.spec import (
+    BatchSpec,
+    StrategySpec,
+    batch_fingerprint,
+    spec_fingerprints,
+    specs_portable,
+)
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry, notify_batch
-from repro.runtime.vector import ENGINE_KINDS, spec_vector_eligible
+from repro.runtime.vector import ENGINE_KINDS, policies_vectorizable
 
 __all__ = ["BatchResult", "run_batch"]
 
@@ -177,16 +183,34 @@ def _execute_one(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _resolve_engine(spec: RunSpec, engine: str) -> str:
-    """Which engine one spec runs on, given the batch's ``engine`` selector.
+def _resolve_engines(specs: Sequence[RunSpec], engine: str) -> Tuple[str, ...]:
+    """Which engine each spec runs on, given the batch's ``engine`` selector.
 
     Under ``"auto"``, faulted and trace-capturing runs stay on the event
     engine — fault overlays and narration want the per-boundary walk —
-    and everything else goes to the vector engine when eligible.
+    and everything else goes to the vector engine when its strategy and
+    bidding policy are both vectorizable. Reading the strategy's flag
+    means building it: safe, because factories build a fresh instance per
+    call, and done once per distinct factory object of the batch (keyed
+    by identity, with a reference kept so no id is reused).
     """
-    if engine == "event" or spec.faults is not None or spec.capture_trace:
+    built: Dict[int, tuple] = {}
+
+    def resolve(spec: RunSpec) -> str:
+        if engine == "event" or spec.faults is not None or spec.capture_trace:
+            return "event"
+        hit = built.get(id(spec.strategy))
+        if hit is None:
+            try:
+                strategy = spec.strategy()
+            except Exception:
+                strategy = None
+            hit = built[id(spec.strategy)] = (spec.strategy, strategy)
+        if hit[1] is not None and policies_vectorizable(hit[1], spec.bidding):
+            return "vector"
         return "event"
-    return "vector" if spec_vector_eligible(spec) else "event"
+
+    return tuple(resolve(s) for s in specs)
 
 
 def _partition(
@@ -214,6 +238,30 @@ def _partition(
     return units
 
 
+_SET = object.__setattr__
+#: Field names per dataclass type :func:`_replaced` has copied.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _replaced(obj, **changes):
+    """``dataclasses.replace`` without re-running ``__init__``: a shallow
+    copy of a (frozen) dataclass instance with ``changes`` applied.
+
+    Fields are read and set one by one. Going through ``__dict__``
+    instead would give the clone (and its representative) a dict object
+    of its own, which ``__init__`` does not; over a 20,000-run sweep that
+    shows as megabytes of peak RSS.
+    """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    new = object.__new__(cls)
+    for name in names:
+        _SET(new, name, changes[name] if name in changes else getattr(obj, name))
+    return new
+
+
 def _clone(
     pair: Tuple[SimulationResult, RunTelemetry], label: str
 ) -> Tuple[SimulationResult, RunTelemetry]:
@@ -224,8 +272,8 @@ def _clone(
     # the representative's label is the twin's.
     label = label or result.label
     return (
-        dataclasses.replace(result, label=label),
-        dataclasses.replace(
+        _replaced(result, label=label),
+        _replaced(
             telemetry,
             label=label,
             deduped=True,
@@ -276,11 +324,12 @@ def _run_unit(
     rank_rep: Dict[tuple, int] = {}
     band_reps: Dict[tuple, List[Tuple[dict, int]]] = {}
     ladders: Dict[tuple, list] = {}
+    frames: Dict[tuple, tuple] = {}
 
     def project(i: int):
         if catalog is None or engines[i] != "vector":
             return None
-        return dynamics_key(specs[i], catalog, ladders, catalog_key)
+        return dynamics_key(specs[i], catalog, ladders, frames, catalog_key)
 
     for i, spec in enumerate(specs):
         proj = project(i)
@@ -502,9 +551,9 @@ def run_batch(
     batch_start = time.perf_counter()
     slots: List[Optional[Tuple[SimulationResult, RunTelemetry]]] = [None] * len(specs)
     if ledger is not None:
-        fingerprints = tuple(spec_fingerprint(s) for s in specs)
+        fingerprints = spec_fingerprints(specs)
         journal, replayed, resumed = _open_ledger(
-            ledger, resume, specs, fingerprints, batch_fingerprint(specs)
+            ledger, resume, specs, fingerprints, batch_fingerprint(fingerprints)
         )
         for i, pair in replayed.items():
             slots[i] = pair
@@ -523,7 +572,7 @@ def run_batch(
             progress(pair[1])
 
     pending = [i for i in range(len(specs)) if slots[i] is None]
-    engines = tuple(_resolve_engine(s, engine) for s in specs)
+    engines = _resolve_engines(specs, engine)
     units = _partition(specs, pending, engines)
     parallel_runs = 0
     # A lone pending run gains nothing from a worker; it runs in-process.
@@ -539,12 +588,11 @@ def run_batch(
 
     # Portable units go to the pool; the rest run in-process first, while
     # the pool churns. Either way a unit runs through the same loop.
-    dispatch = [
-        (unit, pool.submit(_run_unit_list, *unit_args(unit)))
-        if pool is not None and all(specs[i].is_portable() for i in unit)
-        else (unit, None)
-        for unit in units
-    ]
+    dispatch = []
+    for unit in units:
+        args = unit_args(unit)
+        portable = pool is not None and specs_portable(args[0])
+        dispatch.append((unit, pool.submit(_run_unit_list, *args) if portable else None))
     dispatch.sort(key=lambda pair: pair[1] is not None)
     try:
         for unit, future in dispatch:

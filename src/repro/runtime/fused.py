@@ -24,15 +24,50 @@ property in ``tests/runtime/test_fused_engine.py``.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["band_matches", "dynamics_key"]
 
 
+#: One spec frame, keyed by (strategy identity, regions, sizes): the
+#: strategy factory (held so its id is not reused), the frame's markets,
+#: their on-demand prices, and the strategy's ``allows_spot`` and
+#: ``allows_on_demand`` flags.
+Frame = Tuple[object, List[object], Tuple[float, ...], bool, bool]
+
+
+def _frame(spec, frames: Dict[tuple, Frame]) -> Frame:
+    """The per-(strategy, regions, sizes) part of :func:`dynamics_key`,
+    built once per distinct frame of a unit: the strategy is built only to
+    read its two capability flags. The strategy is keyed by identity,
+    never by equality; the region and size names, plain strings, by value.
+    """
+    fkey = (id(spec.strategy), tuple(spec.regions), tuple(spec.sizes))
+    frame = frames.get(fkey)
+    if frame is None:
+        from repro.traces.calibration import on_demand_price
+        from repro.traces.catalog import MarketKey
+
+        markets = [MarketKey(r, s) for r in spec.regions for s in spec.sizes]
+        strategy = spec.strategy()
+        frame = frames[fkey] = (
+            spec.strategy,
+            markets,
+            tuple(on_demand_price(k.region, k.size) for k in markets),
+            getattr(strategy, "allows_spot", True),
+            getattr(strategy, "allows_on_demand", True),
+        )
+    return frame
+
+
 def dynamics_key(
-    spec, catalog, ladders: Dict[tuple, list], catalog_key
+    spec,
+    catalog,
+    ladders: Dict[Tuple[object, str, str], List[float]],
+    frames: Dict[tuple, Frame],
+    catalog_key,
 ) -> Optional[Tuple[tuple, Optional[Dict[Tuple[str, str], float]]]]:
     """The dynamics identity of one spec over its cached ``catalog``, or
     ``None``.
@@ -68,7 +103,8 @@ def dynamics_key(
     move on-demand prices), legacy strategy callables, a policy without
     numeric ``*_thresholds`` components, or no ``catalog_key``.
     ``ladders`` is the caller's memo of sorted unique prices, keyed
-    ``(catalog_key, region, size)``.
+    ``(catalog_key, region, size)``; ``frames`` its memo of spec frames
+    (:data:`Frame`).
     """
     comp_fn = getattr(spec.bidding, "dynamics_components", None)
     if (
@@ -84,11 +120,8 @@ def dynamics_key(
     if not isinstance(spec.strategy, StrategySpec):
         return None
     try:
-        from repro.traces.calibration import on_demand_price
-        from repro.traces.catalog import MarketKey
-
-        markets = [MarketKey(r, s) for r in spec.regions for s in spec.sizes]
-        comp = comp_fn(tuple(on_demand_price(k.region, k.size) for k in markets))
+        _, markets, ods, allows_spot, allows_on_demand = _frame(spec, frames)
+        comp = comp_fn(ods)
         if "reverse_thresholds" not in comp:
             return None
 
@@ -107,13 +140,12 @@ def dynamics_key(
                 out.append(bisect.bisect_right(ladder, value))
             return tuple(out)
 
-        strategy = spec.strategy()
         reverse: Optional[Dict[Tuple[str, str], float]] = None
-        if not getattr(strategy, "allows_spot", True):
+        if not allows_spot:
             sig: object = comp["name"]
         else:
             sig = (comp["name"], ranks(comp["bids"]), ranks(comp["planned_thresholds"]))
-            if getattr(strategy, "allows_on_demand", True):
+            if allows_on_demand:
                 reverse = {
                     (k.region, k.size): float(v)
                     for k, v in zip(markets, comp["reverse_thresholds"])

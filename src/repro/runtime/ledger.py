@@ -114,19 +114,38 @@ def _header_fingerprint(path: Path) -> Optional[str]:
     return str(fingerprint) if fingerprint is not None else None
 
 
-def _result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    return dataclasses.asdict(result)
+#: A record's JSON encoding: sorted keys, no whitespace.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationResult))
+_TELEMETRY_FIELDS = tuple(f.name for f in dataclasses.fields(RunTelemetry))
+
+
+def _fields_dict(obj: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """A dataclass's fields as a dict, values shared rather than copied.
+
+    ``dataclasses.asdict`` deep-copies every metrics dict and histogram
+    list only for the record to be serialised; JSON encodes the shared
+    values — tuples and lists alike as arrays — to the same bytes.
+    """
+    return {name: getattr(obj, name) for name in names}
+
+
+def _run_record(
+    index: int, fingerprint: str, result: SimulationResult, telemetry: RunTelemetry
+) -> Dict[str, Any]:
+    """One completed run's journal record, ready for :data:`_ENCODE`."""
+    return {
+        "kind": "run",
+        "index": index,
+        "fingerprint": fingerprint,
+        "attempts": telemetry.attempts,
+        "result": _fields_dict(result, _RESULT_FIELDS),
+        "telemetry": _fields_dict(telemetry, _TELEMETRY_FIELDS),
+    }
 
 
 def _result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     return SimulationResult(**data)
-
-
-def _telemetry_to_dict(telemetry: RunTelemetry) -> Dict[str, Any]:
-    d = dataclasses.asdict(telemetry)
-    if d.get("trace_events") is not None:
-        d["trace_events"] = list(d["trace_events"])
-    return d
 
 
 def _telemetry_from_dict(data: Dict[str, Any]) -> RunTelemetry:
@@ -187,22 +206,12 @@ class RunLedger:
         self, index: int, fingerprint: str, result: SimulationResult, telemetry: RunTelemetry
     ) -> None:
         """Atomically append one completed run."""
-        self._append(
-            {
-                "kind": "run",
-                "index": index,
-                "fingerprint": fingerprint,
-                "attempts": telemetry.attempts,
-                "result": _result_to_dict(result),
-                "telemetry": _telemetry_to_dict(telemetry),
-            }
-        )
+        self._append(_run_record(index, fingerprint, result, telemetry))
 
     def _append(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
+        self._fh.write(_ENCODE(record) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
 

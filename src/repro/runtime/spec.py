@@ -16,8 +16,9 @@ import dataclasses
 import enum
 import hashlib
 import json
+import pickle
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.core import registry as _registry
 from repro.core.simulation import RunSpec
@@ -30,6 +31,8 @@ __all__ = [
     "StrategySpec",
     "batch_fingerprint",
     "spec_fingerprint",
+    "spec_fingerprints",
+    "specs_portable",
 ]
 
 
@@ -80,25 +83,60 @@ def _canonical(obj: Any) -> Any:
     )
 
 
+#: The canonical JSON encoding every fingerprint hashes.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: The fields :func:`spec_fingerprint` hashes, in key order, each with its
+#: encoded ``"name":`` prefix: every field that determines the simulation
+#: *result*. ``capture_trace`` changes telemetry payloads, never results,
+#: so a batch resumed inside an ``observe(trace=True)`` scope still
+#: matches its ledger.
+_FINGERPRINT_FIELDS = tuple(
+    (name, _ENCODE(name) + ":")
+    for name in sorted(f.name for f in dataclasses.fields(RunSpec))
+    if name != "capture_trace"
+)
+
+
 def spec_fingerprint(spec: RunSpec) -> str:
-    """Stable content hash of one :class:`~repro.core.simulation.RunSpec`.
+    """Stable content hash of one :class:`~repro.core.simulation.RunSpec`:
+    SHA-256 of ``["RunSpec", {field: canonical value}]`` as canonical
+    JSON."""
+    return spec_fingerprints((spec,))[0]
 
-    Only fields that determine the simulation *result* participate;
-    ``capture_trace`` is excluded (it changes telemetry payloads, never
-    results), so a batch resumed inside an ``observe(trace=True)`` scope
-    still matches its ledger.
+
+def spec_fingerprints(specs: Sequence[RunSpec]) -> Tuple[str, ...]:
+    """Every spec's :func:`spec_fingerprint`, each field value reduced once.
+
+    Each spec's blob is assembled from its fields' encoded canonical
+    forms, and one memo caches those encodings across the specs by object
+    *identity* — never by equality: ``ProactiveBidding(k=2)`` equals
+    ``ProactiveBidding(k=2.0)`` but reduces differently, as do ``0.0`` and
+    ``-0.0``. Each entry keeps a reference to its value, so no id is
+    reused while the memo lives. The strategy, mechanism and params
+    objects a batch's specs share therefore reduce once.
     """
-    fields = {
-        f.name: _canonical(getattr(spec, f.name))
-        for f in dataclasses.fields(spec)
-        if f.name != "capture_trace"
-    }
-    blob = json.dumps(["RunSpec", fields], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    memo: Dict[int, tuple] = {}
+
+    def encoded(value: Any) -> str:
+        hit = memo.get(id(value))
+        if hit is None:
+            hit = memo[id(value)] = (value, _ENCODE(_canonical(value)))
+        return hit[1]
+
+    def fingerprint(spec: RunSpec) -> str:
+        parts = (
+            prefix + encoded(getattr(spec, name)) for name, prefix in _FINGERPRINT_FIELDS
+        )
+        blob = '["RunSpec",{' + ",".join(parts) + "}]"
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    return tuple(fingerprint(s) for s in specs)
 
 
-def batch_fingerprint(specs: Sequence[RunSpec]) -> str:
-    """Content hash of a whole batch: package version + ordered run hashes.
+def batch_fingerprint(fingerprints: Sequence[str]) -> str:
+    """Content hash of a whole batch: package version + the ordered
+    :func:`spec_fingerprints` of its runs.
 
     Every run's fingerprint already covers its catalog identity (seed,
     horizon, regions, sizes, calibration overrides), so two equal batch
@@ -106,12 +144,22 @@ def batch_fingerprint(specs: Sequence[RunSpec]) -> str:
     """
     from repro._version import __version__
 
-    blob = json.dumps(
-        ["batch", __version__, [spec_fingerprint(s) for s in specs]],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = _ENCODE(["batch", __version__, list(fingerprints)])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def specs_portable(specs: Sequence[RunSpec]) -> bool:
+    """Can these specs cross a process boundary? Every strategy must be a
+    :class:`StrategySpec` (a closure cannot be rebuilt on the far side)
+    and the specs must pickle — checked with one pickle of them all, so
+    the strategy, mechanism and params objects they share pickle once."""
+    if not all(isinstance(s.strategy, StrategySpec) for s in specs):
+        return False
+    try:
+        pickle.dumps(tuple(specs))
+    except Exception:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

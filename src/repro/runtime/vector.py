@@ -69,7 +69,6 @@ __all__ = [
     "ENGINE_KINDS",
     "VectorScheduler",
     "policies_vectorizable",
-    "spec_vector_eligible",
 ]
 
 #: Valid values of the batch ``--engine`` selector. The per-run
@@ -92,21 +91,6 @@ def policies_vectorizable(strategy: object, bidding: object) -> bool:
         and callable(getattr(bidding, "planned_migration_mask", None))
         and callable(getattr(bidding, "reverse_migration_mask", None))
     )
-
-
-def spec_vector_eligible(spec) -> bool:
-    """Is a :class:`~repro.core.simulation.RunSpec` runnable on the vector
-    engine at all (capability check only — the executor layers its own
-    routing policy for faults/capture on top)?
-
-    Building the strategy to inspect its flag is safe: factories build a
-    fresh instance per call and strategies are cheap by contract.
-    """
-    try:
-        strategy = spec.strategy()
-    except Exception:
-        return False
-    return policies_vectorizable(strategy, spec.bidding)
 
 
 class VectorScheduler(CloudScheduler):

@@ -94,6 +94,13 @@ class TestFleetSpec:
             f"fleet/{s.name}" for s in fleet.services
         ]
 
+    def test_run_specs_do_not_depend_on_spare_capacity(self):
+        """The pool only replays forced migrations after the runs, so one
+        batch serves every capacity of a sizing sweep (``ext-fleet``)."""
+        fleet = synthesize_fleet(8, seed=3, horizon_s=days(2))
+        for capacity in (0, 1, 2, 4, 8):
+            assert fleet.with_(spare_capacity=capacity).run_specs() == fleet.run_specs()
+
 
 class TestSynthesize:
     def test_deterministic(self):

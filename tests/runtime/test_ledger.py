@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bidding import ReactiveBidding
+from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.errors import ConfigurationError, LedgerError
 from repro.runtime import (
     LEDGER_VERSION,
@@ -25,6 +25,7 @@ from repro.runtime import (
     resolve_ledger_path,
     run_batch,
     spec_fingerprint,
+    spec_fingerprints,
 )
 from repro.testkit.faults import kill_orchestrator_after_n_runs, run_kill_drill
 from repro.traces.catalog import MarketKey
@@ -72,7 +73,9 @@ class TestFingerprints:
         )
 
     def test_batch_fingerprint_sees_order(self):
-        assert batch_fingerprint(_specs(1, 2)) != batch_fingerprint(_specs(2, 1))
+        assert batch_fingerprint(spec_fingerprints(_specs(1, 2))) != batch_fingerprint(
+            spec_fingerprints(_specs(2, 1))
+        )
 
     def test_fingerprints_pinned(self):
         # Ledgers journaled by earlier versions resume only while these
@@ -83,6 +86,54 @@ class TestFingerprints:
         assert spec_fingerprint(_spec().with_(bidding=ReactiveBidding(), label="x")) == (
             "a6c1a1ecfb6cacc154d8365270ffec6b76f9cf02fbb6b22d8793d78cc85bb3ee"
         )
+
+    def test_fingerprint_memo_keys_on_identity_not_equality(self):
+        # ProactiveBidding(k=2) == ProactiveBidding(k=2.0) and 0.0 == -0.0,
+        # yet each pair reduces to different canonical forms: a memo keyed
+        # by equality would hand one spec the other's fingerprint.
+        assert ProactiveBidding(k=2) == ProactiveBidding(k=2.0)
+        specs = [
+            _spec(bidding=ProactiveBidding(k=2)),
+            _spec(bidding=ProactiveBidding(k=2.0)),
+            _spec(startup_cv=0.0),
+            _spec(startup_cv=-0.0),
+        ]
+        memoized = spec_fingerprints(specs)
+        assert memoized == tuple(spec_fingerprint(s) for s in specs)
+        assert memoized[0] != memoized[1]
+        assert memoized[2] != memoized[3]
+        # The batch digest hashes those same per-spec hashes, in order.
+        import hashlib
+
+        from repro._version import __version__
+
+        blob = json.dumps(
+            ["batch", __version__, [spec_fingerprint(s) for s in specs]],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert batch_fingerprint(memoized) == hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_fingerprint_equals_whole_blob_hash(self):
+        # The blob is assembled from per-field encodings; it must hash the
+        # same bytes as encoding ["RunSpec", fields] in one go.
+        import hashlib
+
+        from repro.runtime.spec import _canonical
+
+        specs = [
+            _spec(),
+            _spec(bidding=ReactiveBidding(), label="x"),
+            _spec(calibrations={("us-east-1a", "small"): None}, startup_cv=-0.0),
+        ]
+        for spec in specs:
+            fields = {
+                f.name: _canonical(getattr(spec, f.name))
+                for f in dataclasses.fields(spec)
+                if f.name != "capture_trace"
+            }
+            blob = json.dumps(["RunSpec", fields], sort_keys=True, separators=(",", ":"))
+            assert spec_fingerprint(spec) == hashlib.sha256(blob.encode()).hexdigest()
 
     def test_ledger_refuses_closure_strategies(self, tmp_path):
         # Closures made by one function share a qualified name, so no
@@ -140,7 +191,7 @@ class TestJournaling:
         header = json.loads(lines[0])
         assert header["kind"] == "header"
         assert header["runs"] == 3
-        assert header["fingerprint"] == batch_fingerprint(_specs(1, 2, 3))
+        assert header["fingerprint"] == batch_fingerprint(spec_fingerprints(_specs(1, 2, 3)))
         indices = sorted(json.loads(l)["index"] for l in lines[1:])
         assert indices == [0, 1, 2]
         assert batch.telemetry.replayed_runs == 0
@@ -160,20 +211,21 @@ class TestJournaling:
         run_batch(_specs(5, 6), ledger=tmp_path)
         files = sorted(tmp_path.glob("batch-*.jsonl"))
         assert len(files) == 2  # distinct batches, distinct fingerprints
-        expected = resolve_ledger_path(tmp_path, batch_fingerprint(_specs(1, 2)))
+        fp = batch_fingerprint(spec_fingerprints(_specs(1, 2)))
+        expected = resolve_ledger_path(tmp_path, fp)
         assert expected in files
 
     def test_trailing_slash_spells_directory_intent(self, tmp_path):
         # "/" is directory intent on every platform, not just where it
         # happens to equal os.sep; the directory is created on demand.
-        fp = batch_fingerprint(_specs(1))
+        fp = batch_fingerprint(spec_fingerprints(_specs(1)))
         resolved = resolve_ledger_path(str(tmp_path / "ledgers") + "/", fp)
         assert resolved.parent == tmp_path / "ledgers"
         assert resolved.parent.is_dir()
         assert resolved.name == f"batch-{fp[:16]}.jsonl"
 
     def test_plain_file_path_used_verbatim(self, tmp_path):
-        fp = batch_fingerprint(_specs(1))
+        fp = batch_fingerprint(spec_fingerprints(_specs(1)))
         target = tmp_path / "one.jsonl"
         assert resolve_ledger_path(target, fp) == target
 
@@ -204,7 +256,8 @@ class TestJournaling:
         run_batch(_specs(5, 6), ledger=led)  # different batch: fresh journal
         lines = _ledger_lines(led)
         assert len(lines) == 3
-        assert json.loads(lines[0])["fingerprint"] == batch_fingerprint(_specs(5, 6))
+        fp = batch_fingerprint(spec_fingerprints(_specs(5, 6)))
+        assert json.loads(lines[0])["fingerprint"] == fp
 
 
 # --------------------------------------------------------------------- resume

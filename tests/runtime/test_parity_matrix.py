@@ -30,7 +30,7 @@ import pytest
 from repro.core.bidding import ProactiveBidding
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
-from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch
+from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch, specs_portable
 from repro.testkit.faults import FaultPlan, run_kill_drill
 from repro.traces.catalog import MarketKey
 from repro.units import days
@@ -106,7 +106,7 @@ def serial(specs):
 
 
 def test_batch_exercises_every_unit_kind(specs, serial):
-    assert not specs[-1].is_portable()
+    assert not specs_portable(specs[-1:])
     assert serial.telemetry.deduped_runs > 0  # clones occur
     kinds = [t.engine_kind for t in serial.run_telemetry]
     assert kinds[-3:-1] == ["event", "event"]  # faulted, no-ft

@@ -29,6 +29,7 @@ from repro.runtime import (
     StrategySpec,
     register_strategy_kind,
     run_batch,
+    specs_portable,
     strategy_kinds,
 )
 from repro.traces.catalog import MarketKey
@@ -104,7 +105,7 @@ def test_run_spec_pickles_for_every_combination(kind, bidding, mechanism):
         regions=REGION_PAIR,
         sizes=("small",),
     )
-    assert run.is_portable()
+    assert specs_portable([run])
     clone = pickle.loads(pickle.dumps(run))
     assert clone == run
     assert isinstance(clone.strategy(), cls)
@@ -187,7 +188,7 @@ def test_direct_runs_isolate_a_reused_stateful_policy():
 
 def test_legacy_callable_strategy_is_not_portable():
     run = RunSpec(strategy=lambda: SingleMarketStrategy(KEY))
-    assert not run.is_portable()
+    assert not specs_portable([run])
 
 
 def test_batch_spec_product():
