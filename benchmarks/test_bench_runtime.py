@@ -9,14 +9,17 @@ machine actually has >= 4 usable cores — and (iii) the ledgered batch
 path, recorded to ``benchmarks/output/BENCH_perf.current.json``: a
 1,000-run frontier sweep journaled serially into a fresh ledger
 (``ledgered_sweep_1000_serial_s``), the mean cost of journaling one of
-its records (``ledger_record_us``), and the mean cost of building and
-encoding one record without writing it (``ledger_encode_us``).
+its records in its real commit group (``ledger_record_us``), and the
+mean cost of building and encoding one record without writing it
+(``ledger_encode_us``).
 
-The first two include one fsync per record, so they measure the disk
-under the ledger as much as the code; only ``ledger_encode_us`` is
-storage-independent, and it is the one CI gates.
+The first two include one fsync per commit group (one executed run and
+its clones), so they measure the disk under the ledger as much as the
+code; only ``ledger_encode_us`` is storage-independent, and it is the
+one CI gates.
 """
 
+import json
 import os
 import tempfile
 import time
@@ -183,9 +186,11 @@ def test_bench_ledgered_sweep_1000_serial(ledgered_sweep):
 
     ``ledgered_sweep_1000_serial_s`` is the best of three batches, each
     into its own fresh ledger: routing, fingerprinting, dedupe, clones
-    and one fsynced record per run. ``ledger_record_us`` re-journals the
-    same 1,000 records through :meth:`RunLedger.record_run` and takes the
-    mean per record (best of three passes), fsync included.
+    and one fsync per commit group. ``ledger_record_us`` re-journals the
+    same 1,000 records in the batch's own groups and order —
+    :meth:`RunLedger.record_run` per record, :meth:`RunLedger.commit`
+    per group — and takes the mean per record (best of three passes),
+    fsyncs included.
     """
     specs, base = ledgered_sweep
     cores = len(os.sched_getaffinity(0))
@@ -197,17 +202,26 @@ def test_bench_ledgered_sweep_1000_serial(ledgered_sweep):
             batch = run_batch(specs, ledger=f"{ledger}/")
             best = min(best, time.perf_counter() - t0)
             assert batch.results == base.results
-            assert len((next(ledger.iterdir())).read_text().splitlines()) == 1 + len(specs)
+            lines = (next(ledger.iterdir())).read_text().splitlines()
+            assert len(lines) == 1 + len(specs)
 
+        # The journal order, split into groups at each executed record.
+        groups = []
+        for line in lines[1:]:
+            i = json.loads(line)["index"]
+            if not base.run_telemetry[i].deduped:
+                groups.append([])
+            groups[-1].append(i)
         fingerprints = spec_fingerprints(specs)
-        pairs = list(zip(base.results, base.run_telemetry))
         per_record = float("inf")
         for attempt in range(3):
-            journal = RunLedger.start(Path(root) / f"records-{attempt}.jsonl", "bench", len(pairs))
+            journal = RunLedger.start(Path(root) / f"records-{attempt}.jsonl", "bench", len(specs))
             t0 = time.perf_counter()
-            for i, (result, telemetry) in enumerate(pairs):
-                journal.record_run(i, fingerprints[i], result, telemetry)
-            per_record = min(per_record, (time.perf_counter() - t0) / len(pairs))
+            for group in groups:
+                for i in group:
+                    journal.record_run(i, fingerprints[i], base.results[i], base.run_telemetry[i])
+                journal.commit()
+            per_record = min(per_record, (time.perf_counter() - t0) / len(specs))
             journal.close()
     record(
         ledgered_sweep_1000_serial_s={"value": best, "unit": "s", "cores": cores},
@@ -215,5 +229,5 @@ def test_bench_ledgered_sweep_1000_serial(ledgered_sweep):
     )
     print(
         f"\nledgered 1000-run sweep (jobs=1): {best:.3f}s; "
-        f"record_run {per_record * 1e6:.0f} us/record ({cores} cores)"
+        f"{len(groups)} groups, {per_record * 1e6:.0f} us/record ({cores} cores)"
     )

@@ -20,8 +20,10 @@ one path:
    run (a legacy closure factory) stay in-process, as does a batch with
    a single pending run. Workers resolve
    catalogs through their own process cache, so no catalog is shipped.
-4. **Complete** each slot in the parent — clones included — journaling
-   it to the ledger before reporting progress.
+4. **Complete** each slot in the parent — clones included. A unit's
+   stream arrives in *groups* (one executed run and the clones that
+   follow it); each group is journaled under one ledger commit before
+   progress is reported for its runs.
 
 Engine routing (``engine=``): ``"auto"`` runs a spec on the vectorized
 batch engine exactly when it is eligible — vectorizable strategy and
@@ -286,17 +288,27 @@ def _clone(
     )
 
 
+#: One completed slot of a unit: ``(position, (result, telemetry))``.
+Slot = Tuple[int, Tuple[SimulationResult, RunTelemetry]]
+
+
 def _run_unit(
     specs: Sequence[RunSpec],
     engines: Sequence[str],
     retries: int,
     retry_backoff_s: float,
     cache: Optional[TraceCatalogCache] = None,
-) -> Iterator[Tuple[int, Tuple[SimulationResult, RunTelemetry]]]:
-    """Execute one unit; yield ``(position, (result, telemetry))`` per run.
+) -> Iterator[List[Slot]]:
+    """Execute one unit; yield its slots in *groups*.
 
-    Runs execute in position order and clones are yielded as soon as
-    their representative has been, so the stream is in position order.
+    Runs execute in position order, so the stream is in position order.
+    A group is one executed run followed by the clones made after it, up
+    to the next execution: it is yielded just before the next run
+    executes, and once more at the end of the unit. A consumer that
+    journals and commits each group as it arrives therefore never holds
+    a finished run's records while another run executes — the ledger's
+    group-commit unit (:mod:`repro.runtime.ledger`).
+
     ``cache`` defaults to this process's shared catalog cache — which is
     how pool workers resolve catalogs: nothing is shipped, and a worker's
     cache stays warm across batches because pools are reused.
@@ -331,6 +343,7 @@ def _run_unit(
             return None
         return dynamics_key(specs[i], catalog, ladders, frames, catalog_key)
 
+    group: List[Slot] = []
     for i, spec in enumerate(specs):
         proj = project(i)
         rep = None
@@ -348,8 +361,11 @@ def _run_unit(
             # equivalence; account the lookup as a hit.
             cache.get_or_build(catalog_key)
             done[i] = _clone(done[rep], spec.label)
-            yield i, done[i]
+            group.append((i, done[i]))
             continue
+        if group:
+            yield group
+            group = []
         notes: dict = {}
         done[i] = _execute_one(
             spec, cache, retries, retry_backoff_s, engines[i], notes=notes
@@ -365,10 +381,11 @@ def _run_unit(
                 rank_rep.setdefault(rkey, i)
             elif notes.get("reverse_band") is not None:
                 band_reps.setdefault(rkey, []).append((notes["reverse_band"], i))
-        yield i, done[i]
+        group.append((i, done[i]))
+    yield group
 
 
-def _run_unit_list(*args) -> List[Tuple[int, Tuple[SimulationResult, RunTelemetry]]]:
+def _run_unit_list(*args) -> List[List[Slot]]:
     """Pool-worker entry point: one whole unit, materialised for pickling."""
     return list(_run_unit(*args))
 
@@ -485,7 +502,9 @@ def run_batch(
     progress:
         Called with each run's :class:`RunTelemetry` as it completes
         (completion order, which under ``jobs > 1`` may differ from
-        submission order). Not called for runs replayed from a ledger.
+        submission order). With a ledger, a run is reported only once
+        its group is committed. Not called for runs replayed from a
+        ledger.
     retries:
         Per-run retry budget for crashed attempts (:data:`RETRYABLE`,
         injected or organic); each retry re-executes the same pure spec,
@@ -497,9 +516,12 @@ def run_batch(
     ledger:
         Journal each completed run — clones included — to this
         append-only JSONL file (a directory gets one per-batch file named
-        by batch fingerprint).
-        Appends are atomic, so an orchestrator killed mid-batch loses at
-        most the run it was writing. Without ``resume``, an existing
+        by batch fingerprint). Records are committed in groups, one
+        executed run and the clones that follow it under one fsync, and
+        a group is committed before progress is reported for any of its
+        runs. An orchestrator killed mid-batch, or a power loss, loses
+        at most the final group: one executed run and its clones
+        re-run on resume. Without ``resume``, an existing
         ledger already journaling this same batch is refused (not
         silently truncated) — pass ``resume=True`` or delete the file.
         See :mod:`repro.runtime.ledger`.
@@ -558,18 +580,23 @@ def run_batch(
         for i, pair in replayed.items():
             slots[i] = pair
 
-    def _complete(i: int, pair: Tuple[SimulationResult, RunTelemetry]) -> None:
-        """One slot filled (executed or cloned): journal it, then report
-        progress.
+    def _complete(unit: List[int], group: List[Slot]) -> None:
+        """One group of a unit's slots filled (an executed run and its
+        clones): journal it under one commit, then report progress.
 
-        Journaling first is what makes `kill after n runs` recoverable:
-        a run either reached the ledger or will re-execute on resume.
+        Committing first is what makes `kill after n runs` recoverable:
+        a reported run either reached the ledger or will re-execute on
+        resume.
         """
-        slots[i] = pair
+        for pos, pair in group:
+            slots[unit[pos]] = pair
         if journal is not None:
-            journal.record_run(i, fingerprints[i], pair[0], pair[1])
+            for pos, (result, telemetry) in group:
+                journal.record_run(unit[pos], fingerprints[unit[pos]], result, telemetry)
+            journal.commit()
         if progress is not None:
-            progress(pair[1])
+            for _, (_, telemetry) in group:
+                progress(telemetry)
 
     pending = [i for i in range(len(specs)) if slots[i] is None]
     engines = _resolve_engines(specs, engine)
@@ -596,20 +623,20 @@ def run_batch(
     dispatch.sort(key=lambda pair: pair[1] is not None)
     try:
         for unit, future in dispatch:
-            pairs = None
+            groups = None
             if future is not None:
                 try:
-                    pairs = future.result()
+                    groups = future.result()
                     parallel_runs += len(unit)
                 except BrokenProcessPool:
                     # The pool died (hard worker crash, OOM kill, ...).
                     # Discard it and run this unit in-process — results
                     # are identical, only slower.
                     _discard_pool(jobs)
-            if pairs is None:
-                pairs = _run_unit(*unit_args(unit), cache)
-            for pos, pair in pairs:
-                _complete(unit[pos], pair)
+            if groups is None:
+                groups = _run_unit(*unit_args(unit), cache)
+            for group in groups:
+                _complete(unit, group)
     finally:
         if journal is not None:
             journal.close()

@@ -11,15 +11,23 @@ re-executing it, and submits only the remainder.
 
 Guarantees
 ----------
-* **Atomic appends.** Each record is one ``\\n``-terminated line written
-  with a single ``write`` + ``flush`` + ``fsync``. A crash (SIGKILL, OOM,
-  power loss) can tear at most the final line.
-* **Torn tails are tolerated.** On load, a trailing record that does not
-  parse as JSON (or was never newline-terminated) is truncated from the
-  file and its run simply re-executes, so appends made after recovery
-  always start on a fresh line — even across repeated crash/resume
-  cycles. A corrupt record *before* an intact one means the file was
-  edited, not torn — that is a hard :class:`~repro.errors.LedgerError`.
+* **Group commit.** Records are written in *groups*: one executed run
+  followed by the clone records its unit yields after it, up to the
+  next execution. Each record is its own ``\\n``-terminated line; a
+  group is made durable by one ``flush`` + ``fsync``
+  (:meth:`RunLedger.commit`), and group *k* is fsynced before the first
+  byte of group *k+1* is written. A SIGKILL leaves a prefix of the byte
+  stream; a power loss can damage only the final, uncommitted group. So
+  after either crash at most one executed run has to run again.
+* **Torn tails are tolerated.** A group starts with the only record in
+  it whose telemetry has ``deduped == false``. On load, a line that
+  does not parse (or the unterminated last line) is a *torn tail* when
+  every intact line after it is a clone record: the file is truncated
+  from that line and those runs re-execute (or clone again), so appends
+  made after recovery always start on a fresh line — even across
+  repeated crash/resume cycles. A corrupt line followed by any executed
+  record means the file was edited, not torn — that is a hard
+  :class:`~repro.errors.LedgerError`.
 * **Fingerprinted headers.** The header carries the batch fingerprint
   (package version + ordered per-spec content hashes, which subsume each
   run's catalog identity). Resuming against a batch whose fingerprint
@@ -157,6 +165,47 @@ def _telemetry_from_dict(data: Dict[str, Any]) -> RunTelemetry:
     return RunTelemetry(**data)
 
 
+def _decode(raw_line: bytes) -> Dict[str, Any]:
+    """One ledger line as a record; ``ValueError`` when it is damaged."""
+    record = json.loads(raw_line.decode("utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    return record
+
+
+def _is_clone_record(record: Dict[str, Any]) -> bool:
+    telemetry = record.get("telemetry")
+    return (
+        record.get("kind") == "run"
+        and isinstance(telemetry, dict)
+        and telemetry.get("deduped") is True
+    )
+
+
+def _check_torn_tail(path: Path, lineno: int, exc: ValueError, rest: list) -> None:
+    """Raise :class:`LedgerError` unless the damaged line ``lineno`` starts
+    a torn tail: every intact line in ``rest``, the lines after it, is a
+    clone record.
+
+    Each group opens with its one executed record and is fsynced before
+    the next group is written, so a crash can damage only lines of the
+    final group — and every line of that group after its first is a
+    clone. An executed record after the damage means the file was
+    modified.
+    """
+    for offset, raw_line in enumerate(rest, start=1):
+        try:
+            record = _decode(raw_line)
+        except ValueError:
+            continue
+        if not _is_clone_record(record):
+            raise LedgerError(
+                f"ledger {path} line {lineno} is corrupt (not a torn tail — "
+                f"line {lineno + offset} after it is an executed record, so "
+                f"the file was modified): {exc}"
+            ) from exc
+
+
 class RunLedger:
     """Append-only journal of one batch's completed runs.
 
@@ -200,20 +249,26 @@ class RunLedger:
                 "runs": runs,
             }
         )
+        ledger.commit()
         return ledger
 
     def record_run(
         self, index: int, fingerprint: str, result: SimulationResult, telemetry: RunTelemetry
     ) -> None:
-        """Atomically append one completed run."""
+        """Append one completed run to the write buffer; it is durable
+        once the :meth:`commit` that closes its group returns."""
         self._append(_run_record(index, fingerprint, result, telemetry))
+
+    def commit(self) -> None:
+        """Make every record written so far durable: one flush + fsync."""
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def _append(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.write(_ENCODE(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
@@ -232,12 +287,15 @@ class RunLedger:
         """Parse an existing ledger for resumption.
 
         Returns the ledger (positioned to append further records) and its
-        :class:`LedgerState`. Tolerates exactly one torn trailing line —
-        unparseable, or never newline-terminated — which is **truncated
-        from the file** so that later appends start on a fresh line
-        (otherwise the first post-resume record would concatenate onto
-        the fragment, corrupting the journal for every subsequent
-        resume). Any other structural damage raises :class:`LedgerError`.
+        :class:`LedgerState`. Tolerates a torn tail: a line that does not
+        parse, or the unterminated last line, followed by nothing but
+        clone records and further damaged lines — the signature of a
+        crash inside the final, uncommitted group. The tail is
+        **truncated from the file** so that later appends start on a
+        fresh line (otherwise the first post-resume record would
+        concatenate onto the fragment, corrupting the journal for every
+        subsequent resume). Any other structural damage raises
+        :class:`LedgerError`.
         """
         path = Path(path)
         try:
@@ -255,21 +313,13 @@ class RunLedger:
         intact_end = 0  # byte offset just past the last intact record
         dropped_torn_tail = False
         for lineno, raw_line in enumerate(lines, start=1):
-            last = lineno == len(lines)
             try:
-                record = json.loads(raw_line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                if last:
-                    # A crash mid-append tears at most the final line.
-                    dropped_torn_tail = True
-                    break
-                raise LedgerError(
-                    f"ledger {path} line {lineno} is corrupt (not a torn "
-                    f"tail — the file was modified): {exc}"
-                ) from exc
-            if last and not terminated:
+                record = _decode(raw_line)
+            except ValueError as exc:
+                _check_torn_tail(path, lineno, exc, lines[lineno:])
+                dropped_torn_tail = True
+                break
+            if lineno == len(lines) and not terminated:
                 # Parses, but the crash cut the trailing newline: the
                 # append never completed, so the record is not durable.
                 dropped_torn_tail = True

@@ -121,9 +121,10 @@ def kill_orchestrator_after_n_runs(
 
     Returns a :func:`repro.runtime.run_batch` ``progress`` hook that kills
     the current process the moment the ``n``-th run completes. Because the
-    executor journals a run to its ledger *before* reporting progress, a
-    batch killed this way has exactly ``n`` intact run records (plus
-    whatever concurrent workers finished) — resuming it with
+    executor commits a run's ledger group (the executed run and its
+    clones) *before* reporting progress for any of them, a batch killed
+    this way has at least ``n`` intact run records: the rest of the
+    ``n``-th run's group is journaled too — resuming it with
     ``run_batch(..., ledger=..., resume=True)`` must replay those runs and
     re-execute only the remainder, byte-identically. Unlike
     :attr:`FaultPlan.crash_seeds` (worker deaths the executor retries

@@ -1,9 +1,10 @@
 """The journaled run ledger: crash-safe batches, resumable byte-identically.
 
-Covers the full recovery contract: atomic journaling, torn-tail
-tolerance, fingerprint hard-failures, resuming across ``--jobs`` values,
-and the end-to-end orchestrator-SIGKILL drill via
-:func:`repro.testkit.faults.kill_orchestrator_after_n_runs`.
+Covers the full recovery contract: group-committed journaling (one
+fsync per executed run and its clones, committed before progress),
+torn-tail tolerance inside the final group, fingerprint hard-failures,
+resuming across ``--jobs`` values, and the end-to-end orchestrator-SIGKILL
+drills via :func:`repro.testkit.faults.kill_orchestrator_after_n_runs`.
 """
 
 import dataclasses
@@ -492,6 +493,134 @@ def test_kill_hook_counts_completions():
     hook = kill_orchestrator_after_n_runs(3, sig=0)
     for _ in range(5):
         hook(None)  # would raise on a dead pid; sig 0 just checks
+
+
+# --------------------------------------------------------------- group commit
+def clone_specs():
+    """Two catalogs, six proactive variants each. Bids of k >= 4 clamp at
+    the provider's cap, so each catalog's first run executes and the
+    other five clone it: the ledger holds two groups of six records."""
+    return [
+        _spec(
+            seed=s,
+            bidding=ProactiveBidding(k=k, reverse_threshold_frac=frac),
+            label=f"s{s}/k={k}/f={frac}",
+        )
+        for s in (1, 2)
+        for k in (5.0, 7.0, 9.0)
+        for frac in (0.8, 0.95)
+    ]
+
+
+class TestGroupCommit:
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return run_batch(clone_specs())
+
+    def _journal(self, tmp_path):
+        led = tmp_path / "batch.jsonl"
+        run_batch(clone_specs(), ledger=led)
+        # header, then two groups: an executed record and its five clones
+        deduped = [json.loads(l)["telemetry"]["deduped"] for l in _ledger_lines(led)[1:]]
+        assert deduped == [False] + [True] * 5 + [False] + [True] * 5
+        return led
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_fsync_per_executed_run(self, tmp_path, monkeypatch, jobs):
+        import repro.runtime.ledger as ledger_module
+
+        calls = []
+        real_fsync = ledger_module.os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(ledger_module.os, "fsync", counting_fsync)
+        batch = run_batch(clone_specs(), ledger=tmp_path / "batch.jsonl", jobs=jobs)
+        executed = batch.telemetry.runs - batch.telemetry.deduped_runs
+        assert 0 < executed < batch.telemetry.runs
+        assert len(calls) == 1 + executed  # the header, then one per group
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_group_is_journaled_before_progress(self, tmp_path, jobs):
+        led = tmp_path / "batch.jsonl"
+        index_of = {s.label: i for i, s in enumerate(clone_specs())}
+        reported = []
+
+        def progress(telemetry):
+            journaled = {json.loads(l)["index"] for l in _ledger_lines(led)[1:]}
+            assert index_of[telemetry.label] in journaled
+            reported.append(telemetry.label)
+
+        run_batch(clone_specs(), ledger=led, jobs=jobs, progress=progress)
+        assert sorted(reported) == sorted(index_of)
+
+    @pytest.mark.parametrize(
+        "line, damage",
+        [
+            (7, lambda raw: "not json {"),  # the final group's executed record
+            (9, lambda raw: "\0" * len(raw)),  # a zero-filled clone record
+            (12, lambda raw: raw[: len(raw) // 3]),  # the final clone, torn
+        ],
+        ids=["garbage-executed", "zeroed-clone", "torn-last-clone"],
+    )
+    def test_damage_followed_only_by_clones_is_a_torn_tail(
+        self, tmp_path, baseline, line, damage
+    ):
+        led = self._journal(tmp_path)
+        lines = _ledger_lines(led)
+        lines[line] = damage(lines[line])
+        led.write_text("\n".join(lines) + "\n")
+
+        _, state = RunLedger.load(led)
+        assert state.dropped_torn_tail
+        assert sorted(state.records) == list(range(line - 1))
+        # Truncated from the damaged line: the file ends on a fresh line.
+        assert led.read_text() == "\n".join(lines[:line]) + "\n"
+
+        resumed = run_batch(clone_specs(), ledger=led, resume=True)
+        assert _result_bytes(resumed.results) == _result_bytes(baseline.results)
+        assert resumed.telemetry.replayed_runs == line - 1
+        # Post-resume appends started on a fresh line: every line parses.
+        healed = [json.loads(l) for l in _ledger_lines(led)]
+        assert sorted(r["index"] for r in healed[1:]) == list(range(len(baseline.results)))
+        assert not RunLedger.load(led)[1].dropped_torn_tail
+
+    def test_damage_followed_by_an_executed_record_is_hard_error(self, tmp_path):
+        led = self._journal(tmp_path)
+        lines = _ledger_lines(led)
+        lines[3] = "\0" * len(lines[3])  # a clone of the first, committed group
+        led.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="not a torn tail"):
+            RunLedger.load(led)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_kill_inside_a_clone_group_then_resume_byte_identical(tmp_path, jobs):
+    """The kill lands on the third progress report, inside the first
+    group of six: the whole group was committed before any of its runs
+    were reported, so all six are journaled."""
+    led = tmp_path / "batch.jsonl"
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        returncode = run_kill_drill(
+            "tests.runtime.test_ledger:clone_specs",
+            led,
+            jobs=jobs,
+            kill_after=3,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
+            stderr=err,
+        )
+    assert returncode == -signal.SIGKILL, err_path.read_text()
+    journaled = len(RunLedger.load(led)[1].records)
+    assert 3 <= journaled < len(clone_specs())
+
+    baseline = run_batch(clone_specs(), jobs=jobs)
+    resumed = run_batch(clone_specs(), ledger=led, resume=True, jobs=jobs)
+    assert _result_bytes(resumed.results) == _result_bytes(baseline.results)
+    assert resumed.telemetry.replayed_runs == journaled
 
 
 # -------------------------------------------------------------- ledger object
