@@ -83,7 +83,6 @@ from repro.runtime import (
     RunTelemetry,
     StrategySpec,
     TraceCatalogCache,
-    collect_telemetry,
     run_batch,
 )
 from repro.traces import (
@@ -133,7 +132,6 @@ __all__ = [
     "RunTelemetry",
     "StrategySpec",
     "TraceCatalogCache",
-    "collect_telemetry",
     "run_batch",
     "CloudProvider",
     "Lease",

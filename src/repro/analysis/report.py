@@ -51,10 +51,6 @@ class ExperimentReport:
     artifacts: List[str] = field(default_factory=list)  #: rendered tables/charts
     comparisons: List[ComparisonRow] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    #: Execution telemetry (runs, catalog builds, cache hits, workers) set
-    #: by the runner. Excluded from :meth:`render` by default so report
-    #: artifacts stay byte-identical across worker counts.
-    runtime_telemetry: Optional[str] = None
 
     def add_artifact(self, text: str) -> None:
         self.artifacts.append(text)
@@ -95,15 +91,13 @@ class ExperimentReport:
         """True when no comparison row carries a DEVIATES verdict."""
         return all(c.verdict() != "DEVIATES" for c in self.comparisons)
 
-    def render(self, include_telemetry: bool = False) -> str:
+    def render(self) -> str:
         parts = [f"== {self.experiment_id}: {self.title} =="]
         parts.extend(self.artifacts)
         if self.comparisons:
             parts.append(self.comparison_table())
         for n in self.notes:
             parts.append(f"note: {n}")
-        if include_telemetry and self.runtime_telemetry:
-            parts.append(f"telemetry: {self.runtime_telemetry}")
         return "\n\n".join(parts)
 
     def __str__(self) -> str:  # pragma: no cover

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional, Tuple
 
 from repro.analysis.tables import Table
@@ -32,7 +33,7 @@ from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
 from repro.core.simulation import RunSpec, run_many, run_simulation_observed
 from repro.obs import NULL_SINK, MemorySink, observe
-from repro.runtime import ENGINE_KINDS, StrategySpec
+from repro.runtime import ENGINE_KINDS, RunTelemetry, StrategySpec
 from repro.errors import TraceFormatError
 from repro.traces.calibration import REGIONS, SIZES, on_demand_price
 from repro.traces.catalog import MarketKey, TraceCatalog
@@ -232,16 +233,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             # scheduler, which itself degrades to per-event under --trace
             # or for non-vectorizable policies (results are identical).
             one_engine = "vector" if args.engine == "auto" else "event"
+            start = time.perf_counter()
             observed = run_simulation_observed(
                 spec, sink=sink, engine=one_engine, catalog=catalog
             )
             results = [observed.result]
             scope.add_run(
-                observed.result.label,
-                spec.seed,
-                events=tuple(e.to_dict() for e in sink.events) if want_trace else None,
-                metrics=observed.metrics.to_dict(),
-                engine=observed.engine_kind,
+                RunTelemetry(
+                    label=observed.result.label,
+                    seed=spec.seed,
+                    wall_s=time.perf_counter() - start,
+                    events_processed=observed.fired_events,
+                    metrics=observed.metrics.to_dict(),
+                    trace_events=(
+                        tuple(e.to_dict() for e in sink.events) if want_trace else None
+                    ),
+                    engine_kind=observed.engine_kind,
+                    vector_checks=observed.vector_checks,
+                )
             )
         else:
             results = run_many(

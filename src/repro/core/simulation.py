@@ -74,10 +74,6 @@ class RunSpec:
     #: :func:`build_stack`: spikes overlay the catalog before the provider
     #: sees it, so billing and bids both face the faulted prices.
     faults: Optional[Any] = None
-    #: Capture :mod:`repro.obs` trace events in ``run_batch`` and return
-    #: them on the run's telemetry (set automatically inside an
-    #: ``observe(trace=True)`` scope). Does not affect results.
-    capture_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon_s <= SECONDS_PER_HOUR:

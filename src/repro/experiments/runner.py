@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.experiments.common import DEFAULT_SEEDS, ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.obs import observe
-from repro.runtime import ENGINE_KINDS, collect_telemetry
+from repro.runtime import ENGINE_KINDS, batches_summary
 from repro.units import days
 
 __all__ = ["main", "build_parser"]
@@ -115,18 +115,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for eid in ids:
             start = time.perf_counter()
-            with collect_telemetry() as tel, observe(
-                trace=trace_fp is not None, metrics=args.metrics
-            ) as scope:
+            with observe(trace=trace_fp is not None, metrics=args.metrics) as scope:
                 report = run_experiment(eid, cfg)
             elapsed = time.perf_counter() - start
-            if tel.batches:
-                report.runtime_telemetry = tel.summary()
             # Telemetry, traces and metrics stay out of the rendered report
             # so report artifacts are byte-identical at any --jobs and with
             # or without --trace/--metrics; the footer carries them instead.
             print(report.render())
-            print(f"[{eid} completed in {elapsed:.1f}s | {tel.summary()}]")
+            print(f"[{eid} completed in {elapsed:.1f}s | {batches_summary(scope.batches)}]")
             if trace_fp is not None:
                 n = scope.write_jsonl(trace_fp, extra_tags={"experiment": eid})
                 print(f"[{eid} trace: {n} event(s) -> {args.trace}]")

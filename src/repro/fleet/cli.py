@@ -26,7 +26,8 @@ from typing import List, Optional
 from repro.analysis.tables import Table
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import synthesize_fleet
-from repro.runtime import ENGINE_KINDS, collect_telemetry
+from repro.obs import observe
+from repro.runtime import ENGINE_KINDS, batches_summary
 from repro.traces.calibration import ALL_REGIONS, SIZES
 from repro.units import days
 
@@ -109,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_spare_quota=args.spare_quota,
         handover_window_s=args.handover_s,
     )
-    with collect_telemetry() as tel:
+    with observe() as scope:
         report = run_fleet(
             spec,
             jobs=args.jobs,
@@ -121,8 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(report.summary())
     # Execution telemetry is a footer, not part of the report: the report
     # itself stays byte-identical across engines and worker counts.
-    if tel.batches:
-        print(f"[runtime: {tel.summary()}]")
+    if scope.batches:
+        print(f"[runtime: {batches_summary(scope.batches)}]")
     if args.top > 0:
         worst = sorted(
             report.services, key=lambda s: (-s.downtime_s, s.name)

@@ -14,9 +14,10 @@ the results they produce:
   runs are byte-identical to an uninstrumented build;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms aggregated per
   run and merged per batch through the runtime telemetry plumbing;
-* :mod:`repro.obs.capture` — :func:`observe` scopes that collect events
-  and metrics across ``run_batch`` calls (including from pool workers) in
-  deterministic submission order;
+* :mod:`repro.obs.capture` — :func:`observe` scopes, the one way a batch
+  is watched: they collect events, metrics and run/batch telemetry across
+  ``run_batch`` calls (including from pool workers) in deterministic
+  submission order;
 * :mod:`repro.obs.cli` — the ``repro-trace`` command
   (``repro-trace summarize trace.jsonl``).
 
@@ -28,9 +29,8 @@ See ``docs/TRACING.md`` for the full event reference.
 
 from repro.obs.capture import (
     ObservationScope,
-    RunObservation,
     active_scopes,
-    notify_run,
+    notify_batch,
     observe,
     trace_capture_active,
 )
@@ -98,9 +98,8 @@ __all__ = [
     "MetricsRegistry",
     # capture
     "ObservationScope",
-    "RunObservation",
     "observe",
     "active_scopes",
     "trace_capture_active",
-    "notify_run",
+    "notify_batch",
 ]

@@ -1,17 +1,18 @@
-"""Observation scopes: collect traces and metrics across batch boundaries.
+"""Observation scopes: collect traces, metrics and telemetry across batches.
 
 The experiment drivers never see sinks — they submit
 :class:`~repro.core.simulation.RunSpec` batches. An :func:`observe` scope
-bridges the gap the same way :func:`repro.runtime.collect_telemetry` does:
-while a scope with ``trace=True`` is active, :func:`repro.runtime.run_batch`
-switches every spec to capture mode (workers record into a
-:class:`~repro.obs.sinks.MemorySink` and ship the events back inside their
-run telemetry), and reports each finished batch here **in submission
-order** — which is what makes the JSONL stream byte-identical at any
-``--jobs`` value.
+bridges the gap: while a scope with ``trace=True`` is active,
+:func:`repro.runtime.run_batch` runs every pending run in capture mode
+(workers record into a :class:`~repro.obs.sinks.MemorySink` and ship the
+events back inside their run telemetry), and reports each finished batch
+here **in submission order** — which is what makes the JSONL stream
+byte-identical at any ``--jobs`` value.
 
-A scope accumulates, per run: the label, the seed, the captured event
-dicts, and the run's metrics snapshot; plus one merged
+A scope accumulates each run's
+:class:`~repro.runtime.telemetry.RunTelemetry` (label, seed, captured
+event dicts, metrics snapshot, engine, clone provenance), each batch's
+:class:`~repro.runtime.telemetry.BatchTelemetry`, and one merged
 :class:`~repro.obs.metrics.MetricsRegistry` across all runs.
 """
 
@@ -19,70 +20,46 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import JSONL_ENCODER
 
+if TYPE_CHECKING:
+    from repro.runtime.telemetry import BatchTelemetry, RunTelemetry
+
 __all__ = [
-    "RunObservation",
     "ObservationScope",
     "observe",
     "active_scopes",
     "trace_capture_active",
-    "notify_run",
+    "notify_batch",
 ]
 
 
-@dataclass(frozen=True)
-class RunObservation:
-    """What one executed run reported back."""
-
-    label: str
-    seed: int
-    events: Tuple[Dict[str, Any], ...] = ()
-    metrics: Optional[Dict[str, Any]] = None
-    #: Which engine executed the run (``RunTelemetry.engine_kind``).
-    engine: str = "event"
-    #: The run was cloned from a dynamics-identical sibling
-    #: (``RunTelemetry.deduped``).
-    deduped: bool = False
-
-
 class ObservationScope:
-    """Accumulates run observations while active (see :func:`observe`)."""
+    """Accumulates run and batch telemetry while active (see :func:`observe`)."""
 
     def __init__(self, trace: bool = False, metrics: bool = False) -> None:
         self.trace = trace
         self.metrics_enabled = metrics
-        self.runs: List[RunObservation] = []
+        self.runs: List[RunTelemetry] = []
+        self.batches: List[BatchTelemetry] = []
         self.metrics = MetricsRegistry()
 
     # -------------------------------------------------------------- ingestion
-    def add_run(
-        self,
-        label: str,
-        seed: int,
-        events: Optional[Tuple[Dict[str, Any], ...]] = None,
-        metrics: Optional[Dict[str, Any]] = None,
-        engine: str = "event",
-        deduped: bool = False,
-    ) -> None:
+    def add_run(self, run: RunTelemetry) -> None:
         """Record one finished run (called in submission order)."""
-        self.runs.append(
-            RunObservation(
-                label=label, seed=seed, events=tuple(events or ()),
-                metrics=metrics, engine=engine, deduped=deduped,
-            )
-        )
-        if metrics:
-            self.metrics.merge(MetricsRegistry.from_dict(metrics))
+        self.runs.append(run)
+        if run.metrics:
+            self.metrics.merge(MetricsRegistry.from_dict(run.metrics))
 
     # --------------------------------------------------------------- queries
     @property
     def event_count(self) -> int:
-        return sum(len(r.events) for r in self.runs)
+        return sum(len(r.trace_events or ()) for r in self.runs)
 
     # ----------------------------------------------------------------- output
     def write_jsonl(
@@ -108,13 +85,13 @@ class ObservationScope:
             tags: Dict[str, Any] = dict(extra_tags or {})
             tags["run"] = run.label
             tags["seed"] = run.seed
-            tags["engine"] = run.engine
+            tags["engine"] = run.engine_kind
             # Presence-based tag: omitted when False so ordinary
             # trace lines don't grow for the common case.
             if run.deduped:
                 tags["deduped"] = True
             lines = []
-            for event in run.events:
+            for event in run.trace_events or ():
                 record = dict(tags)
                 record.update(event)
                 lines.append(encode(record) + "\n")
@@ -136,7 +113,8 @@ def observe(trace: bool = False, metrics: bool = False) -> Iterator[ObservationS
     """Activate an :class:`ObservationScope` for the duration of the block.
 
     Every :func:`repro.runtime.run_batch` executed inside reports its runs
-    here; ``trace=True`` additionally switches those runs to event capture.
+    and its batch telemetry here; ``trace=True`` additionally runs them
+    in event-capture mode.
     """
     scope = ObservationScope(trace=trace, metrics=metrics)
     token = _ACTIVE.set(_ACTIVE.get() + (scope,))
@@ -156,17 +134,10 @@ def trace_capture_active() -> bool:
     return any(scope.trace for scope in _ACTIVE.get())
 
 
-def notify_run(
-    label: str,
-    seed: int,
-    events: Optional[Tuple[Dict[str, Any], ...]],
-    metrics: Optional[Dict[str, Any]],
-    engine: str = "event",
-    deduped: bool = False,
-) -> None:
-    """Report one finished run to every active scope (executor hook)."""
+def notify_batch(run_telemetry: Sequence[RunTelemetry], batch: BatchTelemetry) -> None:
+    """Report one finished batch — its runs in submission order, then its
+    batch telemetry — to every active scope (executor hook)."""
     for scope in _ACTIVE.get():
-        scope.add_run(
-            label, seed, events=events, metrics=metrics, engine=engine,
-            deduped=deduped,
-        )
+        for run in run_telemetry:
+            scope.add_run(run)
+        scope.batches.append(batch)

@@ -43,8 +43,7 @@ from repro.runtime.spec import (
 from repro.runtime.telemetry import (
     BatchTelemetry,
     RunTelemetry,
-    TelemetryCollector,
-    collect_telemetry,
+    batches_summary,
 )
 
 __all__ = [
@@ -60,10 +59,9 @@ __all__ = [
     "RunSpec",
     "RunTelemetry",
     "StrategySpec",
-    "TelemetryCollector",
     "TraceCatalogCache",
     "batch_fingerprint",
-    "collect_telemetry",
+    "batches_summary",
     "register_strategy_kind",
     "resolve_ledger_path",
     "run_batch",

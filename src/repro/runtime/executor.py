@@ -59,7 +59,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from repro.core.results import SimulationResult
 from repro.core.simulation import RunSpec
 from repro.errors import ConfigurationError, LedgerError, WorkerCrashError
-from repro.obs.capture import notify_run, trace_capture_active
+from repro.obs.capture import notify_batch, trace_capture_active
 from repro.obs.sinks import NULL_SINK, MemorySink, TraceSink
 from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
@@ -70,7 +70,7 @@ from repro.runtime.spec import (
     spec_fingerprints,
     specs_portable,
 )
-from repro.runtime.telemetry import BatchTelemetry, RunTelemetry, notify_batch
+from repro.runtime.telemetry import BatchTelemetry, RunTelemetry
 from repro.runtime.vector import ENGINE_KINDS, policies_vectorizable
 
 __all__ = ["BatchResult", "run_batch"]
@@ -103,10 +103,12 @@ def _attempt_one(
     attempt: int,
     engine: str = "event",
     notes: Optional[dict] = None,
+    capture: bool = False,
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """One execution attempt of one spec (no retry handling).
 
-    The catalog is resolved through ``cache``. ``notes``, when given,
+    The catalog is resolved through ``cache``; ``capture`` records the
+    run's trace events onto its telemetry. ``notes``, when given,
     receives execution by-products that don't belong in the result pair —
     currently ``"reverse_band"``, the scheduler's observed
     reverse-threshold envelope the band clone tier matches later specs
@@ -129,16 +131,16 @@ def _attempt_one(
     if key is not None:
         catalog, cache_hit, catalog_wall = cache.get_or_build(key)
         source = "cache" if cache_hit else "build"
-    sink: TraceSink = MemorySink() if spec.capture_trace else NULL_SINK
+    sink: TraceSink = MemorySink() if capture else NULL_SINK
     observed = run_simulation_observed(spec, sink=sink, engine=engine, catalog=catalog)
     result = observed.result
     if notes is not None:
         notes["reverse_band"] = observed.reverse_band
     wall = time.perf_counter() - start
-    trace_events = None
-    if spec.capture_trace:
-        # Ship events as plain dicts so they pickle across the pool boundary.
-        trace_events = tuple(e.to_dict() for e in sink.events)  # type: ignore[union-attr]
+    # Ship events as plain dicts so they pickle across the pool boundary.
+    trace_events = (
+        tuple(e.to_dict() for e in sink.events) if capture else None  # type: ignore[union-attr]
+    )
     telemetry = RunTelemetry(
         label=result.label,
         seed=spec.seed,
@@ -164,6 +166,7 @@ def _execute_one(
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     engine: str = "event",
     notes: Optional[dict] = None,
+    capture: bool = False,
 ) -> Tuple[SimulationResult, RunTelemetry]:
     """Run one spec with retry/backoff, resolving its catalog via ``cache``.
 
@@ -176,7 +179,7 @@ def _execute_one(
     """
     for attempt in range(retries + 1):
         try:
-            return _attempt_one(spec, cache, attempt, engine=engine, notes=notes)
+            return _attempt_one(spec, cache, attempt, engine, notes, capture)
         except RETRYABLE:
             if attempt >= retries:
                 raise
@@ -185,21 +188,24 @@ def _execute_one(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _resolve_engines(specs: Sequence[RunSpec], engine: str) -> Tuple[str, ...]:
+def _resolve_engines(specs: Sequence[RunSpec], engine: str, capture: bool) -> Tuple[str, ...]:
     """Which engine each spec runs on, given the batch's ``engine`` selector.
 
-    Under ``"auto"``, faulted and trace-capturing runs stay on the event
-    engine — fault overlays and narration want the per-boundary walk —
-    and everything else goes to the vector engine when its strategy and
-    bidding policy are both vectorizable. Reading the strategy's flag
-    means building it: safe, because factories build a fresh instance per
-    call, and done once per distinct factory object of the batch (keyed
-    by identity, with a reference kept so no id is reused).
+    Under ``"auto"``, a trace-capturing batch (``capture``) and faulted
+    runs stay on the event engine — narration and fault overlays want
+    the per-boundary walk — and everything else goes to the vector
+    engine when its strategy and bidding policy are both vectorizable.
+    Reading the strategy's flag means building it: safe, because
+    factories build a fresh instance per call, and done once per distinct
+    factory object of the batch (keyed by identity, with a reference kept
+    so no id is reused).
     """
+    if engine == "event" or capture:
+        return ("event",) * len(specs)
     built: Dict[int, tuple] = {}
 
     def resolve(spec: RunSpec) -> str:
-        if engine == "event" or spec.faults is not None or spec.capture_trace:
+        if spec.faults is not None:
             return "event"
         hit = built.get(id(spec.strategy))
         if hit is None:
@@ -222,7 +228,7 @@ def _partition(
 
     A unit is either every pending vector-routed run sharing one catalog
     key, or a single run (event-routed or without a catalog key; faulted
-    and trace-capturing runs are always event-routed). Rank and band
+    runs and trace-capturing batches are always event-routed). Rank and band
     clones never span two catalog keys, so deduplicating each unit on its
     own finds every clone a whole-batch pass would.
     """
@@ -297,6 +303,7 @@ def _run_unit(
     engines: Sequence[str],
     retries: int,
     retry_backoff_s: float,
+    capture: bool,
     cache: Optional[TraceCatalogCache] = None,
 ) -> Iterator[List[Slot]]:
     """Execute one unit; yield its slots in *groups*.
@@ -309,9 +316,10 @@ def _run_unit(
     a finished run's records while another run executes — the ledger's
     group-commit unit (:mod:`repro.runtime.ledger`).
 
-    ``cache`` defaults to this process's shared catalog cache — which is
-    how pool workers resolve catalogs: nothing is shipped, and a worker's
-    cache stays warm across batches because pools are reused.
+    ``capture`` records each executed run's trace events. ``cache``
+    defaults to this process's shared catalog cache — which is how pool
+    workers resolve catalogs: nothing is shipped, and a worker's cache
+    stays warm across batches because pools are reused.
 
     Two clone tiers apply once the unit's catalog is cached (the first
     run of a cold catalog executes and builds it). Bidding thresholds
@@ -368,7 +376,7 @@ def _run_unit(
             group = []
         notes: dict = {}
         done[i] = _execute_one(
-            spec, cache, retries, retry_backoff_s, engines[i], notes=notes
+            spec, cache, retries, retry_backoff_s, engines[i], notes, capture
         )
         if catalog is None and catalog_key is not None:
             # This run built the unit's catalog: project its key now so
@@ -559,13 +567,10 @@ def run_batch(
         )
     if cache is None:
         cache = shared_catalog_cache()
-    if trace_capture_active():
-        # An observe(trace=True) scope is watching: flip every run to event
-        # capture. Capture never changes results, only telemetry payloads.
-        # (Fingerprints exclude capture_trace, so ledgers are unaffected.)
-        specs = tuple(
-            s if s.capture_trace else s.with_(capture_trace=True) for s in specs
-        )
+    # An observe(trace=True) scope is watching: every run executes on the
+    # event engine and records its trace events. Capture never changes
+    # results, only telemetry payloads.
+    capture = trace_capture_active()
 
     journal: Optional[RunLedger] = None
     fingerprints: Tuple[str, ...] = ()
@@ -578,7 +583,10 @@ def run_batch(
             ledger, resume, specs, fingerprints, batch_fingerprint(fingerprints)
         )
         for i, pair in replayed.items():
-            slots[i] = pair
+            # A run journaled without its trace events cannot feed a
+            # capturing scope: it re-executes (and is journaled again).
+            if not capture or pair[1].trace_events is not None:
+                slots[i] = pair
 
     def _complete(unit: List[int], group: List[Slot]) -> None:
         """One group of a unit's slots filled (an executed run and its
@@ -599,7 +607,7 @@ def run_batch(
                 progress(telemetry)
 
     pending = [i for i in range(len(specs)) if slots[i] is None]
-    engines = _resolve_engines(specs, engine)
+    engines = _resolve_engines(specs, engine, capture)
     units = _partition(specs, pending, engines)
     parallel_runs = 0
     # A lone pending run gains nothing from a worker; it runs in-process.
@@ -611,6 +619,7 @@ def run_batch(
             tuple(engines[i] for i in unit),
             retries,
             retry_backoff_s,
+            capture,
         )
 
     # Portable units go to the pool; the rest run in-process first, while
@@ -644,13 +653,6 @@ def run_batch(
     results = tuple(pair[0] for pair in slots)  # type: ignore[union-attr]
     run_telemetry = tuple(pair[1] for pair in slots)  # type: ignore[union-attr]
     fresh = {i: run_telemetry[i] for i in pending}  # executed or cloned here
-    # Report to observation scopes in submission order — this, not worker
-    # completion order, is what keeps trace files identical at any --jobs.
-    for t in run_telemetry:
-        notify_run(
-            t.label, t.seed, t.trace_events, t.metrics,
-            engine=t.engine_kind, deduped=t.deduped,
-        )
     telemetry = BatchTelemetry(
         runs=len(specs),
         wall_s=time.perf_counter() - batch_start,
@@ -666,5 +668,7 @@ def run_batch(
         vector_checks=sum(t.vector_checks for t in run_telemetry),
         deduped_runs=sum(1 for t in fresh.values() if t.deduped),
     )
-    notify_batch(telemetry)
+    # Report to observation scopes in submission order — this, not worker
+    # completion order, is what keeps trace files identical at any --jobs.
+    notify_batch(run_telemetry, telemetry)
     return BatchResult(results=results, run_telemetry=run_telemetry, telemetry=telemetry)

@@ -99,7 +99,7 @@ def dynamics_key(
     (see :func:`band_matches`).
 
     ``None`` — no dedupe for this spec — for anything the components
-    cannot vouch for: faults, capture, calibration overrides (they could
+    cannot vouch for: faults, calibration overrides (they could
     move on-demand prices), legacy strategy callables, a policy without
     numeric ``*_thresholds`` components, or no ``catalog_key``.
     ``ladders`` is the caller's memo of sorted unique prices, keyed
@@ -110,7 +110,6 @@ def dynamics_key(
     if (
         catalog_key is None
         or not callable(comp_fn)
-        or spec.capture_trace
         or spec.faults is not None
         or spec.calibrations is not None
     ):

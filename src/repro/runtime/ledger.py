@@ -50,6 +50,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.results import SimulationResult
 from repro.errors import LedgerError
+from repro.obs.events import event_from_dict
 from repro.runtime.telemetry import RunTelemetry
 
 __all__ = ["LEDGER_VERSION", "LedgerRecord", "LedgerState", "RunLedger", "resolve_ledger_path"]
@@ -158,7 +159,12 @@ def _result_from_dict(data: Dict[str, Any]) -> SimulationResult:
 
 def _telemetry_from_dict(data: Dict[str, Any]) -> RunTelemetry:
     if data.get("trace_events") is not None:
-        data["trace_events"] = tuple(data["trace_events"])
+        # Records are written with sorted keys; rebuilding each event
+        # restores its field order, so a replayed trace writes the bytes
+        # the original execution did.
+        data["trace_events"] = tuple(
+            event_from_dict(e).to_dict() for e in data["trace_events"]
+        )
     # Replayed telemetry reports the *original* execution's facts
     # (wall clock, worker pid, attempts) plus the replay marker.
     data["replayed"] = True

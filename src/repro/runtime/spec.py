@@ -87,14 +87,10 @@ def _canonical(obj: Any) -> Any:
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: The fields :func:`spec_fingerprint` hashes, in key order, each with its
-#: encoded ``"name":`` prefix: every field that determines the simulation
-#: *result*. ``capture_trace`` changes telemetry payloads, never results,
-#: so a batch resumed inside an ``observe(trace=True)`` scope still
-#: matches its ledger.
+#: encoded ``"name":`` prefix: every field of the spec.
 _FINGERPRINT_FIELDS = tuple(
     (name, _ENCODE(name) + ":")
     for name in sorted(f.name for f in dataclasses.fields(RunSpec))
-    if name != "capture_trace"
 )
 
 

@@ -2,23 +2,17 @@
 
 Every executed run yields a :class:`RunTelemetry`; every batch a
 :class:`BatchTelemetry`. Callers who want cross-batch totals (the
-experiment runner's footer line) open a :func:`collect_telemetry` scope —
-each ``run_batch`` reports into every active collector.
+experiment runner's and the fleet CLI's footer lines) open a
+:func:`repro.obs.observe` scope, which collects each batch, and render
+its batches with :func:`batches_summary`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-__all__ = [
-    "RunTelemetry",
-    "BatchTelemetry",
-    "TelemetryCollector",
-    "collect_telemetry",
-]
+__all__ = ["RunTelemetry", "BatchTelemetry", "batches_summary"]
 
 
 @dataclass(frozen=True)
@@ -41,9 +35,9 @@ class RunTelemetry:
     attempts: int = 1
     #: The run's metric-registry snapshot (:meth:`MetricsRegistry.to_dict`).
     metrics: Optional[Dict[str, Any]] = None
-    #: Captured trace events as dicts, present only when the run's spec set
-    #: ``capture_trace`` — dicts (not event objects) so they cross the
-    #: process-pool boundary as plain picklable data.
+    #: Captured trace events as dicts, present only when the run executed
+    #: inside an ``observe(trace=True)`` scope — dicts (not event objects)
+    #: so they cross the process-pool boundary as plain picklable data.
     trace_events: Optional[Tuple[Dict[str, Any], ...]] = None
     #: True when this run was replayed from a :mod:`repro.runtime.ledger`
     #: journal instead of executed; every other field then reports the
@@ -87,97 +81,26 @@ class BatchTelemetry:
     deduped_runs: int = 0  #: runs cloned from dynamics-identical siblings
 
     def summary(self) -> str:
-        """One-line human summary (the runner's footer ingredient)."""
-        base = (
-            f"{self.runs} runs, {self.catalog_builds} catalog builds, "
-            f"{self.catalog_cache_hits} cache hits, jobs={self.jobs}"
-        )
-        if self.replayed_runs:
-            base += f", {self.replayed_runs} replayed"
-        if self.vector_runs:
-            base += f", {self.vector_runs} vector ({self.vector_checks} checks)"
-        if self.deduped_runs:
-            base += f", {self.deduped_runs} deduped"
-        return base
+        """One-line human summary: :func:`batches_summary` of this batch."""
+        return batches_summary((self,))
 
 
-class TelemetryCollector:
-    """Accumulates batch telemetry across several ``run_batch`` calls."""
-
-    def __init__(self) -> None:
-        self.batches: List[BatchTelemetry] = []
-
-    def add(self, batch: BatchTelemetry) -> None:
-        self.batches.append(batch)
-
-    # ------------------------------------------------------------ aggregates
-    @property
-    def runs(self) -> int:
-        return sum(b.runs for b in self.batches)
-
-    @property
-    def catalog_builds(self) -> int:
-        return sum(b.catalog_builds for b in self.batches)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(b.catalog_cache_hits for b in self.batches)
-
-    @property
-    def events_processed(self) -> int:
-        return sum(b.events_processed for b in self.batches)
-
-    @property
-    def jobs(self) -> int:
-        return max((b.jobs for b in self.batches), default=1)
-
-    @property
-    def replayed_runs(self) -> int:
-        return sum(b.replayed_runs for b in self.batches)
-
-    @property
-    def vector_runs(self) -> int:
-        return sum(b.vector_runs for b in self.batches)
-
-    @property
-    def deduped_runs(self) -> int:
-        return sum(b.deduped_runs for b in self.batches)
-
-    @property
-    def wall_s(self) -> float:
-        return sum(b.wall_s for b in self.batches)
-
-    def summary(self) -> str:
-        base = (
-            f"{self.runs} runs, {self.catalog_builds} catalog builds, "
-            f"{self.cache_hits} cache hits, jobs={self.jobs}"
-        )
-        if self.replayed_runs:
-            base += f", {self.replayed_runs} replayed"
-        if self.vector_runs:
-            base += f", {self.vector_runs} vector"
-        if self.deduped_runs:
-            base += f", {self.deduped_runs} deduped"
-        return base
-
-
-_ACTIVE: contextvars.ContextVar[Tuple[TelemetryCollector, ...]] = contextvars.ContextVar(
-    "repro_runtime_telemetry_collectors", default=()
-)
-
-
-@contextlib.contextmanager
-def collect_telemetry() -> Iterator[TelemetryCollector]:
-    """Collect telemetry from every batch executed inside the scope."""
-    collector = TelemetryCollector()
-    token = _ACTIVE.set(_ACTIVE.get() + (collector,))
-    try:
-        yield collector
-    finally:
-        _ACTIVE.reset(token)
-
-
-def notify_batch(batch: BatchTelemetry) -> None:
-    """Report one finished batch to every active collector (executor hook)."""
-    for collector in _ACTIVE.get():
-        collector.add(batch)
+def batches_summary(batches: Sequence[BatchTelemetry]) -> str:
+    """One-line summary of several batches' totals: the footer line of
+    ``repro-experiments`` and ``repro-fleet``."""
+    runs = sum(b.runs for b in batches)
+    builds = sum(b.catalog_builds for b in batches)
+    hits = sum(b.catalog_cache_hits for b in batches)
+    jobs = max((b.jobs for b in batches), default=1)
+    base = f"{runs} runs, {builds} catalog builds, {hits} cache hits, jobs={jobs}"
+    replayed = sum(b.replayed_runs for b in batches)
+    if replayed:
+        base += f", {replayed} replayed"
+    vector = sum(b.vector_runs for b in batches)
+    if vector:
+        checks = sum(b.vector_checks for b in batches)
+        base += f", {vector} vector ({checks} checks)"
+    deduped = sum(b.deduped_runs for b in batches)
+    if deduped:
+        base += f", {deduped} deduped"
+    return base

@@ -392,7 +392,6 @@ def _twin_key(spec) -> Optional[tuple]:
     if (
         catalog_key is None
         or not callable(comp_fn)
-        or spec.capture_trace
         or spec.faults is not None
         or spec.calibrations is not None
         or not isinstance(spec.strategy, StrategySpec)

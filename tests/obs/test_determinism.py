@@ -46,7 +46,7 @@ class TestAcrossJobs:
             (r.label, r.seed) for r in scope4.runs
         ]
         for serial, parallel in zip(scope1.runs, scope4.runs):
-            assert serial.events == parallel.events
+            assert serial.trace_events == parallel.trace_events
             assert serial.metrics == parallel.metrics
         assert batch1.results == batch4.results
 
@@ -77,5 +77,5 @@ class TestObservationIsPassive:
     def test_every_run_reports_events_and_metrics_under_a_scope(self):
         _, scope = captured_stream(jobs=1)
         assert len(scope.runs) == 4
-        assert all(r.events for r in scope.runs)
+        assert all(r.trace_events for r in scope.runs)
         assert scope.metrics.counters  # merged across runs

@@ -15,6 +15,7 @@ def test_tracing_docs_checker_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "TRACING.md OK" in proc.stdout
+    assert "API.md OK" in proc.stdout
 
 
 def test_every_event_class_named_in_tracing_md():

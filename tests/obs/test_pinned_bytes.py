@@ -1,8 +1,8 @@
 """Pinned output bytes of the per-event boundary path.
 
 The scalar scheduler path is tuned for speed (per-tenure constants,
-list-bisect crossing lookups, a lean timer dispatch, spliced JSONL
-encoding), and none of that may change a byte it emits. These digests
+list-bisect crossing lookups, a lean timer dispatch), and none of that
+may change a byte it emits. These digests
 were taken from the unoptimised path:
 
 * the JSONL that ``repro-experiments --fast --trace`` writes for

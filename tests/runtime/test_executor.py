@@ -8,12 +8,13 @@ from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.simulation import run_many, run_simulation
 from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
+from repro.obs import observe
 from repro.runtime import (
     BatchSpec,
     RunSpec,
     StrategySpec,
     TraceCatalogCache,
-    collect_telemetry,
+    batches_summary,
     run_batch,
 )
 from repro.traces.calibration import SIZES
@@ -133,14 +134,40 @@ class TestTelemetry:
         assert t.events_processed == sum(r.events_processed for r in batch.run_telemetry)
         assert "4 runs" in t.summary()
 
-    def test_collect_telemetry_scope(self):
+    def test_nested_observe_scopes_collect_telemetry(self):
         runs = fig6_style_runs(seeds=(1,), sizes=("small",))
-        with collect_telemetry() as outer:
+        with observe() as outer:
             run_batch(runs, cache=TraceCatalogCache())
-            with collect_telemetry() as inner:
+            with observe() as inner:
                 run_batch(runs, cache=TraceCatalogCache())
-        assert outer.runs == 4 and inner.runs == 2
+        assert len(outer.runs) == 4 and len(inner.runs) == 2
         assert len(outer.batches) == 2 and len(inner.batches) == 1
         # Outside the scope nothing is collected.
         run_batch(runs, cache=TraceCatalogCache())
-        assert outer.runs == 4
+        assert len(outer.runs) == 4
+
+    def test_cli_footers_render_through_batches_summary(self, monkeypatch, capsys):
+        """The runner footer and the fleet ``[runtime: …]`` line are one
+        renderer over the scope's batches."""
+        import contextlib
+
+        from repro.experiments import runner
+        from repro.fleet import cli as fleet_cli
+
+        scopes = []
+
+        @contextlib.contextmanager
+        def spy(**kw):
+            with observe(**kw) as scope:
+                scopes.append(scope)
+                yield scope
+
+        monkeypatch.setattr(runner, "observe", spy)
+        monkeypatch.setattr(fleet_cli, "observe", spy)
+        runner.main(["--fast", "fig6"])
+        fleet_cli.main(["--fast", "--services", "4", "--top", "0"])
+        out = capsys.readouterr().out
+        experiment, fleet = scopes
+        assert experiment.batches and fleet.batches
+        assert f"s | {batches_summary(experiment.batches)}]\n" in out
+        assert f"[runtime: {batches_summary(fleet.batches)}]\n" in out

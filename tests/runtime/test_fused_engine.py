@@ -18,7 +18,7 @@ from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.simulation import run_simulation_observed
 from repro.runtime import RunSpec, StrategySpec, run_batch
 from repro.runtime.cache import TraceCatalogCache
-from repro.runtime.telemetry import collect_telemetry
+from repro.obs import observe
 from repro.testkit.golden import FLEET_SCENARIOS, SCENARIOS
 from repro.testkit.oracles import unfused_vector_results
 from repro.traces.catalog import MarketKey
@@ -185,9 +185,11 @@ def test_reverse_band_tier_clones_undiscriminated_fracs():
         )
         for f in fracs
     ]
-    with collect_telemetry() as tel:
+    with observe() as scope:
         auto = _results(specs, "auto")
-    assert tel.deduped_runs > 0, "band tier found no undiscriminated fracs"
+    assert sum(b.deduped_runs for b in scope.batches) > 0, (
+        "band tier found no undiscriminated fracs"
+    )
     event = _results(specs, "event")
     assert auto == event
 
@@ -196,9 +198,9 @@ def test_frontier_matches_unfused_oracle():
     """The rank and band tiers clone 14 of the 18 runs, and every clone
     still equals the unfused per-run reference."""
     specs = _frontier() + _frontier(seed=4)
-    with collect_telemetry() as tel:
+    with observe() as scope:
         auto = _results(specs, "auto")
-    (batch,) = tel.batches
+    (batch,) = scope.batches
     assert batch.deduped_runs == 14
     assert batch.vector_runs == len(specs)
     assert list(auto) == unfused_vector_results(specs, _CACHE)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.errors import ConfigurationError, LedgerError
+from repro.obs import observe
 from repro.runtime import (
     LEDGER_VERSION,
     RunLedger,
@@ -65,13 +66,6 @@ class TestFingerprints:
         assert spec_fingerprint(_spec(seed=2)) != base
         assert spec_fingerprint(_spec().with_(horizon_s=days(3))) != base
         assert spec_fingerprint(_spec().with_(label="x")) != base
-
-    def test_capture_trace_excluded(self):
-        # Trace capture changes telemetry payloads, never results, so a
-        # batch resumed inside an observe(trace=True) scope still matches.
-        assert spec_fingerprint(_spec()) == spec_fingerprint(
-            _spec().with_(capture_trace=True)
-        )
 
     def test_batch_fingerprint_sees_order(self):
         assert batch_fingerprint(spec_fingerprints(_specs(1, 2))) != batch_fingerprint(
@@ -131,7 +125,6 @@ class TestFingerprints:
             fields = {
                 f.name: _canonical(getattr(spec, f.name))
                 for f in dataclasses.fields(spec)
-                if f.name != "capture_trace"
             }
             blob = json.dumps(["RunSpec", fields], sort_keys=True, separators=(",", ":"))
             assert spec_fingerprint(spec) == hashlib.sha256(blob.encode()).hexdigest()
@@ -480,6 +473,42 @@ def test_kill_orchestrator_then_resume_byte_identical(tmp_path, jobs):
     assert resumed.telemetry.resumed
     assert resumed.telemetry.replayed_runs == journaled
     assert sum(1 for t in resumed.run_telemetry if t.replayed) == journaled
+
+
+def traced_resume_specs():
+    """Four runs; journaled outside a trace scope, two are rank clones."""
+    return [
+        _spec(seed=s, bidding=ProactiveBidding(k=k), label=f"s{s}/k={k}")
+        for s in (1, 2)
+        for k in (5.0, 7.0)
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_traced_resume_reexecutes_runs_journaled_without_events(tmp_path, jobs):
+    """A batch journaled outside any scope resumes inside an
+    ``observe(trace=True)`` scope: each record without trace events runs
+    again in capture mode, so the trace and the results equal an
+    uninterrupted traced run's, byte for byte."""
+    led = tmp_path / "batch.jsonl"
+    run_batch(traced_resume_specs(), ledger=led)
+    with observe(trace=True) as plain:
+        baseline = run_batch(traced_resume_specs(), jobs=jobs)
+    with observe(trace=True) as watched:
+        resumed = run_batch(traced_resume_specs(), ledger=led, resume=True, jobs=jobs)
+    expected, got = tmp_path / "plain.jsonl", tmp_path / "resumed.jsonl"
+    assert plain.write_jsonl(str(expected)) > 0
+    watched.write_jsonl(str(got))
+    assert got.read_bytes() == expected.read_bytes()
+    assert _result_bytes(resumed.results) == _result_bytes(baseline.results)
+    assert resumed.telemetry.replayed_runs == 0
+    # The re-executed runs were journaled again with their events, so a
+    # second traced resume replays every run.
+    with observe(trace=True) as again:
+        replayed = run_batch(traced_resume_specs(), ledger=led, resume=True, jobs=jobs)
+    assert replayed.telemetry.replayed_runs == 4
+    again.write_jsonl(str(got))
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_kill_hook_validates_threshold():

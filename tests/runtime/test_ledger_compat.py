@@ -13,7 +13,10 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.core.bidding import ProactiveBidding
+from repro.obs import observe
 from repro.runtime import (
     LEDGER_VERSION,
     RunSpec,
@@ -31,9 +34,10 @@ FIXTURE = Path(__file__).parent / "data" / "ledger_v2_asdict.jsonl"
 
 
 def fixture_specs():
-    """The fixture's batch: a trace-capturing run, its untraced twin, a
-    rank clone of that twin, a pure-spot run and a labelled run — every
-    record shape, with non-empty ``forced_times`` and ``downtime_by_cause``."""
+    """The fixture's batch: a run and its twin (journaled with trace
+    events inside a tracing scope), a rank clone of the pair, a pure-spot
+    run and a labelled run — every record shape, with non-empty
+    ``forced_times`` and ``downtime_by_cause``."""
 
     def spec(seed, k, strategy=StrategySpec.single(KEY), **kw):
         return RunSpec(
@@ -47,7 +51,7 @@ def fixture_specs():
         )
 
     return [
-        spec(1, 1.5, capture_trace=True),
+        spec(1, 1.5),
         spec(1, 1.5),
         spec(1, 1.51),
         spec(2, 1.5, strategy=StrategySpec.pure_spot(KEY)),
@@ -75,13 +79,19 @@ def _result_bytes(results):
     return json.dumps([dataclasses.asdict(r) for r in results], sort_keys=True).encode()
 
 
-def test_run_records_match_the_asdict_encoder(tmp_path):
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_run_records_match_the_asdict_encoder(tmp_path, traced):
     specs = fixture_specs()
     led = tmp_path / "batch.jsonl"
-    batch = run_batch(specs, ledger=led)
+    with observe(trace=traced):
+        batch = run_batch(specs, ledger=led)
     telemetry = batch.run_telemetry
-    # Every record shape is present.
-    assert telemetry[0].trace_events and telemetry[2].deduped
+    # Every record shape is present: a traced batch carries events on
+    # every record, an untraced one clones.
+    if traced:
+        assert telemetry[0].trace_events
+    else:
+        assert telemetry[2].deduped
     assert batch.results[0].forced_times and batch.results[0].downtime_by_cause
 
     lines = led.read_text().splitlines()

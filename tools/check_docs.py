@@ -17,7 +17,9 @@ lacks, nothing in the code left undocumented:
   vectorizable flags, synthesis weights, and each family's spec
   arguments (name, kind, required, CLI flag, in schema order);
 * ``docs/DATA.md`` — the "repro-calibrate reference" and "Ingest CLI
-  reference" tables list exactly their parsers' flags.
+  reference" tables list exactly their parsers' flags;
+* ``docs/API.md`` — the ``- **`name`**`` bullets opening each
+  ``## `module` `` section name exactly that module's ``__all__``.
 
 A flag with a parser ``choices`` list must name every accepted choice
 (in backticks) in its documented meaning — adding an ``--engine``
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -69,6 +72,10 @@ ARG_ROW = re.compile(
     r"^\|\s*`(?P<name>\w+)`\s*\|\s*(?P<kind>\w+)\s*\|\s*(?P<required>yes|no)\s*\|"
     r"\s*[^|]+?\s*\|\s*(?P<cli>`--[\w-]+`|—)\s*\|"
 )
+#: ``## `module` — Title`` section titles (API.md).
+MODULE_TITLE = re.compile(r"^`(?P<module>[\w.]+)`")
+#: ``- **`name`** (kind) — ...`` bullets (API.md).
+NAME_BULLET = re.compile(r"^- \*\*`(?P<name>\w+)`\*\*")
 
 
 # ------------------------------------------------------------ doc parsing
@@ -325,12 +332,39 @@ def check_data(doc: Dict[Optional[str], List[str]]) -> Tuple[List[str], str]:
     )
 
 
+def check_api(doc: Dict[Optional[str], List[str]]) -> Tuple[List[str], str]:
+    problems: List[str] = []
+    n = 0
+    modules = {
+        m.group("module"): lines
+        for title, lines in doc.items()
+        if (m := MODULE_TITLE.match(title or ""))
+    }
+    for name, lines in modules.items():
+        module = importlib.import_module(name)
+        # The name list opens the section; bullets under its ``###``
+        # subsections (the ``--engine`` values) are prose.
+        end = next((i for i, line in enumerate(lines) if line.startswith("### ")), None)
+        documented = [b.group("name") for b in map(NAME_BULLET.match, lines[:end]) if b]
+        n += len(documented)
+        problems += [
+            f"{name}: documented name {d!r} does not exist"
+            for d in documented if not hasattr(module, d)
+        ]
+        problems += [
+            f"{name}: {a!r} (in __all__) missing from API.md"
+            for a in getattr(module, "__all__", ()) if a not in documented
+        ]
+    return problems, f"{n} names documented across {len(modules)} modules, all match __all__"
+
+
 #: Checked doc -> (what it must match, its check).
 DOCS: Dict[str, Tuple[str, Check]] = {
     "TRACING.md": ("repro.obs", check_tracing),
     "FLEET.md": ("repro.fleet", check_fleet),
     "STRATEGIES.md": ("the registry", check_strategies),
     "DATA.md": ("the ingest/refit CLIs", check_data),
+    "API.md": ("the package __all__ lists", check_api),
 }
 
 
