@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding
 from repro.core.simulation import RunSpec, run_simulation
-from repro.core.strategies import SingleMarketStrategy
+from repro.runtime import StrategySpec
 from repro.runtime.cache import shared_catalog_cache
 from repro.simulator.engine import Engine
 from repro.traces.calibration import calibration_for
@@ -82,7 +82,7 @@ def test_bench_perf_mva_sweep(benchmark):
 def test_bench_perf_single_simulation(benchmark):
     """One full 30-day proactive single-market scheduler run."""
     spec = RunSpec(
-        strategy=lambda: SingleMarketStrategy(KEY),
+        strategy=StrategySpec.single(KEY),
         bidding=ProactiveBidding(),
         seed=7,
         horizon_s=days(30),

@@ -22,12 +22,9 @@ import sys
 
 from repro import (
     MarketKey,
-    MultiMarketStrategy,
-    MultiRegionStrategy,
     ProactiveBidding,
     RunSpec,
-    SingleMarketStrategy,
-    StabilityAwareStrategy,
+    StrategySpec,
     aggregate,
     run_many,
 )
@@ -43,19 +40,19 @@ def main() -> None:
 
     scopes = {
         "single market (small)": (
-            lambda: SingleMarketStrategy(MarketKey("us-east-1b", "small")),
+            StrategySpec.single(MarketKey("us-east-1b", "small")),
             ("us-east-1b",),
         ),
         "multi-market (us-east-1b)": (
-            lambda: MultiMarketStrategy("us-east-1b", service_units=8),
+            StrategySpec.multi_market("us-east-1b", service_units=8),
             ("us-east-1b",),
         ),
         "multi-region (greedy)": (
-            lambda: MultiRegionStrategy(PAIR, service_units=8),
+            StrategySpec.multi_region(PAIR, service_units=8),
             PAIR,
         ),
         "multi-region (stability-aware)": (
-            lambda: StabilityAwareStrategy(PAIR, service_units=8, stability_weight=4.0),
+            StrategySpec.stability(PAIR, service_units=8, stability_weight=4.0),
             PAIR,
         ),
     }

@@ -16,10 +16,9 @@ import sys
 from repro import (
     MarketKey,
     Mechanism,
-    OnDemandOnlyStrategy,
     ProactiveBidding,
     RunSpec,
-    SingleMarketStrategy,
+    StrategySpec,
     run_simulation,
 )
 from repro.units import days, fmt_duration, fmt_usd
@@ -38,7 +37,7 @@ def main() -> None:
 
     ours = run_simulation(
         RunSpec(
-            strategy=lambda: SingleMarketStrategy(key),
+            strategy=StrategySpec.single(key),
             bidding=ProactiveBidding(k=4.0),
             mechanism=Mechanism.CKPT_LR_LIVE,
             label="spot-scheduler",
@@ -47,7 +46,7 @@ def main() -> None:
     )
     baseline = run_simulation(
         RunSpec(
-            strategy=lambda: OnDemandOnlyStrategy(key),
+            strategy=StrategySpec.on_demand(key),
             label="on-demand-only",
             **base,
         )

@@ -26,7 +26,7 @@ from repro import (
     ProactiveBidding,
     ReactiveBidding,
     RunSpec,
-    SingleMarketStrategy,
+    StrategySpec,
     TraceCatalog,
     calibration_for,
     generate_trace,
@@ -62,7 +62,7 @@ def main() -> None:
     for bidding in (ReactiveBidding(), ProactiveBidding()):
         r = run_simulation(
             RunSpec(
-                strategy=lambda: SingleMarketStrategy(key),
+                strategy=StrategySpec.single(key),
                 bidding=bidding,
                 horizon_s=trace.horizon,
                 label=bidding.name,

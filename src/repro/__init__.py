@@ -12,13 +12,13 @@ four-nines target.
 Quick start::
 
     from repro import (
-        RunSpec, run_simulation, SingleMarketStrategy,
+        RunSpec, run_simulation, StrategySpec,
         ProactiveBidding, MarketKey,
     )
 
     key = MarketKey("us-east-1a", "small")
     result = run_simulation(RunSpec(
-        strategy=lambda: SingleMarketStrategy(key),
+        strategy=StrategySpec.single(key),
         bidding=ProactiveBidding(),
         regions=("us-east-1a",), sizes=("small",),
         seed=42,

@@ -224,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{' (pessimistic)' if args.pessimistic else ''} over {args.days:g} days",
     )
     want_trace = args.trace is not None
-    with observe(trace=want_trace, metrics=args.metrics) as scope:
+    with observe(trace=want_trace) as scope:
         if catalog is not None:
             # The CSV replay is a single in-process run that bypasses
             # run_batch, so capture its observability directly.

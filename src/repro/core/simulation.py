@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import SimulationResult
@@ -34,6 +34,9 @@ from repro.vm.mechanisms import (
     TYPICAL_PARAMS,
 )
 
+if TYPE_CHECKING:
+    from repro.runtime.spec import StrategySpec
+
 __all__ = [
     "RunSpec",
     "SimStack",
@@ -46,18 +49,30 @@ __all__ = [
 ]
 
 
+#: :class:`~repro.runtime.spec.StrategySpec`, resolved by the first
+#: :class:`RunSpec` built (repro.runtime builds on this module).
+_STRATEGY_SPEC: Optional[type] = None
+
+
+def _strategy_spec_type() -> type:
+    global _STRATEGY_SPEC
+    from repro.runtime.spec import StrategySpec
+
+    _STRATEGY_SPEC = StrategySpec
+    return StrategySpec
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One scheduler run, declaratively: everything :func:`build_stack`
     needs apart from an optional prebuilt catalog.
 
-    ``strategy`` builds a fresh strategy per run. A
-    :class:`~repro.runtime.spec.StrategySpec` also pickles to worker
-    processes and fingerprints for run ledgers; a plain callable runs
-    in-process only.
+    ``strategy`` is a :class:`~repro.runtime.spec.StrategySpec`, which
+    builds a fresh strategy per run, pickles to worker processes and
+    fingerprints for run ledgers.
     """
 
-    strategy: Callable[[], HostingStrategy]
+    strategy: StrategySpec
     bidding: BiddingPolicy = field(default_factory=ProactiveBidding)
     mechanism: Mechanism = Mechanism.CKPT_LR_LIVE
     params: MechanismParams = TYPICAL_PARAMS
@@ -76,6 +91,12 @@ class RunSpec:
     faults: Optional[Any] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, _STRATEGY_SPEC or _strategy_spec_type()):
+            raise ConfigurationError(
+                f"RunSpec.strategy must be a StrategySpec, got {self.strategy!r}: "
+                "describe it as StrategySpec.of(kind, ...), after "
+                "register_strategy_kind(kind, cls) for a class from outside repro"
+            )
         if self.horizon_s <= SECONDS_PER_HOUR:
             raise ConfigurationError("horizon must exceed one hour")
 
@@ -192,7 +213,7 @@ def build_stack(
     )
     if faults is not None:
         provider = faults.wrap_provider(provider, run_seed=spec.seed)
-    strategy = spec.strategy()
+    strategy = spec.strategy.build()
     scheduler_cls = CloudScheduler
     if engine == "vector":
         # Imported lazily: repro.runtime builds on this module.

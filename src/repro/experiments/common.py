@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, List, Sequence, Union
+from typing import List, Sequence
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import AggregateResult, aggregate
-from repro.core.strategies import HostingStrategy
 from repro.errors import ConfigurationError
 from repro.runtime import ENGINE_KINDS, RunSpec, StrategySpec, run_batch
 from repro.traces.calibration import REGIONS, SIZES
@@ -77,7 +76,7 @@ class ExperimentConfig:
 
 def simulate(
     cfg: ExperimentConfig,
-    strategy: Union[StrategySpec, Callable[[], HostingStrategy]],
+    strategy: StrategySpec,
     *,
     bidding: BiddingPolicy | None = None,
     mechanism: Mechanism = Mechanism.CKPT_LR_LIVE,
@@ -91,10 +90,7 @@ def simulate(
     Submits the seeds as one :func:`repro.runtime.run_batch` batch: trace
     catalogs are served from the runtime cache (so several policies
     evaluated on one seed compare on the *same* price sample), and
-    ``cfg.jobs`` workers run seeds concurrently. Pass a
-    :class:`~repro.runtime.StrategySpec` so runs can cross process
-    boundaries; a plain factory callable still works but executes
-    in-process.
+    ``cfg.jobs`` workers run seeds concurrently.
     """
     base = RunSpec(
         strategy=strategy,

@@ -115,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for eid in ids:
             start = time.perf_counter()
-            with observe(trace=trace_fp is not None, metrics=args.metrics) as scope:
+            with observe(trace=trace_fp is not None) as scope:
                 report = run_experiment(eid, cfg)
             elapsed = time.perf_counter() - start
             # Telemetry, traces and metrics stay out of the rendered report

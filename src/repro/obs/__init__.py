@@ -29,7 +29,6 @@ See ``docs/TRACING.md`` for the full event reference.
 
 from repro.obs.capture import (
     ObservationScope,
-    active_scopes,
     notify_batch,
     observe,
     trace_capture_active,
@@ -99,7 +98,6 @@ __all__ = [
     # capture
     "ObservationScope",
     "observe",
-    "active_scopes",
     "trace_capture_active",
     "notify_batch",
 ]

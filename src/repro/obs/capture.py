@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ObservationScope",
     "observe",
-    "active_scopes",
     "trace_capture_active",
     "notify_batch",
 ]
@@ -42,9 +41,8 @@ __all__ = [
 class ObservationScope:
     """Accumulates run and batch telemetry while active (see :func:`observe`)."""
 
-    def __init__(self, trace: bool = False, metrics: bool = False) -> None:
+    def __init__(self, trace: bool = False) -> None:
         self.trace = trace
-        self.metrics_enabled = metrics
         self.runs: List[RunTelemetry] = []
         self.batches: List[BatchTelemetry] = []
         self.metrics = MetricsRegistry()
@@ -109,24 +107,19 @@ _ACTIVE: contextvars.ContextVar[Tuple[ObservationScope, ...]] = contextvars.Cont
 
 
 @contextlib.contextmanager
-def observe(trace: bool = False, metrics: bool = False) -> Iterator[ObservationScope]:
+def observe(trace: bool = False) -> Iterator[ObservationScope]:
     """Activate an :class:`ObservationScope` for the duration of the block.
 
     Every :func:`repro.runtime.run_batch` executed inside reports its runs
     and its batch telemetry here; ``trace=True`` additionally runs them
     in event-capture mode.
     """
-    scope = ObservationScope(trace=trace, metrics=metrics)
+    scope = ObservationScope(trace=trace)
     token = _ACTIVE.set(_ACTIVE.get() + (scope,))
     try:
         yield scope
     finally:
         _ACTIVE.reset(token)
-
-
-def active_scopes() -> Tuple[ObservationScope, ...]:
-    """The currently active scopes, innermost last."""
-    return _ACTIVE.get()
 
 
 def trace_capture_active() -> bool:

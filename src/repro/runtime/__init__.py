@@ -38,7 +38,6 @@ from repro.runtime.spec import (
     batch_fingerprint,
     spec_fingerprint,
     spec_fingerprints,
-    specs_portable,
 )
 from repro.runtime.telemetry import (
     BatchTelemetry,
@@ -69,6 +68,5 @@ __all__ = [
     "shared_catalog_cache",
     "spec_fingerprint",
     "spec_fingerprints",
-    "specs_portable",
     "strategy_kinds",
 ]

@@ -15,10 +15,8 @@ one path:
    faulted, trace-capturing, without a catalog key) is a unit of its own.
 3. **Execute** each unit through one loop (``_run_unit``) that clones
    provably identical runs and retries crashed runs. With
-   ``jobs == 1`` the parent runs every unit; with ``jobs > 1`` portable
-   units go to the worker pool whole, and units holding a non-portable
-   run (a legacy closure factory) stay in-process, as does a batch with
-   a single pending run. Workers resolve
+   ``jobs == 1``, or a single pending run, the parent runs every unit;
+   with ``jobs > 1`` every unit is one pool task. Workers resolve
    catalogs through their own process cache, so no catalog is shipped.
 4. **Complete** each slot in the parent — clones included. A unit's
    stream arrives in *groups* (one executed run and the clones that
@@ -65,10 +63,8 @@ from repro.runtime.cache import TraceCatalogCache, shared_catalog_cache
 from repro.runtime.ledger import RunLedger, resolve_ledger_path
 from repro.runtime.spec import (
     BatchSpec,
-    StrategySpec,
     batch_fingerprint,
     spec_fingerprints,
-    specs_portable,
 )
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry
 from repro.runtime.vector import ENGINE_KINDS, policies_vectorizable
@@ -195,10 +191,10 @@ def _resolve_engines(specs: Sequence[RunSpec], engine: str, capture: bool) -> Tu
     runs stay on the event engine — narration and fault overlays want
     the per-boundary walk — and everything else goes to the vector
     engine when its strategy and bidding policy are both vectorizable.
-    Reading the strategy's flag means building it: safe, because
-    factories build a fresh instance per call, and done once per distinct
-    factory object of the batch (keyed by identity, with a reference kept
-    so no id is reused).
+    Reading the strategy's flag means building it, once per distinct
+    :class:`~repro.runtime.spec.StrategySpec` object of the batch (keyed
+    by identity, with a reference kept so no id is reused); a spec that
+    cannot build raises here.
     """
     if engine == "event" or capture:
         return ("event",) * len(specs)
@@ -209,12 +205,8 @@ def _resolve_engines(specs: Sequence[RunSpec], engine: str, capture: bool) -> Tu
             return "event"
         hit = built.get(id(spec.strategy))
         if hit is None:
-            try:
-                strategy = spec.strategy()
-            except Exception:
-                strategy = None
-            hit = built[id(spec.strategy)] = (spec.strategy, strategy)
-        if hit[1] is not None and policies_vectorizable(hit[1], spec.bidding):
+            hit = built[id(spec.strategy)] = (spec.strategy, spec.strategy.build())
+        if policies_vectorizable(hit[1], spec.bidding):
             return "vector"
         return "event"
 
@@ -540,12 +532,6 @@ def run_batch(
         uninterrupted run at any ``jobs``. A fingerprint mismatch raises
         :class:`~repro.errors.LedgerError`; a missing file simply starts
         a fresh journal.
-
-    A ledgered batch needs every run's strategy to be a
-    :class:`~repro.runtime.spec.StrategySpec`: a closure has no stable
-    fingerprint, so two different closures could replay each other's
-    results. Such a batch raises :class:`~repro.errors.ConfigurationError`
-    before the ledger is opened.
     """
     specs: Tuple[RunSpec, ...] = tuple(runs.runs if isinstance(runs, BatchSpec) else runs)
     if not specs:
@@ -556,11 +542,6 @@ def run_batch(
         raise ConfigurationError("retries must be >= 0")
     if resume and ledger is None:
         raise ConfigurationError("resume=True needs a ledger path")
-    if ledger is not None and not all(isinstance(s.strategy, StrategySpec) for s in specs):
-        raise ConfigurationError(
-            "a ledgered batch needs StrategySpec strategies; a closure "
-            "cannot be fingerprinted"
-        )
     if engine not in ENGINE_KINDS:
         raise ConfigurationError(
             f"unknown engine {engine!r} (choices: {', '.join(ENGINE_KINDS)})"
@@ -622,16 +603,14 @@ def run_batch(
             capture,
         )
 
-    # Portable units go to the pool; the rest run in-process first, while
-    # the pool churns. Either way a unit runs through the same loop.
-    dispatch = []
-    for unit in units:
-        args = unit_args(unit)
-        portable = pool is not None and specs_portable(args[0])
-        dispatch.append((unit, pool.submit(_run_unit_list, *args) if portable else None))
-    dispatch.sort(key=lambda pair: pair[1] is not None)
+    # With a pool every unit is one task; either way a unit runs through
+    # the same loop.
+    futures = [
+        pool.submit(_run_unit_list, *unit_args(unit)) if pool is not None else None
+        for unit in units
+    ]
     try:
-        for unit, future in dispatch:
+        for unit, future in zip(units, futures):
             groups = None
             if future is not None:
                 try:

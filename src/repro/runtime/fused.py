@@ -32,7 +32,7 @@ __all__ = ["band_matches", "dynamics_key"]
 
 
 #: One spec frame, keyed by (strategy identity, regions, sizes): the
-#: strategy factory (held so its id is not reused), the frame's markets,
+#: strategy spec (held so its id is not reused), the frame's markets,
 #: their on-demand prices, and the strategy's ``allows_spot`` and
 #: ``allows_on_demand`` flags.
 Frame = Tuple[object, List[object], Tuple[float, ...], bool, bool]
@@ -51,7 +51,7 @@ def _frame(spec, frames: Dict[tuple, Frame]) -> Frame:
         from repro.traces.catalog import MarketKey
 
         markets = [MarketKey(r, s) for r in spec.regions for s in spec.sizes]
-        strategy = spec.strategy()
+        strategy = spec.strategy.build()
         frame = frames[fkey] = (
             spec.strategy,
             markets,
@@ -99,9 +99,9 @@ def dynamics_key(
     (see :func:`band_matches`).
 
     ``None`` — no dedupe for this spec — for anything the components
-    cannot vouch for: faults, calibration overrides (they could
-    move on-demand prices), legacy strategy callables, a policy without
-    numeric ``*_thresholds`` components, or no ``catalog_key``.
+    cannot vouch for: faults, calibration overrides (they could move
+    on-demand prices), a policy without numeric ``*_thresholds``
+    components, or no ``catalog_key``.
     ``ladders`` is the caller's memo of sorted unique prices, keyed
     ``(catalog_key, region, size)``; ``frames`` its memo of spec frames
     (:data:`Frame`).
@@ -113,10 +113,6 @@ def dynamics_key(
         or spec.faults is not None
         or spec.calibrations is not None
     ):
-        return None
-    from repro.runtime.spec import StrategySpec
-
-    if not isinstance(spec.strategy, StrategySpec):
         return None
     try:
         _, markets, ods, allows_spot, allows_on_demand = _frame(spec, frames)

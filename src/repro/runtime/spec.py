@@ -2,12 +2,12 @@
 
 A :class:`StrategySpec` names a registered strategy kind plus its
 constructor arguments, so a strategy can be rebuilt on the far side of a
-process boundary (closures cannot cross one). A
-:class:`~repro.core.simulation.RunSpec` bundles a strategy with the bidding
-policy, mechanism, market subset, and seed, and a :class:`BatchSpec` is an
-ordered set of runs executed together so they can share trace catalogs.
-:func:`spec_fingerprint` and :func:`batch_fingerprint` hash them for the
-run ledger.
+process boundary and fingerprinted for a run ledger; it is the only
+strategy a :class:`~repro.core.simulation.RunSpec` takes. A ``RunSpec``
+bundles it with the bidding policy, mechanism, market subset, and seed,
+and a :class:`BatchSpec` is an ordered set of runs executed together so
+they can share trace catalogs. :func:`spec_fingerprint` and
+:func:`batch_fingerprint` hash them for the run ledger.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
@@ -32,7 +31,6 @@ __all__ = [
     "batch_fingerprint",
     "spec_fingerprint",
     "spec_fingerprints",
-    "specs_portable",
 ]
 
 
@@ -144,28 +142,14 @@ def batch_fingerprint(fingerprints: Sequence[str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def specs_portable(specs: Sequence[RunSpec]) -> bool:
-    """Can these specs cross a process boundary? Every strategy must be a
-    :class:`StrategySpec` (a closure cannot be rebuilt on the far side)
-    and the specs must pickle — checked with one pickle of them all, so
-    the strategy, mechanism and params objects they share pickle once."""
-    if not all(isinstance(s.strategy, StrategySpec) for s in specs):
-        return False
-    try:
-        pickle.dumps(tuple(specs))
-    except Exception:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class StrategySpec:
     """A strategy by name plus constructor arguments — hashable, pickleable.
 
-    Calling the spec builds a fresh strategy, so a ``StrategySpec`` is a
-    drop-in strategy factory for :class:`~repro.core.simulation.RunSpec`
-    that also survives pickling and has a stable ledger fingerprint
-    (unlike a closure).
+    :meth:`build` (or calling the spec) constructs a fresh strategy. A
+    custom strategy class runs once it is registered
+    (:func:`~repro.core.registry.register_strategy_kind`): then
+    ``StrategySpec.of(kind, ...)`` describes it like any built-in.
     """
 
     kind: str
@@ -282,13 +266,6 @@ class BatchSpec:
     def __post_init__(self) -> None:
         if not self.runs:
             raise ConfigurationError("batch needs at least one run")
-
-    @classmethod
-    def product(cls, base: RunSpec, seeds: Sequence[int]) -> "BatchSpec":
-        """One run per seed, mirroring ``run_many``'s fan-out."""
-        if not len(seeds):
-            raise ConfigurationError("need at least one seed")
-        return cls(runs=tuple(base.with_(seed=s) for s in seeds))
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -384,7 +384,6 @@ def _twin_key(spec) -> Optional[tuple]:
     frozen ``dynamics_components`` — no rank projection, no capability
     projection. ``None`` under the same guards as
     :func:`~repro.runtime.fused.dynamics_key`."""
-    from repro.runtime.spec import StrategySpec
     from repro.traces.calibration import on_demand_price
 
     comp_fn = getattr(spec.bidding, "dynamics_components", None)
@@ -394,7 +393,6 @@ def _twin_key(spec) -> Optional[tuple]:
         or not callable(comp_fn)
         or spec.faults is not None
         or spec.calibrations is not None
-        or not isinstance(spec.strategy, StrategySpec)
     ):
         return None
     try:

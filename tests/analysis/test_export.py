@@ -15,8 +15,8 @@ from repro.analysis.export import (
 )
 from repro.analysis.report import ExperimentReport
 from repro.core.simulation import RunSpec, run_many
-from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
+from repro.runtime import StrategySpec
 from repro.traces.catalog import MarketKey
 from repro.traces.trace import PriceTrace
 from repro.units import days
@@ -27,7 +27,7 @@ KEY = MarketKey("us-east-1a", "small")
 @pytest.fixture(scope="module")
 def results():
     cfg = RunSpec(
-        strategy=lambda: SingleMarketStrategy(KEY),
+        strategy=StrategySpec.single(KEY),
         regions=("us-east-1a",), sizes=("small",),
         horizon_s=days(7), label="export-test",
     )

@@ -6,8 +6,8 @@ import pytest
 from repro.cloud.spot_market import SpotMarket
 from repro.core.adaptive import AdaptiveBidding
 from repro.core.simulation import RunSpec, run_simulation
-from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
+from repro.runtime import StrategySpec
 from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog
 from repro.traces.trace import PriceTrace
 from repro.units import days, hours
@@ -103,7 +103,7 @@ class TestInScheduler:
     def test_full_simulation_runs(self):
         key = MarketKey("us-east-1a", "small")
         r = run_simulation(RunSpec(
-            strategy=lambda: SingleMarketStrategy(key),
+            strategy=StrategySpec.single(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
             seed=5, horizon_s=days(14),
             regions=("us-east-1a",), sizes=("small",),
@@ -119,7 +119,7 @@ class TestInScheduler:
         horizon = days(14)
         cat = TraceCatalog({key: calm_trace(horizon)}, {key: OD}, horizon)
         r = run_simulation(RunSpec(
-            strategy=lambda: SingleMarketStrategy(key),
+            strategy=StrategySpec.single(key),
             bidding=AdaptiveBidding(max_revocations_per_month=2.0),
             horizon_s=horizon,
             regions=("us-east-1a",), sizes=("small",), label="adaptive-calm",

@@ -371,9 +371,10 @@ class TestPlacementTimeline:
 
     def test_result_carries_fraction(self):
         from repro.core.simulation import RunSpec, run_simulation
+        from repro.runtime import StrategySpec
         from repro.units import days as _days
         r = run_simulation(RunSpec(
-            strategy=lambda: SingleMarketStrategy(SMALL),
+            strategy=StrategySpec.single(SMALL),
             regions=("us-east-1a",), sizes=("small",),
             horizon_s=_days(7), seed=3,
         ))

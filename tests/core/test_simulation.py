@@ -5,8 +5,8 @@ import pytest
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import SimulationResult, aggregate
 from repro.core.simulation import RunSpec, run_many, run_simulation
-from repro.core.strategies import OnDemandOnlyStrategy, SingleMarketStrategy
 from repro.errors import ConfigurationError, SchedulingError
+from repro.runtime import StrategySpec
 from repro.traces.catalog import MarketKey, build_catalog
 from repro.units import days
 
@@ -15,7 +15,7 @@ KEY = MarketKey("us-east-1a", "small")
 
 def cfg(**kw):
     base = dict(
-        strategy=lambda: SingleMarketStrategy(KEY),
+        strategy=StrategySpec.single(KEY),
         regions=("us-east-1a",),
         sizes=("small",),
         horizon_s=days(10),
@@ -50,7 +50,7 @@ def test_different_seed_differs():
 
 
 def test_on_demand_baseline_exactly_100():
-    r = run_simulation(cfg(strategy=lambda: OnDemandOnlyStrategy(KEY)))
+    r = run_simulation(cfg(strategy=StrategySpec.on_demand(KEY)))
     # partial-hour rounding adds at most one hour over the window
     assert r.normalized_cost_percent == pytest.approx(100.0, abs=1.0)
     assert r.unavailability_percent == 0.0

@@ -11,13 +11,7 @@ import pytest
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
 from repro.core.simulation import RunSpec, run_many
-from repro.core.strategies import (
-    MultiMarketStrategy,
-    MultiRegionStrategy,
-    OnDemandOnlyStrategy,
-    PureSpotStrategy,
-    SingleMarketStrategy,
-)
+from repro.runtime import StrategySpec
 from repro.traces.calibration import SIZES
 from repro.traces.catalog import MarketKey
 from repro.units import days
@@ -51,7 +45,7 @@ def fig6():
         key = MarketKey("us-east-1a", size)
         for bidding in (ProactiveBidding(), ReactiveBidding()):
             out[(bidding.name, size)] = sim(
-                lambda key=key: SingleMarketStrategy(key),
+                StrategySpec.single(key),
                 bidding=bidding,
                 sizes=(size,),
                 label=f"{bidding.name}/{size}",
@@ -68,7 +62,7 @@ class TestHeadlineCost:
         assert any(c <= 100 / 3 + 2 for c in costs)
 
     def test_on_demand_baseline_is_100(self):
-        agg = sim(lambda: OnDemandOnlyStrategy(KEY), label="od")
+        agg = sim(StrategySpec.on_demand(KEY), label="od")
         assert agg.normalized_cost_percent == pytest.approx(100.0, abs=1.5)
         assert agg.unavailability_percent == 0.0
 
@@ -115,7 +109,7 @@ class TestFig7Mechanisms:
         for tag, params in (("typ", TYPICAL_PARAMS), ("pes", PESSIMISTIC_PARAMS)):
             for mech in Mechanism:
                 out[(tag, mech)] = sim(
-                    lambda: SingleMarketStrategy(KEY),
+                    StrategySpec.single(KEY),
                     mechanism=mech, params=params, label=f"{tag}/{mech.value}",
                 ).unavailability_percent
         return out
@@ -150,13 +144,13 @@ class TestFig8MultiMarket:
         region = "us-east-1a"
         singles = [
             sim(
-                lambda key=MarketKey(region, size): SingleMarketStrategy(key),
+                StrategySpec.single(MarketKey(region, size)),
                 sizes=SIZES, label=f"s/{size}",
             )
             for size in SIZES
         ]
         multi = sim(
-            lambda: MultiMarketStrategy(region), sizes=SIZES, label="multi",
+            StrategySpec.multi_market(region), sizes=SIZES, label="multi",
         )
         return singles, multi
 
@@ -175,12 +169,12 @@ class TestFig9MultiRegion:
     def test_pair_with_stable_region_cheaper_than_single_average(self):
         pair = ("us-east-1b", "eu-west-1a")
         singles = [
-            sim(lambda r=r: MultiMarketStrategy(r), regions=(r,), sizes=SIZES,
+            sim(StrategySpec.multi_market(r), regions=(r,), sizes=SIZES,
                 label=f"single/{r}")
             for r in pair
         ]
         multi = sim(
-            lambda: MultiRegionStrategy(pair), regions=pair, sizes=SIZES, label="mr",
+            StrategySpec.multi_region(pair), regions=pair, sizes=SIZES, label="mr",
         )
         avg = np.mean([a.normalized_cost_percent for a in singles])
         assert multi.normalized_cost_percent < avg + 1.0
@@ -191,9 +185,9 @@ class TestFig11PureSpot:
     @pytest.fixture(scope="class")
     def pure_and_proactive(self):
         pure = sim(
-            lambda: PureSpotStrategy(KEY), bidding=ReactiveBidding(), label="pure",
+            StrategySpec.pure_spot(KEY), bidding=ReactiveBidding(), label="pure",
         )
-        pro = sim(lambda: SingleMarketStrategy(KEY), label="pro")
+        pro = sim(StrategySpec.single(KEY), label="pro")
         return pure, pro
 
     def test_pure_spot_unacceptably_unavailable(self, pure_and_proactive):

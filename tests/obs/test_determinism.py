@@ -32,7 +32,7 @@ def fig6_style_runs(seeds=(11, 23), horizon=days(3)):
 
 
 def captured_stream(jobs):
-    with observe(trace=True, metrics=True) as scope:
+    with observe(trace=True) as scope:
         batch = run_batch(fig6_style_runs(), jobs=jobs, cache=TraceCatalogCache())
     return batch, scope
 
@@ -63,7 +63,7 @@ class TestAcrossJobs:
 class TestObservationIsPassive:
     def test_observing_does_not_change_batch_results(self):
         plain = run_batch(fig6_style_runs(), cache=TraceCatalogCache())
-        with observe(trace=True, metrics=True) as scope:
+        with observe(trace=True) as scope:
             watched = run_batch(fig6_style_runs(), cache=TraceCatalogCache())
         assert plain.results == watched.results
         assert scope.event_count > 0

@@ -8,8 +8,8 @@ from repro.core.simulation import (
     run_simulation,
     run_simulation_observed,
 )
-from repro.core.strategies import SingleMarketStrategy
 from repro.obs import MemorySink, event_from_dict
+from repro.runtime import StrategySpec
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
@@ -18,7 +18,7 @@ KEY = MarketKey("us-east-1a", "small")
 
 def cfg(**kw):
     base = dict(
-        strategy=lambda: SingleMarketStrategy(KEY),
+        strategy=StrategySpec.single(KEY),
         regions=("us-east-1a",),
         sizes=("small",),
         horizon_s=days(5),

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.simulation import RunSpec, run_simulation
-from repro.core.strategies import (
-    MultiMarketStrategy,
-    PureSpotStrategy,
-    SingleMarketStrategy,
-)
+from repro.runtime import StrategySpec
 from repro.testkit.strategies import worlds
 from repro.traces.catalog import MarketKey
 from repro.units import days
@@ -25,16 +21,16 @@ KEY = MarketKey("us-east-1a", "small")
 
 def build_config(seed, cal, policy):
     if policy == "pure-spot":
-        strategy = lambda: PureSpotStrategy(KEY)
+        strategy = StrategySpec.pure_spot(KEY)
         bidding = ReactiveBidding()
     elif policy == "reactive":
-        strategy = lambda: SingleMarketStrategy(KEY)
+        strategy = StrategySpec.single(KEY)
         bidding = ReactiveBidding()
     elif policy == "multi":
-        strategy = lambda: MultiMarketStrategy("us-east-1a", service_units=2)
+        strategy = StrategySpec.multi_market("us-east-1a", service_units=2)
         bidding = ProactiveBidding()
     else:
-        strategy = lambda: SingleMarketStrategy(KEY)
+        strategy = StrategySpec.single(KEY)
         bidding = ProactiveBidding()
     sizes = ("small", "medium", "large", "xlarge") if policy == "multi" else ("small",)
     return RunSpec(
@@ -88,14 +84,14 @@ def test_proactive_never_noticeably_more_unavailable_than_reactive(seed):
     cat = build_catalog(seed=seed, horizon=days(7), regions=("us-east-1a",), sizes=("small",))
     pro = run_simulation(
         RunSpec(
-            strategy=lambda: SingleMarketStrategy(KEY), bidding=ProactiveBidding(),
+            strategy=StrategySpec.single(KEY), bidding=ProactiveBidding(),
             horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
         ),
         catalog=cat,
     )
     rea = run_simulation(
         RunSpec(
-            strategy=lambda: SingleMarketStrategy(KEY), bidding=ReactiveBidding(),
+            strategy=StrategySpec.single(KEY), bidding=ReactiveBidding(),
             horizon_s=days(7), regions=("us-east-1a",), sizes=("small",),
         ),
         catalog=cat,

@@ -14,11 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.scheduler import CloudScheduler
 from repro.core.simulation import RunSpec, run_simulation
-from repro.core.strategies import (
-    MultiMarketStrategy,
-    PureSpotStrategy,
-    SingleMarketStrategy,
-)
+from repro.runtime import StrategySpec
 from repro.testkit.oracles import naive_first_time_above
 from repro.testkit.strategies import worlds
 from repro.traces.catalog import MarketKey
@@ -27,10 +23,10 @@ from repro.units import days
 KEY = MarketKey("us-east-1a", "small")
 
 POLICIES = {
-    "pure-spot": (lambda: PureSpotStrategy(KEY), ReactiveBidding()),
-    "reactive": (lambda: SingleMarketStrategy(KEY), ReactiveBidding()),
-    "multi": (lambda: MultiMarketStrategy("us-east-1a", service_units=2), ProactiveBidding()),
-    "proactive": (lambda: SingleMarketStrategy(KEY), ProactiveBidding(k=1.5)),
+    "pure-spot": (StrategySpec.pure_spot(KEY), ReactiveBidding()),
+    "reactive": (StrategySpec.single(KEY), ReactiveBidding()),
+    "multi": (StrategySpec.multi_market("us-east-1a", service_units=2), ProactiveBidding()),
+    "proactive": (StrategySpec.single(KEY), ProactiveBidding(k=1.5)),
 }
 
 

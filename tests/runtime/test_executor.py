@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.simulation import run_many, run_simulation
-from repro.core.strategies import SingleMarketStrategy
 from repro.errors import ConfigurationError
 from repro.obs import observe
 from repro.runtime import (
@@ -77,7 +76,8 @@ class TestSerial:
             regions=(REGION,),
             sizes=("small",),
         )
-        batch = run_batch(BatchSpec.product(base, [1, 2]), cache=TraceCatalogCache())
+        runs = BatchSpec(runs=(base.with_(seed=1), base.with_(seed=2)))
+        batch = run_batch(runs, cache=TraceCatalogCache())
         assert [r.seed for r in batch.results] == [1, 2]
 
 
@@ -99,20 +99,6 @@ class TestParallelDeterminism:
         pids = {t.worker_pid for t in batch.run_telemetry}
         assert batch.telemetry.parallel_runs == len(runs)
         assert os.getpid() not in pids
-
-    def test_unportable_runs_fall_back_in_process(self):
-        key = MarketKey(REGION, "small")
-        portable = RunSpec(
-            strategy=StrategySpec.single(key),
-            seed=1,
-            horizon_s=days(2),
-            regions=(REGION,),
-            sizes=("small",),
-        )
-        legacy = portable.with_(strategy=lambda: SingleMarketStrategy(key))
-        batch = run_batch([portable, legacy], jobs=2)
-        assert batch.results[0] == batch.results[1]
-        assert batch.run_telemetry[1].worker_pid == os.getpid()
 
     def test_run_many_jobs_matches_serial(self):
         spec = RunSpec(

@@ -129,24 +129,6 @@ class TestFingerprints:
             blob = json.dumps(["RunSpec", fields], sort_keys=True, separators=(",", ":"))
             assert spec_fingerprint(spec) == hashlib.sha256(blob.encode()).hexdigest()
 
-    def test_ledger_refuses_closure_strategies(self, tmp_path):
-        # Closures made by one function share a qualified name, so no
-        # fingerprint tells these two configurations apart: a ledger would
-        # replay one's results for the other.
-        from repro.core.strategies import SingleMarketStrategy
-
-        def mk(key):
-            return RunSpec(strategy=lambda: SingleMarketStrategy(key))
-
-        specs = [mk(MarketKey("us-east-1a", "small")), mk(MarketKey("us-east-1b", "large"))]
-        led = tmp_path / "batch.jsonl"
-        for resume in (False, True):
-            with pytest.raises(ConfigurationError, match="StrategySpec"):
-                run_batch(specs, ledger=led, resume=resume)
-        assert not led.exists()
-        with pytest.raises(ConfigurationError):
-            spec_fingerprint(specs[0])
-
     def test_same_named_dataclasses_from_different_modules_differ(self):
         from repro.runtime.spec import _canonical
 

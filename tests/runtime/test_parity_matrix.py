@@ -10,10 +10,7 @@ distinguishes:
 * a frontier sweep over two catalogs whose proactive bids clamp at the
   provider's cap, so rank and band clones occur;
 * a faulted spec (its own unit, event-routed);
-* a ``NoFaultToleranceStrategy`` spec (not vectorizable, event-routed);
-* a legacy-factory spec (vector-routed but not portable, so its whole
-  catalog unit stays in-process at ``jobs=2``). It comes last, because a
-  ledger refuses it: the ledgered configurations run the batch without it.
+* a ``NoFaultToleranceStrategy`` spec (not vectorizable, event-routed).
 
 Every configuration is compared with the per-event engine, run spec by
 spec.
@@ -28,19 +25,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.bidding import ProactiveBidding
-from repro.core.strategies import SingleMarketStrategy
-from repro.errors import ConfigurationError
-from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch, specs_portable
+from repro.runtime import RunLedger, RunSpec, StrategySpec, run_batch
 from repro.testkit.faults import FaultPlan, run_kill_drill
 from repro.traces.catalog import MarketKey
 from repro.units import days
 
 REPO = Path(__file__).parents[2]
 KEY = MarketKey("us-east-1a", "small")
-
-
-def _legacy_factory():
-    return SingleMarketStrategy(KEY)
 
 
 def matrix_specs():
@@ -71,19 +62,8 @@ def matrix_specs():
     specs += [
         spec(seed=3, faults=FaultPlan(startup_factor=2.0), label="faulted"),
         spec(seed=5, strategy=StrategySpec.no_fault_tolerance(KEY), label="no-ft"),
-        spec(seed=3, strategy=_legacy_factory, label="legacy"),
     ]
     return specs
-
-
-def ledgerable(specs):
-    """The matrix without its legacy-factory run, which a ledger refuses."""
-    return specs[:-1]
-
-
-def ledgerable_matrix():
-    """The batch the kill drill's orchestrator journals."""
-    return ledgerable(matrix_specs())
 
 
 def _executed(batch) -> int:
@@ -106,30 +86,23 @@ def serial(specs):
 
 
 def test_batch_exercises_every_unit_kind(specs, serial):
-    assert not specs_portable(specs[-1:])
     assert serial.telemetry.deduped_runs > 0  # clones occur
     kinds = [t.engine_kind for t in serial.run_telemetry]
-    assert kinds[-3:-1] == ["event", "event"]  # faulted, no-ft
-    assert kinds[-1] == "vector"  # legacy factory, vector-routed
+    assert kinds[-2:] == ["event", "event"]  # faulted, no-ft
+    assert set(kinds[:-2]) == {"vector"}  # the sweep
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("ledgered", [False, True], ids=["no-ledger", "ledger"])
 def test_results_match_event_engine(tmp_path, specs, event_results, serial, jobs, ledgered):
     ledger = tmp_path / "batch.jsonl" if ledgered else None
-    runs = specs
-    if ledgered:
-        with pytest.raises(ConfigurationError, match="StrategySpec"):
-            run_batch(specs, jobs=jobs, ledger=ledger)
-        assert not ledger.exists()
-        runs = ledgerable(specs)
-    batch = run_batch(runs, jobs=jobs, ledger=ledger)
-    assert batch.results == event_results[: len(runs)]
+    batch = run_batch(specs, jobs=jobs, ledger=ledger)
+    assert batch.results == event_results
     assert _executed(batch) <= _executed(serial)
     assert batch.telemetry.deduped_runs == serial.telemetry.deduped_runs
     if ledgered:
         _, state = RunLedger.load(ledger)
-        assert sorted(state.records) == list(range(len(runs)))
+        assert sorted(state.records) == list(range(len(specs)))
         clones = [i for i, t in enumerate(batch.run_telemetry) if t.deduped]
         assert clones and all(state.records[i].telemetry.deduped for i in clones)
 
@@ -147,7 +120,7 @@ def test_sigkill_then_resume_matches_event_engine(tmp_path, specs, event_results
     with open(err_path, "wb") as err:
         # Reaps the orphaned pool workers (jobs=2) and fails if any survive.
         returncode = run_kill_drill(
-            "tests.runtime.test_parity_matrix:ledgerable_matrix",
+            "tests.runtime.test_parity_matrix:matrix_specs",
             led,
             jobs=jobs,
             kill_after=7,
@@ -157,11 +130,10 @@ def test_sigkill_then_resume_matches_event_engine(tmp_path, specs, event_results
     assert returncode == -signal.SIGKILL, err_path.read_text()
     _, state = RunLedger.load(led)
     journaled = len(state.records)
-    runs = ledgerable(specs)
-    assert 7 <= journaled < len(runs)
+    assert 7 <= journaled < len(specs)
 
-    resumed = run_batch(runs, ledger=led, resume=True, jobs=jobs)
-    assert _result_bytes(resumed.results) == _result_bytes(event_results[: len(runs)])
+    resumed = run_batch(specs, ledger=led, resume=True, jobs=jobs)
+    assert _result_bytes(resumed.results) == _result_bytes(event_results)
     assert resumed.telemetry.replayed_runs == journaled
     _, state = RunLedger.load(led)
-    assert sorted(state.records) == list(range(len(runs)))
+    assert sorted(state.records) == list(range(len(specs)))

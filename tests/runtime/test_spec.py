@@ -29,7 +29,6 @@ from repro.runtime import (
     StrategySpec,
     register_strategy_kind,
     run_batch,
-    specs_portable,
     strategy_kinds,
 )
 from repro.traces.catalog import MarketKey
@@ -105,7 +104,6 @@ def test_run_spec_pickles_for_every_combination(kind, bidding, mechanism):
         regions=REGION_PAIR,
         sizes=("small",),
     )
-    assert specs_portable([run])
     clone = pickle.loads(pickle.dumps(run))
     assert clone == run
     assert isinstance(clone.strategy(), cls)
@@ -186,15 +184,21 @@ def test_direct_runs_isolate_a_reused_stateful_policy():
     assert run_batch(specs).results == batch
 
 
-def test_legacy_callable_strategy_is_not_portable():
-    run = RunSpec(strategy=lambda: SingleMarketStrategy(KEY))
-    assert not specs_portable([run])
+def test_run_spec_refuses_non_strategy_spec():
+    """A strategy is always a :class:`StrategySpec`; a closure or a bare
+    class is refused at construction, pointing to the spec builders."""
+    portable = RunSpec(strategy=StrategySpec.single(KEY))
+    for strategy in (lambda: SingleMarketStrategy(KEY), SingleMarketStrategy):
+        with pytest.raises(ConfigurationError, match=r"StrategySpec\.of\(kind"):
+            RunSpec(strategy=strategy)
+        with pytest.raises(ConfigurationError, match="register_strategy_kind"):
+            portable.with_(strategy=strategy)
 
 
-def test_batch_spec_product():
+def test_batch_spec_holds_runs_in_order():
     base = RunSpec(strategy=StrategySpec.single(KEY))
-    batch = BatchSpec.product(base, [1, 2, 3])
+    batch = BatchSpec(runs=tuple(base.with_(seed=s) for s in (1, 2, 3)))
     assert [r.seed for r in batch] == [1, 2, 3]
     assert len(batch) == 3
     with pytest.raises(ConfigurationError):
-        BatchSpec.product(base, [])
+        BatchSpec(runs=())

@@ -67,13 +67,13 @@ def test_readme_quickstart_snippet():
     """The exact flow the README's quickstart shows."""
     from repro import (
         MarketKey, Mechanism, ProactiveBidding, RunSpec,
-        SingleMarketStrategy, run_simulation,
+        StrategySpec, run_simulation,
     )
     from repro.units import days
 
     key = MarketKey("us-east-1a", "small")
     result = run_simulation(RunSpec(
-        strategy=lambda: SingleMarketStrategy(key),
+        strategy=StrategySpec.single(key),
         bidding=ProactiveBidding(k=4.0),
         mechanism=Mechanism.CKPT_LR_LIVE,
         horizon_s=days(7),
