@@ -6,8 +6,9 @@ market's real history — in the CSV shape emitted by
 ``aws ec2 describe-spot-price-history`` — can be loaded and replayed
 directly. This example:
 
-1. writes a demo CSV (a synthetic trace exported to the AWS format — swap
-   in your own archive file);
+1. writes a demo CSV (a synthetic trace exported to the AWS format) into
+   a temporary directory that is removed afterwards — or takes your own
+   archive file;
 2. loads it with :func:`repro.load_aws_csv`;
 3. wraps it in a :class:`~repro.TraceCatalog` and runs the proactive and
    reactive policies on exactly those prices.
@@ -38,18 +39,17 @@ from repro.analysis.tables import Table
 from repro.units import days
 
 
-def demo_csv() -> Path:
-    """Create a demo history file (stand-in for a real archive)."""
+def demo_csv(directory: Path) -> Path:
+    """Write a demo history file (stand-in for a real archive)."""
     cal = calibration_for("us-east-1a", "small")
     trace = generate_trace(cal, days(30), seed=2015)
-    path = Path(tempfile.mkdtemp()) / "m1.small-us-east-1a.csv"
+    path = directory / "m1.small-us-east-1a.csv"
     save_aws_csv(trace, path, instance_type="m1.small", availability_zone="us-east-1a")
     return path
 
 
-def main() -> None:
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else demo_csv()
-    print(f"loading spot history from {path}")
+def replay(path: Path) -> None:
+    print(f"loading spot history from {path.name}")
 
     trace = load_aws_csv(path, instance_type="m1.small", availability_zone="us-east-1a")
     key = MarketKey("us-east-1a", "small")
@@ -77,6 +77,14 @@ def main() -> None:
             r.planned_migrations + r.reverse_migrations,
         )
     print(t.render())
+
+
+def main() -> None:
+    if len(sys.argv) > 1:
+        replay(Path(sys.argv[1]))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        replay(demo_csv(Path(tmp)))
 
 
 if __name__ == "__main__":

@@ -65,11 +65,9 @@ from repro.core import (
 from repro.cloud import CloudProvider, Lease, LeaseKind, SpotMarket
 from repro.errors import ReproError
 from repro.obs import (
-    JsonlSink,
     MemorySink,
     MetricsRegistry,
     NullSink,
-    RingBufferSink,
     TraceEvent,
     TraceSink,
     observe,
@@ -157,8 +155,6 @@ __all__ = [
     "TraceSink",
     "NullSink",
     "MemorySink",
-    "RingBufferSink",
-    "JsonlSink",
     "MetricsRegistry",
     "observe",
     "read_jsonl",

@@ -134,10 +134,11 @@ def _render_strategy_list() -> str:
         title="registered hosting strategies (repro.core.registry)",
     )
     for info in registry.strategy_infos():
+        vector = registry.example_spec(info.kind).build().vectorizable
         t.add_row(
             info.kind,
             info.display_name,
-            "yes" if info.vectorizable else "no",
+            "yes" if vector else "no",
             info.synthesis_weight,
             info.summary,
         )

@@ -20,15 +20,12 @@ built-ins:
   market is re-granted.
 * :class:`PortfolioBidStrategy` — per-epoch market selection by solving
   a small linear program over predicted revocation risk vs cost (the
-  cvxpy-backed optimal-placement idiom from the Icarus exemplar). The
-  default solver is pure NumPy (exact vertex enumeration of the
-  two-constraint LP) so the base install and CI stay hermetic; cvxpy is
-  an optional backend behind the ``lp`` extra.
+  optimal-placement idiom from the Icarus exemplar), solved exactly in
+  NumPy by enumerating the vertices of the two-constraint LP.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,11 +51,7 @@ __all__ = [
     "NoFaultToleranceStrategy",
     "PortfolioBidStrategy",
     "solve_portfolio_lp",
-    "HAS_CVXPY",
 ]
-
-#: Is the optional ``lp`` extra (cvxpy) importable in this environment?
-HAS_CVXPY = importlib.util.find_spec("cvxpy") is not None
 
 
 # --------------------------------------------------------- cohort synthesis
@@ -294,7 +287,6 @@ def solve_portfolio_lp(
     costs: Sequence[float],
     risks: Sequence[float],
     risk_cap: float,
-    solver: str = "numpy",
 ) -> Optional[np.ndarray]:
     """Solve ``min c·w  s.t.  Σw = 1,  r·w <= cap,  w >= 0`` exactly.
 
@@ -302,14 +294,10 @@ def solve_portfolio_lp(
     infeasible (every market's predicted risk exceeds the cap — mixing
     cannot help since risk is linear in ``w``).
 
-    ``solver="numpy"`` (the default) enumerates the LP's vertices
-    directly: with one equality and one inequality constraint an optimal
-    basic solution has at most two nonzero weights — either a single
-    feasible market, or a two-market mix pinned to the risk boundary.
-    ``solver="cvxpy"`` delegates to cvxpy (the ``lp`` extra) and exists
-    for cross-checking the closed form; it raises
-    :class:`~repro.errors.ConfigurationError` when cvxpy is not
-    installed.
+    The LP's vertices are enumerated directly: with one equality and one
+    inequality constraint an optimal basic solution has at most two
+    nonzero weights — either a single feasible market, or a two-market
+    mix pinned to the risk boundary.
     """
     c = np.asarray(costs, dtype=float)
     r = np.asarray(risks, dtype=float)
@@ -317,10 +305,6 @@ def solve_portfolio_lp(
         raise ConfigurationError("costs and risks must be equal-length 1-D arrays")
     if risk_cap < 0:
         raise ConfigurationError("risk cap must be >= 0")
-    if solver == "cvxpy":
-        return _solve_lp_cvxpy(c, r, float(risk_cap))
-    if solver != "numpy":
-        raise ConfigurationError(f"unknown LP solver {solver!r}")
     return _solve_lp_vertices(c, r, float(risk_cap))
 
 
@@ -363,28 +347,12 @@ def _solve_lp_vertices(
     return best_w
 
 
-def _solve_lp_cvxpy(c: np.ndarray, r: np.ndarray, cap: float) -> Optional[np.ndarray]:
-    if not HAS_CVXPY:
-        raise ConfigurationError(
-            "solver='cvxpy' needs the optional 'lp' extra (pip install repro[lp])"
-        )
-    import cvxpy as cp
-
-    w = cp.Variable(c.size, nonneg=True)
-    problem = cp.Problem(cp.Minimize(c @ w), [cp.sum(w) == 1, r @ w <= cap])
-    problem.solve()
-    if w.value is None or problem.status not in ("optimal", "optimal_inaccurate"):
-        return None
-    out = np.clip(np.asarray(w.value, dtype=float), 0.0, None)
-    return out / out.sum()
-
-
 @register_strategy(
     "portfolio-bid",
     display_name="LP portfolio bid",
     citation="Optimization-based bid/market selection over predicted "
-    "revocation risk vs cost (cvxpy idiom from the Icarus exemplar; cf. "
-    "Shastri & Irwin, SoCC 2018)",
+    "revocation risk vs cost (optimal-placement idiom from the Icarus "
+    "exemplar; cf. Shastri & Irwin, SoCC 2018)",
     arg_schema=(
         ArgSpec("regions", "regions"),
         _UNITS_ARG,
@@ -427,7 +395,6 @@ class PortfolioBidStrategy(HostingStrategy):
         service_units: int = 8,
         risk_cap: float = 0.05,
         lookback_s: float = 3 * 24 * SECONDS_PER_HOUR,
-        solver: str = "numpy",
     ) -> None:
         if not regions:
             raise ConfigurationError("need at least one region")
@@ -437,13 +404,10 @@ class PortfolioBidStrategy(HostingStrategy):
             raise ConfigurationError("risk cap must be in [0, 1]")
         if lookback_s <= 0:
             raise ConfigurationError("lookback must be positive")
-        if solver not in ("numpy", "cvxpy"):
-            raise ConfigurationError(f"unknown LP solver {solver!r}")
         self.regions = tuple(regions)
         self.service_units = service_units
         self.risk_cap = float(risk_cap)
         self.lookback_s = float(lookback_s)
-        self.solver = solver
 
     def candidate_markets(self, provider: CloudProvider) -> List[MarketKey]:
         out: List[MarketKey] = []
@@ -489,7 +453,7 @@ class PortfolioBidStrategy(HostingStrategy):
             risks.append(self.revocation_risk(provider, key, bid, t))
         if not keys:
             return None
-        weights = solve_portfolio_lp(rates, risks, self.risk_cap, solver=self.solver)
+        weights = solve_portfolio_lp(rates, risks, self.risk_cap)
         if weights is None:
             # Infeasible: every grantable market is over the cap. Take
             # the least-risky one (then cheapest, then key order).
@@ -504,7 +468,4 @@ class PortfolioBidStrategy(HostingStrategy):
         )
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"PortfolioBid({','.join(self.regions)}, cap={self.risk_cap}, "
-            f"solver={self.solver})"
-        )
+        return f"PortfolioBid({','.join(self.regions)}, cap={self.risk_cap})"

@@ -111,9 +111,6 @@ class StrategyInfo:
     display_name: str
     #: Paper / related-work citation the family implements.
     citation: str
-    #: May the vector engine batch this family's boundary decisions?
-    #: Must agree with built instances (the conformance suite checks).
-    vectorizable: bool
     #: Constructor-argument schema for generic spec building.
     arg_schema: Tuple[ArgSpec, ...] = ()
     #: Representative constructor args on the standard 2-region/2-size
@@ -163,22 +160,6 @@ def _ensure_loaded() -> None:
     discover_plugins()
 
 
-def _derived_vectorizable(builder: Callable[..., Any]) -> bool:
-    """Best-effort vectorizable flag from class attributes (legacy path).
-
-    Mirrors ``HostingStrategy.vectorizable``: opportunistic switching
-    only blocks vectorization when the family lacks a closed-form dwell
-    model (``_vector_dwell``).
-    """
-    return bool(
-        getattr(builder, "_vector_decisions", False)
-        and (
-            not getattr(builder, "opportunistic_switching", False)
-            or getattr(builder, "_vector_dwell", False)
-        )
-    )
-
-
 def _register(info: StrategyInfo, override: bool) -> None:
     existing = _REGISTRY.get(info.kind)
     if existing is not None and not override:
@@ -198,7 +179,6 @@ def register_strategy(
     *,
     display_name: str = "",
     citation: str = "",
-    vectorizable: Optional[bool] = None,
     arg_schema: Tuple[ArgSpec, ...] = (),
     example_args: Tuple[Any, ...] = (),
     example_options: Tuple[Tuple[str, Any], ...] = (),
@@ -209,9 +189,9 @@ def register_strategy(
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Class decorator registering a strategy family under ``kind``.
 
-    ``vectorizable`` defaults to the decorated class's own
-    ``_vector_decisions``/``opportunistic_switching`` flags so metadata
-    cannot silently drift from behaviour.
+    Whether the vector engine may batch a family is not registry
+    metadata: it is the built instance's ``vectorizable`` flag, which
+    can depend on constructor arguments.
     """
 
     def decorator(builder: Callable[..., Any]) -> Callable[..., Any]:
@@ -221,11 +201,6 @@ def register_strategy(
                 builder=builder,
                 display_name=display_name or kind,
                 citation=citation,
-                vectorizable=(
-                    _derived_vectorizable(builder)
-                    if vectorizable is None
-                    else vectorizable
-                ),
                 arg_schema=tuple(arg_schema),
                 example_args=tuple(example_args),
                 example_options=tuple(example_options),
@@ -258,7 +233,6 @@ def register_strategy_kind(
         kind,
         display_name=metadata.pop("display_name", ""),
         citation=metadata.pop("citation", ""),
-        vectorizable=metadata.pop("vectorizable", None),
         arg_schema=tuple(metadata.pop("arg_schema", ())),
         example_args=tuple(metadata.pop("example_args", ())),
         example_options=tuple(metadata.pop("example_options", ())),

@@ -9,7 +9,7 @@ from typing import List, Sequence
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import AggregateResult, aggregate
 from repro.errors import ConfigurationError
-from repro.runtime import ENGINE_KINDS, RunSpec, StrategySpec, run_batch
+from repro.runtime import ENGINE_KINDS, BatchResult, RunSpec, StrategySpec, run_batch
 from repro.traces.calibration import REGIONS, SIZES
 from repro.units import days
 from repro.vm.mechanisms import Mechanism, MechanismParams, TYPICAL_PARAMS
@@ -73,6 +73,18 @@ class ExperimentConfig:
     def with_(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)
 
+    def run_batch(self, specs: Sequence[RunSpec]) -> BatchResult:
+        """Run one driver batch with this config's execution settings
+        (``jobs``, ``engine``, ``ledger_dir``, ``resume``).
+
+        Looks ``run_batch`` up on this module at call time, so a wrapper
+        installed here (``perfbench``'s recorder) sees every driver batch.
+        """
+        return run_batch(
+            specs, jobs=self.jobs, ledger=self.effective_ledger(),
+            resume=self.resume, engine=self.engine,
+        )
+
 
 def simulate(
     cfg: ExperimentConfig,
@@ -103,8 +115,4 @@ def simulate(
         label=label,
     )
     specs = [base.with_(seed=s) for s in cfg.effective_seeds()]
-    batch = run_batch(
-        specs, jobs=cfg.jobs, ledger=cfg.effective_ledger(), resume=cfg.resume,
-        engine=cfg.engine,
-    )
-    return aggregate(list(batch.results), label=label or None)
+    return aggregate(list(cfg.run_batch(specs).results), label=label or None)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import runtime
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.bidding import ProactiveBidding
@@ -99,13 +98,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         runs = []
         for seed in seeds:
             fleet = _build_fleet(profile, n, seed, horizon)
-            results = runtime.run_batch(
-                list(fleet.run_specs()),
-                jobs=cfg.jobs,
-                engine=cfg.engine,
-                ledger=cfg.effective_ledger(),
-                resume=cfg.resume,
-            ).results
+            results = cfg.run_batch(list(fleet.run_specs())).results
             runs.append(assemble_report(fleet, results))
             if profile == "balanced" and seed == seed0:
                 base, base_results = fleet, results

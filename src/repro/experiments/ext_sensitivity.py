@@ -20,7 +20,7 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
-from repro.core.simulation import RunSpec, run_many
+from repro.core.simulation import RunSpec
 from repro.experiments.common import ExperimentConfig
 from repro.runtime import StrategySpec
 from repro.traces.calibration import calibration_for
@@ -71,15 +71,9 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                 calibrations={("us-east-1a", "small"): cal},
                 label=f"{name}/{bidding.name}",
             )
+            batch = cfg.run_batch([sim.with_(seed=s) for s in cfg.effective_seeds()])
             rows[(name, bidding.name)] = aggregate(
-                run_many(
-                    sim,
-                    cfg.effective_seeds(),
-                    jobs=cfg.jobs,
-                    ledger=cfg.effective_ledger(),
-                    resume=cfg.resume,
-                ),
-                label=f"{name}/{bidding.name}",
+                list(batch.results), label=f"{name}/{bidding.name}"
             )
 
     t = Table(

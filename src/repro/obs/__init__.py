@@ -9,7 +9,7 @@ the results they produce:
   ``PriceCrossing``, ``VoluntaryMigration``, ``Revocation``,
   ``BillingTick``, …), emitted from the scheduler, provider and engine;
 * :mod:`repro.obs.sinks` — the :class:`TraceSink` protocol and the
-  null / memory / ring-buffer / JSONL sinks. The null sink is the default
+  null and memory sinks, plus the JSONL reader. The null sink is the default
   everywhere and costs one branch per emission site — with tracing off,
   runs are byte-identical to an uninstrumented build;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms aggregated per
@@ -55,10 +55,8 @@ from repro.obs.events import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sinks import (
     NULL_SINK,
-    JsonlSink,
     MemorySink,
     NullSink,
-    RingBufferSink,
     TraceSink,
     read_jsonl,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "NullSink",
     "NULL_SINK",
     "MemorySink",
-    "RingBufferSink",
-    "JsonlSink",
     "read_jsonl",
     # metrics
     "Counter",

@@ -248,9 +248,6 @@ class StrategySpec:
         """Construct a fresh strategy instance."""
         return _registry.strategy_builder(self.kind)(*self.args, **dict(self.options))
 
-    def __call__(self) -> HostingStrategy:
-        return self.build()
-
     def __repr__(self) -> str:  # pragma: no cover
         opts = ", ".join(f"{k}={v!r}" for k, v in self.options)
         parts = ", ".join(filter(None, [", ".join(map(repr, self.args)), opts]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import registry
 from repro.traces.calibration import calibration_for
 from repro.traces.generator import generate_trace
 from repro.traces.loader import save_aws_csv
@@ -72,6 +73,21 @@ def test_csv_rejected_for_multi_strategies(tmp_path, capsys):
     save_aws_csv(trace, path)
     rc = main(["--csv", str(path), "--strategy", "multi-market"])
     assert rc == 2
+
+
+def test_list_strategies_vector_cell_is_the_example_instance_flag(capsys):
+    assert main(["--list-strategies"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) == 5:
+            rows[cells[0]] = cells[2]
+    kinds = registry.strategy_kinds()
+    assert set(kinds) <= set(rows)
+    for kind in kinds:
+        built = registry.example_spec(kind).build()
+        assert rows[kind] == ("yes" if built.vectorizable else "no"), kind
+    assert rows["no-ft"] == "no" and rows["single"] == "yes"
 
 
 def test_parser_rejects_unknown_region():

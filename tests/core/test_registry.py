@@ -137,7 +137,6 @@ def test_weight_without_synthesize_raises():
             builder=SingleMarketStrategy,
             display_name="w",
             citation="",
-            vectorizable=False,
             synthesis_weight=0.5,
         )
 
@@ -155,17 +154,6 @@ def test_unregister_unknown_kind_raises():
 def test_unknown_kind_lookup_lists_known():
     with pytest.raises(ConfigurationError, match="registered:"):
         strategy_info("no-such-kind")
-
-
-def test_vectorizable_defaults_from_class_flags():
-    @register_strategy("vec-derive-test", example_args=(KEY,))
-    class Derived(SingleMarketStrategy):
-        _vector_decisions = True
-
-    try:
-        assert strategy_info("vec-derive-test").vectorizable is True
-    finally:
-        _cleanup("vec-derive-test")
 
 
 def test_discover_plugins_is_idempotent():

@@ -13,10 +13,9 @@ import pytest
 from repro.core import registry
 from repro.core.policies import IndexTrackingStrategy
 from repro.core.strategies import HostingStrategy, SingleMarketStrategy
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 from repro.runtime.spec import StrategySpec
 from repro.testkit.conformance import GRID_REGIONS, conformance_check
-from repro.traces.catalog import MarketKey
 
 pytestmark = pytest.mark.conformance
 
@@ -52,23 +51,3 @@ def test_subclass_resolves_to_its_registered_parent():
 
     info = registry.info_for_builder(Tweaked)
     assert info is not None and info.kind == "index-tracking"
-
-
-def test_dishonest_vectorizable_metadata_fails():
-    """A family whose registry flag contradicts its instances is caught."""
-
-    @registry.register_strategy(
-        "liar-test",
-        vectorizable=True,  # the class itself says False
-        example_args=(MarketKey("us-east-1a", "small"),),
-    )
-    class Liar(SingleMarketStrategy):
-        _vector_decisions = False
-
-    try:
-        report = conformance_check("liar-test")
-        assert not report.passed
-        with pytest.raises(InvariantViolation):
-            report.raise_on_failure()
-    finally:
-        registry.unregister_strategy("liar-test")

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import build_parser, main
+from repro.obs import observe
 
 FAST = ExperimentConfig(fast=True)
 
@@ -43,6 +44,15 @@ DETERMINISTIC = ["tab1", "tab2", "tab4", "fig12", "fig1", "fig10", "sec62", "tab
 @pytest.mark.parametrize("eid", DETERMINISTIC)
 def test_deterministic_experiments_hold_in_fast_mode(eid):
     assert run_experiment(eid, FAST).all_hold()
+
+
+@pytest.mark.parametrize("eid", ["fig6", "ext-sensitivity", "ext-fleet"])
+def test_drivers_forward_the_engine_to_every_batch(eid):
+    with observe() as scope:
+        run_experiment(eid, FAST.with_(engine="event"))
+    assert scope.batches
+    assert {b.engine for b in scope.batches} == {"event"}
+    assert sum(b.vector_runs for b in scope.batches) == 0
 
 
 class TestCli:

@@ -1,24 +1,38 @@
-"""Sinks: the null default, memory/ring collection, JSONL round-trips."""
+"""Sinks: the null default, memory collection, and JSONL round trips
+through the one trace-file writer, ``ObservationScope.write_jsonl``."""
 
 import json
-
-import pytest
 
 from repro.obs import (
     NULL_SINK,
     EngineRunCompleted,
-    JsonlSink,
     MemorySink,
     NullSink,
-    RingBufferSink,
+    ObservationScope,
     TraceSink,
     event_from_dict,
     read_jsonl,
 )
+from repro.runtime import RunTelemetry
 
 
 def ticks(n):
     return [EngineRunCompleted(t=float(i), fired_events=i) for i in range(n)]
+
+
+def scope_with(events, label="run", seed=0):
+    """A scope holding one run that captured ``events``."""
+    scope = ObservationScope(trace=True)
+    scope.add_run(
+        RunTelemetry(
+            label=label,
+            seed=seed,
+            wall_s=0.0,
+            events_processed=len(events),
+            trace_events=tuple(e.to_dict() for e in events),
+        )
+    )
+    return scope
 
 
 class TestNullSink:
@@ -43,40 +57,28 @@ class TestMemorySink:
         assert len(sink) == 0
 
 
-class TestRingBufferSink:
-    def test_keeps_only_the_most_recent(self):
-        sink = RingBufferSink(capacity=2)
-        for e in ticks(5):
-            sink.emit(e)
-        assert [e.fired_events for e in sink.events] == [3, 4]
-        assert len(sink) == 2
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
-
-
 class TestJsonl:
     def test_round_trip_with_tags(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         events = ticks(3)
-        with JsonlSink(path, tags={"run": "proactive/small", "seed": 11}) as sink:
-            for e in events:
-                sink.emit(e)
-            assert sink.lines_written == 3
+        scope = scope_with(events, label="proactive/small", seed=11)
+        assert scope.write_jsonl(str(path), extra_tags={"experiment": "fig6"}) == 3
 
+        tags = ("experiment", "run", "seed", "engine")
         records = list(read_jsonl(path))
         assert len(records) == 3
         for record, event in zip(records, events):
+            assert list(record)[:4] == list(tags)
+            assert record["experiment"] == "fig6"
             assert record["run"] == "proactive/small"
             assert record["seed"] == 11
-            payload = {k: v for k, v in record.items() if k not in ("run", "seed")}
+            assert record["engine"] == "event"
+            payload = {k: v for k, v in record.items() if k not in tags}
             assert event_from_dict(payload) == event
 
     def test_lines_are_compact_json(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            sink.emit(ticks(1)[0])
+        scope_with(ticks(1)).write_jsonl(str(path))
         line = path.read_text().splitlines()[0]
         assert ": " not in line and ", " not in line
         assert json.loads(line)["type"] == "engine-run-completed"
@@ -89,5 +91,5 @@ class TestJsonl:
 
 class TestProtocol:
     def test_provided_sinks_satisfy_the_protocol(self):
-        for sink in (NULL_SINK, MemorySink(), RingBufferSink(4)):
+        for sink in (NULL_SINK, MemorySink()):
             assert isinstance(sink, TraceSink)

@@ -70,13 +70,11 @@ def test_every_registered_kind_has_a_case():
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_CASES))
-def test_strategy_spec_builds_and_is_callable(kind):
+def test_strategy_spec_builds_a_fresh_instance(kind):
     spec, cls = SPEC_CASES[kind]
     assert isinstance(spec.build(), cls)
-    # A spec is a drop-in strategy factory.
-    assert isinstance(spec(), cls)
     # Each call builds a fresh instance.
-    assert spec() is not spec()
+    assert spec.build() is not spec.build()
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_CASES))
@@ -106,7 +104,7 @@ def test_run_spec_pickles_for_every_combination(kind, bidding, mechanism):
     )
     clone = pickle.loads(pickle.dumps(run))
     assert clone == run
-    assert isinstance(clone.strategy(), cls)
+    assert isinstance(clone.strategy.build(), cls)
     assert clone.bidding.name == bidding.name
 
 

@@ -54,7 +54,7 @@ def test_vector_matches_event_on_golden_corpus(scenario):
     event = run_simulation_observed(spec, catalog=scenario.catalog())
     vector = run_simulation_observed(spec, engine="vector", catalog=scenario.catalog())
     assert event.engine_kind == "event"
-    if spec.strategy().vectorizable:
+    if spec.strategy.build().vectorizable:
         assert vector.engine_kind == "vector"
         assert vector.vector_checks > 0
     else:

@@ -2,7 +2,8 @@
 
 The examples are the first code a user copies, so each one runs in a
 fresh interpreter, exactly as ``python examples/<name>.py`` would, and
-must exit 0.
+must exit 0, leave its temporary directory empty and keep temporary
+paths out of its output (so two runs print the same bytes).
 """
 
 import os
@@ -22,13 +23,15 @@ def test_examples_found():
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
 def test_example_runs(script, tmp_path):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(
             filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
         ),
         # Examples that write scratch files put them under the test's tmp dir.
-        "TMPDIR": str(tmp_path),
+        "TMPDIR": str(scratch),
     }
     proc = subprocess.run(
         [sys.executable, str(script)],
@@ -40,3 +43,5 @@ def test_example_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.strip()
+    assert str(scratch) not in proc.stdout
+    assert list(scratch.iterdir()) == []

@@ -14,8 +14,9 @@ lacks, nothing in the code left undocumented:
   every ``repro.fleet.report`` dataclass with exactly its fields;
 * ``docs/STRATEGIES.md`` — the "Family overview" table and the "Strategy
   catalog" sections match the strategy registry: display names,
-  vectorizable flags, synthesis weights, and each family's spec
-  arguments (name, kind, required, CLI flag, in schema order);
+  synthesis weights, each family's spec arguments (name, kind,
+  required, CLI flag, in schema order), and the ``vectorizable`` flag
+  of each family's example instance;
 * ``docs/DATA.md`` — the "repro-calibrate reference" and "Ingest CLI
   reference" tables list exactly their parsers' flags;
 * ``docs/API.md`` — the ``- **`name`**`` bullets opening each
@@ -237,10 +238,11 @@ def check_strategies(doc: Dict[Optional[str], List[str]]) -> Tuple[List[str], st
                 f"{info.display_name!r}"
             )
         vec = m.group("vec") == "yes"
-        if vec != info.vectorizable:
+        built = registry.example_spec(kind).build().vectorizable
+        if vec != built:
             problems.append(
                 f"{kind}: overview says vectorizable={vec}, "
-                f"registry says {info.vectorizable}"
+                f"the example instance says {built}"
             )
         weight = float(m.group("weight"))
         if abs(weight - info.synthesis_weight) > 1e-9:
