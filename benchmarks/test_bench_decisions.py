@@ -40,7 +40,7 @@ from repro.core.bidding import ProactiveBidding
 from repro.core.simulation import RunSpec, build_stack
 from repro.obs.events import BillingTick
 from repro.obs.sinks import MemorySink
-from repro.runtime import RunSpec, StrategySpec, TraceCatalogCache, run_batch
+from repro.runtime import ExecutionOptions, RunSpec, StrategySpec, TraceCatalogCache, run_batch
 from repro.testkit.oracles import (
     naive_first_time_above,
     naive_first_time_at_or_below,
@@ -344,10 +344,11 @@ def test_bench_fleet_100_auto():
     from repro.fleet.spec import synthesize_fleet
 
     spec = synthesize_fleet(n_services=100, seed=0, horizon_s=days(30))
-    event = run_fleet(spec, engine="event")  # warms every catalog
-    auto = run_fleet(spec, engine="auto")
+    event_opts, auto_opts = ExecutionOptions(engine="event"), ExecutionOptions(engine="auto")
+    event = run_fleet(spec, execution=event_opts)  # warms every catalog
+    auto = run_fleet(spec, execution=auto_opts)
     assert auto.to_json() == event.to_json()
-    auto_s = best_of(lambda: run_fleet(spec, engine="auto"))
+    auto_s = best_of(lambda: run_fleet(spec, execution=auto_opts))
     record(fleet_100_auto_s={"value": auto_s, "unit": "s"})
     print(f"\n100-service fleet, auto engine: {auto_s:.3f}s")
     assert auto_s < 5.0, f"100-service fleet took {auto_s:.2f}s (budget 5s)"

@@ -32,6 +32,7 @@ from test_bench_decisions import best_of, record
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.runtime import (
+    ExecutionOptions,
     RunLedger,
     RunSpec,
     StrategySpec,
@@ -103,12 +104,12 @@ def test_runtime_fig6_parallel_speedup():
     cores = len(os.sched_getaffinity(0))
 
     t0 = time.perf_counter()
-    parallel_report = run_experiment("fig6", ExperimentConfig(jobs=4))
+    parallel_report = run_experiment("fig6", ExperimentConfig(execution=ExecutionOptions(jobs=4)))
     parallel_s = time.perf_counter() - t0
 
     shared_catalog_cache().clear()  # a fair, cold-cache serial run
     t0 = time.perf_counter()
-    serial_report = run_experiment("fig6", ExperimentConfig(jobs=1))
+    serial_report = run_experiment("fig6", ExperimentConfig(execution=ExecutionOptions(jobs=1)))
     serial_s = time.perf_counter() - t0
 
     assert parallel_report.render() == serial_report.render()

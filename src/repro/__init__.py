@@ -77,6 +77,7 @@ from repro.runtime import (
     BatchResult,
     BatchSpec,
     BatchTelemetry,
+    ExecutionOptions,
     RunSpec,
     RunTelemetry,
     StrategySpec,
@@ -126,6 +127,7 @@ __all__ = [
     "BatchResult",
     "BatchSpec",
     "BatchTelemetry",
+    "ExecutionOptions",
     "RunSpec",
     "RunTelemetry",
     "StrategySpec",

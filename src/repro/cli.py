@@ -33,8 +33,9 @@ from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
 from repro.core.simulation import RunSpec, run_many, run_simulation_observed
 from repro.obs import NULL_SINK, MemorySink, observe
-from repro.runtime import ENGINE_KINDS, RunTelemetry, StrategySpec
-from repro.errors import TraceFormatError
+from repro.runtime import ExecutionOptions, RunTelemetry, StrategySpec, add_execution_options
+from repro.runtime.options import print_observation
+from repro.errors import ConfigurationError, TraceFormatError
 from repro.traces.calibration import REGIONS, SIZES, on_demand_price
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.loader import load_aws_csv
@@ -66,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet size in small-equivalents (multi strategies)")
     p.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 37])
     p.add_argument("--days", type=float, default=30.0)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the per-seed fan-out "
-                   "(default 1 = serial; results are identical)")
-    p.add_argument("--engine", choices=ENGINE_KINDS, default="auto",
-                   help="execution engine: 'auto' (default) vectorizes and "
-                   "dedupes eligible runs, 'event' forces the per-event "
-                   "engine — results are bit-identical either way")
     p.add_argument("--csv", type=str, default=None,
                    help="replay an AWS-format spot history instead of "
                    "generating traces (single-market strategies only)")
@@ -80,12 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay an ingested mmap segment directory "
                    "(see repro.traces.ingest) instead of generating traces "
                    "(single-market strategies only)")
-    p.add_argument("--ledger", metavar="PATH", default=None,
-                   help="journal each completed seed to a crash-safe run "
-                   "ledger at PATH (a directory gets one file per batch)")
-    p.add_argument("--resume", action="store_true",
-                   help="with --ledger: replay seeds already journaled and "
-                   "run only the remainder (byte-identical results)")
     p.add_argument("--stability-weight", type=float, default=2.0)
     p.add_argument("--band", type=float, default=0.15,
                    help="index-tracking: tracking-error band above the index")
@@ -93,11 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="portfolio-bid: max predicted revocation risk")
     p.add_argument("--fast", action="store_true",
                    help="smoke run: horizon capped at 10 days, first two seeds")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write a JSONL decision trace of every run to PATH "
-                   "(inspect with 'repro-trace summarize PATH')")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the merged run-metrics summary after the table")
+    add_execution_options(p)
     return p
 
 
@@ -176,16 +160,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_strategies:
         print(_render_strategy_list())
         return 0
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.resume and args.ledger is None:
-        print("--resume needs --ledger PATH", file=sys.stderr)
+    try:
+        execution = ExecutionOptions.from_args(args)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.csv is not None and args.segments is not None:
         print("--csv and --segments are mutually exclusive", file=sys.stderr)
         return 2
-    if args.ledger is not None and (args.csv is not None or args.segments is not None):
+    if execution.ledger is not None and (args.csv is not None or args.segments is not None):
         # Replays are single in-process runs outside run_batch; there is
         # no batch to journal.
         print("--ledger does not apply to --csv/--segments replays", file=sys.stderr)
@@ -233,7 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # A single replay has no batch to route: auto takes the vector
             # scheduler, which itself degrades to per-event under --trace
             # or for non-vectorizable policies (results are identical).
-            one_engine = "vector" if args.engine == "auto" else "event"
+            one_engine = "vector" if execution.engine == "auto" else "event"
             start = time.perf_counter()
             observed = run_simulation_observed(
                 spec, sink=sink, engine=one_engine, catalog=catalog
@@ -254,11 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             )
         else:
-            results = run_many(
-                spec, args.seeds, jobs=args.jobs,
-                ledger=args.ledger, resume=args.resume,
-                engine=args.engine,
-            )
+            results = run_many(spec, args.seeds, execution=execution)
     for r in results:
         t.add_row(
             r.seed, r.normalized_cost_percent, r.unavailability_percent,
@@ -276,12 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         meets = agg.unavailability_percent <= 0.01
         print(f"four-nines target: {'met' if meets else 'MISSED'}")
-    if want_trace:
-        n = scope.write_jsonl(args.trace)
-        print(f"\ntrace: {n} event(s) written to {args.trace}")
-    if args.metrics:
-        print("\nrun metrics (merged over all runs):")
-        print(scope.metrics_summary())
+    print_observation(scope, args)
     return 0
 
 

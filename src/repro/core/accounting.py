@@ -12,7 +12,7 @@ The paper's two headline metrics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.cloud.billing import BillingRecord, LeaseBilling

@@ -15,7 +15,6 @@ instant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 

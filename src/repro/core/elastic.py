@@ -23,14 +23,14 @@ demand-weighted fraction of capacity-seconds the fleet failed to supply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.cloud.provider import CloudProvider, Lease, LeaseKind
+from repro.cloud.provider import CloudProvider, Lease
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.simulator.engine import Engine
 from repro.simulator.events import EventKind
 from repro.traces.catalog import MarketKey

@@ -35,6 +35,7 @@ from repro.vm.mechanisms import (
 )
 
 if TYPE_CHECKING:
+    from repro.runtime.options import ExecutionOptions
     from repro.runtime.spec import StrategySpec
 
 __all__ = [
@@ -349,27 +350,24 @@ def run_simulation_observed(
 def run_many(
     spec: RunSpec,
     seeds: List[int],
-    jobs: int = 1,
-    ledger: Optional[object] = None,
-    resume: bool = False,
-    engine: str = "auto",
+    *,
+    execution: Optional["ExecutionOptions"] = None,
 ) -> List[SimulationResult]:
     """Run the same configuration over several trace samples.
 
     A thin wrapper over :func:`repro.runtime.run_batch`: each seed becomes
     ``spec.with_(seed=s)``, and every seed gets its own sample, served
-    through the runtime's catalog cache. ``jobs > 1`` fans the seeds
-    across worker processes with results in seed order, identical to the
-    serial run. ``ledger`` / ``resume`` journal completed seeds to a
-    crash-safe run ledger and replay them on restart (see
-    :mod:`repro.runtime.ledger`).
+    through the runtime's catalog cache. ``execution`` (default
+    ``ExecutionOptions()``, serial) sets the worker count, engine and
+    run ledger; results come back in seed order, identical at any setting.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     # Imported lazily: repro.runtime builds on this module.
-    from repro.runtime import run_batch
+    from repro.runtime import ExecutionOptions, run_batch
 
+    e = execution or ExecutionOptions()
     specs = [spec.with_(seed=s) for s in seeds]
     return list(
-        run_batch(specs, jobs=jobs, ledger=ledger, resume=resume, engine=engine).results
+        run_batch(specs, jobs=e.jobs, engine=e.engine, ledger=e.ledger, resume=e.resume).results
     )

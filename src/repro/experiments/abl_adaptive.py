@@ -21,7 +21,6 @@ from repro.core.adaptive import AdaptiveBidding
 from repro.core.bidding import ProactiveBidding
 from repro.experiments.common import ExperimentConfig, simulate
 from repro.runtime import StrategySpec, shared_catalog
-from repro.traces.calibration import on_demand_price
 from repro.traces.catalog import MarketKey
 
 EXPERIMENT_ID = "abl-adaptive"

@@ -9,7 +9,7 @@ from typing import List, Sequence
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.results import AggregateResult, aggregate
 from repro.errors import ConfigurationError
-from repro.runtime import ENGINE_KINDS, BatchResult, RunSpec, StrategySpec, run_batch
+from repro.runtime import BatchResult, ExecutionOptions, RunSpec, StrategySpec, run_batch
 from repro.traces.calibration import REGIONS, SIZES
 from repro.units import days
 from repro.vm.mechanisms import Mechanism, MechanismParams, TYPICAL_PARAMS
@@ -25,35 +25,26 @@ class ExperimentConfig:
     """Knobs shared by all experiment drivers.
 
     ``fast`` shrinks seeds/horizon for quick smoke runs (used by the unit
-    tests); benchmarks run the full configuration. ``jobs`` fans each
-    driver's seed×variant batches across worker processes — results are
-    identical to the serial default, only faster. ``ledger_dir`` journals
-    every batch a driver emits into per-batch ledger files under that
-    directory (named by batch fingerprint); with ``resume`` set, batches
+    tests); benchmarks run the full configuration. ``execution`` sets how
+    each driver batch runs (worker count, engine, run ledger, resume);
+    results are identical at any setting. A driver emits many batches, so
+    ``execution.ledger`` is always a directory holding one ledger file per
+    batch (named by batch fingerprint); with ``resume`` set, batches
     already journaled there replay instead of re-executing, so an
     interrupted ``repro-experiments`` invocation picks up where it died.
-    ``engine`` selects the execution engine per batch: ``"auto"`` (the
-    default) routes eligible runs through the vectorized boundary-scan
-    engine and the rest per-event; results are bit-identical either way.
     """
 
     seeds: Sequence[int] = DEFAULT_SEEDS
     horizon_s: float = days(30)
     fast: bool = False
-    jobs: int = 1
-    ledger_dir: str | None = None
-    resume: bool = False
-    engine: str = "auto"
+    execution: ExecutionOptions = ExecutionOptions()
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
-        if self.resume and self.ledger_dir is None:
-            raise ConfigurationError("resume needs a ledger directory")
-        if self.engine not in ENGINE_KINDS:
+        ledger = self.execution.ledger
+        if ledger is not None and Path(ledger).exists() and not Path(ledger).is_dir():
             raise ConfigurationError(
-                f"unknown engine {self.engine!r} "
-                f"(choices: {', '.join(ENGINE_KINDS)})"
+                f"ledger {ledger} is a file; experiments journal one file per "
+                "batch, so the ledger must be a directory"
             )
 
     def effective_seeds(self) -> List[int]:
@@ -64,9 +55,9 @@ class ExperimentConfig:
 
     def effective_ledger(self) -> Path | None:
         """The batch-ledger directory, created on first use (or ``None``)."""
-        if self.ledger_dir is None:
+        if self.execution.ledger is None:
             return None
-        path = Path(self.ledger_dir)
+        path = Path(self.execution.ledger)
         path.mkdir(parents=True, exist_ok=True)
         return path
 
@@ -74,15 +65,15 @@ class ExperimentConfig:
         return replace(self, **kw)
 
     def run_batch(self, specs: Sequence[RunSpec]) -> BatchResult:
-        """Run one driver batch with this config's execution settings
-        (``jobs``, ``engine``, ``ledger_dir``, ``resume``).
+        """Run one driver batch with this config's ``execution`` options.
 
         Looks ``run_batch`` up on this module at call time, so a wrapper
         installed here (``perfbench``'s recorder) sees every driver batch.
         """
+        e = self.execution
         return run_batch(
-            specs, jobs=self.jobs, ledger=self.effective_ledger(),
-            resume=self.resume, engine=self.engine,
+            specs, jobs=e.jobs, ledger=self.effective_ledger(),
+            resume=e.resume, engine=e.engine,
         )
 
 
@@ -102,7 +93,7 @@ def simulate(
     Submits the seeds as one :func:`repro.runtime.run_batch` batch: trace
     catalogs are served from the runtime cache (so several policies
     evaluated on one seed compare on the *same* price sample), and
-    ``cfg.jobs`` workers run seeds concurrently.
+    ``cfg.execution.jobs`` workers run seeds concurrently.
     """
     base = RunSpec(
         strategy=strategy,

@@ -13,8 +13,9 @@ from typing import List, Optional
 
 from repro.experiments.common import DEFAULT_SEEDS, ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.errors import ConfigurationError
 from repro.obs import observe
-from repro.runtime import ENGINE_KINDS, batches_summary
+from repro.runtime import ExecutionOptions, add_execution_options, batches_summary
 from repro.units import days
 
 __all__ = ["main", "build_parser"]
@@ -42,40 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--days", type=float, default=30.0, help="trace horizon in days (default 30)"
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the seed×variant fan-out (default 1 = "
-        "serial; results are identical at any worker count)",
-    )
-    p.add_argument(
-        "--engine", choices=ENGINE_KINDS, default="auto",
-        help="execution engine: 'auto' (default) vectorizes and dedupes "
-        "eligible runs, 'event' forces the per-event engine — results "
-        "are bit-identical; the footer reports how many runs vectorized",
-    )
-    p.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="journal every batch to crash-safe run ledgers under DIR "
-        "(one JSONL file per batch, named by batch fingerprint)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="with --ledger: replay runs already journaled under DIR and "
-        "execute only the remainder — reports are byte-identical to an "
-        "uninterrupted run",
-    )
-    p.add_argument(
         "--markdown", metavar="DIR", default=None,
         help="also write each report as Markdown into DIR",
     )
-    p.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL decision trace of every run to PATH, tagged "
-        "with its experiment id (inspect with 'repro-trace summarize')",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="print each experiment's merged run metrics after its report",
-    )
+    add_execution_options(p)
     return p
 
 
@@ -91,17 +62,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiment ids: {unknown}", file=sys.stderr)
         print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    try:
+        cfg = ExperimentConfig(
+            seeds=tuple(args.seeds), horizon_s=days(args.days), fast=args.fast,
+            execution=ExecutionOptions.from_args(args),
+        )
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.resume and args.ledger is None:
-        print("--resume needs --ledger DIR", file=sys.stderr)
-        return 2
-    cfg = ExperimentConfig(
-        seeds=tuple(args.seeds), horizon_s=days(args.days), fast=args.fast,
-        jobs=args.jobs, ledger_dir=args.ledger, resume=args.resume,
-        engine=args.engine,
-    )
     md_dir = None
     if args.markdown is not None:
         from pathlib import Path

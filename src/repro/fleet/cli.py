@@ -26,8 +26,10 @@ from typing import List, Optional
 from repro.analysis.tables import Table
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import synthesize_fleet
+from repro.errors import ConfigurationError
 from repro.obs import observe
-from repro.runtime import ENGINE_KINDS, batches_summary
+from repro.runtime import ExecutionOptions, add_execution_options, batches_summary
+from repro.runtime.options import print_observation
 from repro.traces.calibration import ALL_REGIONS, SIZES
 from repro.units import days
 
@@ -59,19 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base per-service cap on concurrently held spares")
     p.add_argument("--handover-s", type=float, default=360.0, metavar="S",
                    help="seconds one forced migration occupies a spare")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the per-service fan-out "
-                   "(default 1 = serial; the report is byte-identical)")
-    p.add_argument("--engine", choices=ENGINE_KINDS, default="auto",
-                   help="execution engine: 'auto' (default) vectorizes and "
-                   "dedupes eligible runs, 'event' forces the per-event "
-                   "engine — the report is bit-identical either way")
-    p.add_argument("--ledger", metavar="PATH", default=None,
-                   help="journal each completed service run to a crash-safe "
-                   "run ledger at PATH (a directory gets one file per batch)")
-    p.add_argument("--resume", action="store_true",
-                   help="with --ledger: replay services already journaled "
-                   "and run only the remainder (byte-identical report)")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="also write the full FleetReport as sorted-key JSON "
                    "to PATH (the byte-identity artifact)")
@@ -82,19 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the N services with the most downtime (0 = none)")
     p.add_argument("--fast", action="store_true",
                    help="smoke run: at most 16 services over 7 days")
+    add_execution_options(p)
     return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    try:
+        execution = ExecutionOptions.from_args(args)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.services < 1:
         print("--services must be >= 1", file=sys.stderr)
-        return 2
-    if args.resume and args.ledger is None:
-        print("--resume needs --ledger PATH", file=sys.stderr)
         return 2
     if args.fast:
         args.services = min(args.services, 16)
@@ -110,15 +99,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_spare_quota=args.spare_quota,
         handover_window_s=args.handover_s,
     )
-    with observe() as scope:
-        report = run_fleet(
-            spec,
-            jobs=args.jobs,
-            engine=args.engine,
-            ledger=args.ledger,
-            resume=args.resume,
-            verify=args.verify,
-        )
+    with observe(trace=args.trace is not None) as scope:
+        report = run_fleet(spec, execution=execution, verify=args.verify)
     print(report.summary())
     # Execution telemetry is a footer, not part of the report: the report
     # itself stays byte-identical across engines and worker counts.
@@ -149,6 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nreport: written to {path}")
     if args.verify:
         print("fleet invariant oracles green")
+    print_observation(scope, args)
     return 0
 
 

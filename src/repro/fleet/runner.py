@@ -20,7 +20,7 @@ Rates (normalized cost %, unavailability %) are unaffected by proration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.fleet.report import (
 )
 from repro.fleet.spares import SharedSparePool, concurrent_events
 from repro.fleet.spec import FleetSpec
+from repro.runtime import ExecutionOptions
 from repro.units import SECONDS_PER_HOUR
 
 __all__ = ["run_fleet"]
@@ -41,27 +42,23 @@ __all__ = ["run_fleet"]
 def run_fleet(
     spec: FleetSpec,
     *,
-    jobs: int = 1,
-    engine: str = "auto",
-    ledger: Optional[object] = None,
-    resume: bool = False,
+    execution: ExecutionOptions = ExecutionOptions(),
     verify: bool = False,
 ) -> FleetReport:
     """Simulate every service in ``spec`` and distil the fleet report.
 
-    ``jobs``/``engine``/``ledger``/``resume`` pass straight through to
+    ``execution`` passes straight through to
     :func:`repro.runtime.run_batch`. ``verify=True`` additionally runs
     the fleet invariant oracles (:func:`repro.testkit.oracles.verify_fleet`)
     on the finished report and raises
     :class:`~repro.errors.InvariantViolation` if any fail.
     """
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    # Imported lazily: repro.runtime is heavy and fleet specs are cheap.
+    # Looked up at call time, so a wrapper installed on repro.runtime sees it.
     from repro.runtime import run_batch
 
     batch = run_batch(
-        list(spec.run_specs()), jobs=jobs, ledger=ledger, resume=resume, engine=engine
+        list(spec.run_specs()), jobs=execution.jobs, engine=execution.engine,
+        ledger=execution.ledger, resume=execution.resume,
     )
     results = list(batch.results)
     report = assemble_report(spec, results)

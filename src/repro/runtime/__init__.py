@@ -24,6 +24,7 @@ from repro.runtime.cache import (
     shared_catalog_cache,
 )
 from repro.runtime.executor import BatchResult, run_batch
+from repro.runtime.options import ExecutionOptions, add_execution_options
 from repro.runtime.vector import ENGINE_KINDS
 from repro.runtime.ledger import (
     LEDGER_VERSION,
@@ -51,6 +52,7 @@ __all__ = [
     "BatchTelemetry",
     "ENGINE_KINDS",
     "CatalogKey",
+    "ExecutionOptions",
     "LEDGER_VERSION",
     "LedgerRecord",
     "LedgerState",
@@ -59,6 +61,7 @@ __all__ = [
     "RunTelemetry",
     "StrategySpec",
     "TraceCatalogCache",
+    "add_execution_options",
     "batch_fingerprint",
     "batches_summary",
     "register_strategy_kind",

@@ -67,7 +67,8 @@ from repro.runtime.spec import (
     spec_fingerprints,
 )
 from repro.runtime.telemetry import BatchTelemetry, RunTelemetry
-from repro.runtime.vector import ENGINE_KINDS, policies_vectorizable
+from repro.runtime.options import ExecutionOptions
+from repro.runtime.vector import policies_vectorizable
 
 __all__ = ["BatchResult", "run_batch"]
 
@@ -536,16 +537,10 @@ def run_batch(
     specs: Tuple[RunSpec, ...] = tuple(runs.runs if isinstance(runs, BatchSpec) else runs)
     if not specs:
         raise ConfigurationError("batch needs at least one run")
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
+    # Raises on a bad jobs/engine/resume: ExecutionOptions owns the rules.
+    ExecutionOptions(jobs=jobs, engine=engine, ledger=ledger, resume=resume)
     if retries < 0:
         raise ConfigurationError("retries must be >= 0")
-    if resume and ledger is None:
-        raise ConfigurationError("resume=True needs a ledger path")
-    if engine not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"unknown engine {engine!r} (choices: {', '.join(ENGINE_KINDS)})"
-        )
     if cache is None:
         cache = shared_catalog_cache()
     # An observe(trace=True) scope is watching: every run executes on the

@@ -7,7 +7,7 @@ all build small markets the same way.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.trace import PriceTrace

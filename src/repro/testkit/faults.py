@@ -40,7 +40,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, Mapping, Optional, Tuple
 

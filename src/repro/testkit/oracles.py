@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,10 +362,11 @@ def check_jobs_determinism(
 ) -> OracleReport:
     """Check ``run_many`` is byte-identical serial vs ``jobs`` workers."""
     from repro.core.simulation import run_many
+    from repro.runtime import ExecutionOptions
 
     report = report if report is not None else OracleReport()
-    serial = run_many(spec, list(seeds), jobs=1)
-    parallel = run_many(spec, list(seeds), jobs=jobs)
+    serial = run_many(spec, list(seeds))
+    parallel = run_many(spec, list(seeds), execution=ExecutionOptions(jobs=jobs))
     mismatches = [
         f"seed {s}" for s, a, b in zip(seeds, serial, parallel) if a != b
     ]

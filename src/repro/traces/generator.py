@@ -23,7 +23,6 @@ full 16-market catalog for a 30-day horizon takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -21,7 +21,7 @@ frequency tracks the dirty rate, the idle VM flushes rarely).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

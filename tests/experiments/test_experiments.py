@@ -7,6 +7,7 @@ from repro.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import build_parser, main
 from repro.obs import observe
+from repro.runtime import ExecutionOptions
 
 FAST = ExperimentConfig(fast=True)
 
@@ -49,7 +50,7 @@ def test_deterministic_experiments_hold_in_fast_mode(eid):
 @pytest.mark.parametrize("eid", ["fig6", "ext-sensitivity", "ext-fleet"])
 def test_drivers_forward_the_engine_to_every_batch(eid):
     with observe() as scope:
-        run_experiment(eid, FAST.with_(engine="event"))
+        run_experiment(eid, FAST.with_(execution=ExecutionOptions(engine="event")))
     assert scope.batches
     assert {b.engine for b in scope.batches} == {"event"}
     assert sum(b.vector_runs for b in scope.batches) == 0
@@ -79,6 +80,22 @@ class TestCli:
 
     def test_bad_jobs_exits_2(self, capsys):
         assert main(["tab2", "--fast", "--jobs", "0"]) == 2
+
+    def test_ledger_file_rejected_before_any_experiment(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["--fast", "--ledger", str(afile), "tab1", "fig6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a directory" in captured.err
+        with pytest.raises(ConfigurationError, match="must be a directory"):
+            ExperimentConfig(execution=ExecutionOptions(ledger=afile))
+
+    def test_missing_ledger_path_is_a_directory(self, tmp_path, capsys):
+        ledger = tmp_path / "runs"
+        assert main(["--fast", "--ledger", str(ledger), "fig6"]) == 0
+        capsys.readouterr()
+        assert ledger.is_dir() and list(ledger.glob("batch-*.jsonl"))
 
     def test_run_parallel_jobs(self, capsys):
         """The --jobs path produces the same report plus a telemetry footer."""

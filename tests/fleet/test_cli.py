@@ -51,3 +51,27 @@ def test_error_exits(capsys):
     assert main(["--services", "0"]) == 2
     assert main([*FAST, "--resume"]) == 2  # --resume needs --ledger
     capsys.readouterr()
+
+
+def test_trace_byte_identical_across_jobs_and_summarizable(tmp_path, capsys):
+    from repro.obs.cli import main as trace_main
+
+    t1, t2 = tmp_path / "j1.jsonl", tmp_path / "j2.jsonl"
+    assert main([*FAST, "--jobs", "1", "--trace", str(t1), "--metrics"]) == 0
+    out = capsys.readouterr().out
+    assert f"event(s) written to {t1}" in out
+    assert "run metrics (merged over all runs):" in out
+    assert main([*FAST, "--jobs", "2", "--trace", str(t2)]) == 0
+    capsys.readouterr()
+    assert t1.stat().st_size > 0
+    assert t1.read_bytes() == t2.read_bytes()
+    assert trace_main(["summarize", str(t1)]) == 0
+    assert "across 4 run(s)" in capsys.readouterr().out
+
+
+def test_trace_leaves_the_report_unchanged(tmp_path, capsys):
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main([*FAST, "--report", str(plain)]) == 0
+    assert main([*FAST, "--report", str(traced), "--trace", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    assert plain.read_bytes() == traced.read_bytes()

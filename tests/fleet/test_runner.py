@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet.runner import assemble_report, run_fleet
 from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
+from repro.runtime import ExecutionOptions
 from repro.runtime.spec import StrategySpec
 from repro.testkit.oracles import verify_fleet
 from repro.traces.catalog import MarketKey
@@ -28,14 +29,14 @@ def small_fleet(**kw):
 class TestDeterminism:
     def test_byte_identical_across_jobs(self):
         fleet = small_fleet()
-        serial = run_fleet(fleet, jobs=1)
-        parallel = run_fleet(fleet, jobs=2)
+        serial = run_fleet(fleet, execution=ExecutionOptions(jobs=1))
+        parallel = run_fleet(fleet, execution=ExecutionOptions(jobs=2))
         assert serial.to_json() == parallel.to_json()
 
     def test_byte_identical_across_engines(self):
         fleet = small_fleet()
         reports = {
-            engine: run_fleet(fleet, engine=engine).to_json()
+            engine: run_fleet(fleet, execution=ExecutionOptions(engine=engine)).to_json()
             for engine in ("event", "auto")
         }
         assert reports["event"] == reports["auto"]
@@ -43,8 +44,10 @@ class TestDeterminism:
     def test_byte_identical_across_ledger_resume(self, tmp_path):
         fleet = small_fleet()
         ledger = tmp_path / "fleet.ledger"
-        first = run_fleet(fleet, ledger=str(ledger))
-        resumed = run_fleet(fleet, ledger=str(ledger), resume=True)
+        first = run_fleet(fleet, execution=ExecutionOptions(ledger=str(ledger)))
+        resumed = run_fleet(
+            fleet, execution=ExecutionOptions(ledger=str(ledger), resume=True)
+        )
         assert first.to_json() == resumed.to_json()
 
 
@@ -144,4 +147,4 @@ class TestReport:
 
     def test_jobs_validated(self):
         with pytest.raises(ConfigurationError):
-            run_fleet(small_fleet(), jobs=0)
+            run_fleet(small_fleet(), execution=ExecutionOptions(jobs=0))

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.obs import observe
 from repro.runtime import (
     BatchSpec,
+    ExecutionOptions,
     RunSpec,
     StrategySpec,
     TraceCatalogCache,
@@ -107,7 +108,9 @@ class TestParallelDeterminism:
             regions=(REGION,),
             sizes=("small",),
         )
-        assert run_many(spec, [1, 2, 3], jobs=4) == run_many(spec, [1, 2, 3])
+        assert run_many(spec, [1, 2, 3], execution=ExecutionOptions(jobs=4)) == run_many(
+            spec, [1, 2, 3]
+        )
 
 
 class TestTelemetry:

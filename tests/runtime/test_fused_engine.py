@@ -67,10 +67,11 @@ def test_fused_matches_event_on_fleet_golden():
     """The ``fleet-small`` golden renders the identical report bytes under
     cross-run dedupe."""
     from repro.fleet.runner import run_fleet
+    from repro.runtime import ExecutionOptions
 
     scenario = FLEET_SCENARIOS[0]
-    event = run_fleet(scenario.spec(), engine="event")
-    auto = run_fleet(scenario.spec(), engine="auto")
+    event = run_fleet(scenario.spec(), execution=ExecutionOptions(engine="event"))
+    auto = run_fleet(scenario.spec(), execution=ExecutionOptions(engine="auto"))
     assert auto.to_json() == event.to_json()
 
 

@@ -1,0 +1,45 @@
+"""The stdlib-``ast`` lint gate: no unused module-level imports under src/."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "check_imports.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("check_imports", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_has_no_unused_imports():
+    proc = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_checker_flags_only_unused_names(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import TYPE_CHECKING, List, Tuple\n"
+        "from json import dumps\n"
+        "import atexit  # noqa: F401\n"
+        "if TYPE_CHECKING:\n"
+        "    from decimal import Decimal\n"
+        "__all__ = ['dumps']\n"
+        "def f(x: 'Decimal') -> List[int]:\n"
+        "    return [os.path.sep, dataclass]\n"
+    )
+    found = _tool().unused_imports(pkg / "mod.py")
+    assert [name for _, name in found] == ["math", "field", "Tuple"]
+    assert _tool().check(tmp_path / "src") == [
+        f"src/pkg/mod.py:{line}: unused import {name!r}" for line, name in found
+    ]

@@ -20,7 +20,11 @@ lacks, nothing in the code left undocumented:
 * ``docs/DATA.md`` — the "repro-calibrate reference" and "Ingest CLI
   reference" tables list exactly their parsers' flags;
 * ``docs/API.md`` — the ``- **`name`**`` bullets opening each
-  ``## `module` `` section name exactly that module's ``__all__``.
+  ``## `module` `` section name exactly that module's ``__all__``; and
+  the "Execution options" table lists exactly the flags
+  ``add_execution_options`` declares, while each CLI parser
+  (``repro-simulate``, ``repro-experiments``, ``repro-fleet``) declares
+  them with the group's exact actions, so the CLIs cannot drift apart.
 
 A flag with a parser ``choices`` list must name every accepted choice
 (in backticks) in its documented meaning — adding an ``--engine``
@@ -44,10 +48,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cli import build_parser as simulate_parser  # noqa: E402
 from repro.core import registry  # noqa: E402
+from repro.experiments.runner import build_parser as experiments_parser  # noqa: E402
 from repro.fleet import report as fleet_report  # noqa: E402
 from repro.fleet.cli import build_parser as fleet_parser  # noqa: E402
 from repro.obs import EVENT_TYPES  # noqa: E402
+from repro.runtime import add_execution_options  # noqa: E402
 from repro.traces.calibrate_cli import build_parser as calibrate_parser  # noqa: E402
 from repro.traces.ingest import DEFAULT_CHUNK_RECORDS  # noqa: E402
 
@@ -360,19 +367,67 @@ def check_api(doc: Dict[Optional[str], List[str]]) -> Tuple[List[str], str]:
     return problems, f"{n} names documented across {len(modules)} modules, all match __all__"
 
 
-#: Checked doc -> (what it must match, its check).
-DOCS: Dict[str, Tuple[str, Check]] = {
-    "TRACING.md": ("repro.obs", check_tracing),
-    "FLEET.md": ("repro.fleet", check_fleet),
-    "STRATEGIES.md": ("the registry", check_strategies),
-    "DATA.md": ("the ingest/refit CLIs", check_data),
-    "API.md": ("the package __all__ lists", check_api),
+#: The parsers that take the shared execution options, by program name.
+CLI_PARSERS = {
+    "repro-simulate": simulate_parser,
+    "repro-experiments": experiments_parser,
+    "repro-fleet": fleet_parser,
 }
+#: The ``argparse.Action`` attributes that must match across parsers.
+ACTION_FIELDS = ("option_strings", "dest", "nargs", "const", "default",
+                 "type", "choices", "required", "help", "metavar")
+
+
+def execution_group() -> argparse.ArgumentParser:
+    """A parser holding only the shared execution options."""
+    p = argparse.ArgumentParser(add_help=False)
+    add_execution_options(p)
+    return p
+
+
+def check_execution_options(doc: Dict[Optional[str], List[str]]) -> Tuple[List[str], str]:
+    """The "Execution options" table under ``repro.runtime`` against the
+    shared group, and every CLI's copy of each flag against the group's."""
+    lines = next((v for k, v in doc.items() if (k or "").startswith("`repro.runtime`")), [])
+    start = next((i for i, ln in enumerate(lines) if ln.startswith("### Execution options")), None)
+    if start is None:
+        return ["API.md has no '### Execution options' subsection under repro.runtime"], ""
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("### ")), None)
+    flags = flag_rows(lines[start:end])
+    group = execution_group()
+    problems = check_flags("execution options", "API.md", flags, group)
+
+    def signature(action: argparse.Action) -> Tuple:
+        return tuple(getattr(action, f) for f in ACTION_FIELDS)
+
+    for prog, build in CLI_PARSERS.items():
+        actions = {opt: a for a in build()._actions for opt in a.option_strings}
+        for shared in group._actions:
+            flag = shared.option_strings[0]
+            if flag not in actions:
+                problems.append(f"{prog}: shared flag {flag} missing")
+            elif signature(actions[flag]) != signature(shared):
+                problems.append(f"{prog}: {flag} differs from add_execution_options")
+    return problems, (
+        f"{len(flags)} shared execution flags documented and declared "
+        f"identically by {', '.join(CLI_PARSERS)}"
+    )
+
+
+#: (checked doc, what it must match, its check).
+DOCS: List[Tuple[str, str, Check]] = [
+    ("TRACING.md", "repro.obs", check_tracing),
+    ("FLEET.md", "repro.fleet", check_fleet),
+    ("STRATEGIES.md", "the registry", check_strategies),
+    ("DATA.md", "the ingest/refit CLIs", check_data),
+    ("API.md", "the package __all__ lists", check_api),
+    ("API.md", "add_execution_options", check_execution_options),
+]
 
 
 def main() -> int:
     failed = False
-    for name, (subject, check) in DOCS.items():
+    for name, subject, check in DOCS:
         path = REPO / "docs" / name
         if not path.exists():
             print(f"missing {path}")
