@@ -11,6 +11,7 @@ sample for each simulation run" methodology.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
@@ -19,6 +20,7 @@ from repro.core.results import SimulationResult
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import HostingStrategy
 from repro.cloud.provider import CloudProvider
+from repro.cloud.spot_market import REVOCATION_GRACE_S
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NULL_SINK, TraceSink
@@ -90,6 +92,8 @@ class RunSpec:
     #: :func:`build_stack`: spikes overlay the catalog before the provider
     #: sees it, so billing and bids both face the faulted prices.
     faults: Optional[Any] = None
+    #: Revocation warning window; additive: fingerprinted only off-default.
+    grace_s: float = field(default=REVOCATION_GRACE_S, metadata={"additive": True})
 
     def __post_init__(self) -> None:
         if not isinstance(self.strategy, _STRATEGY_SPEC or _strategy_spec_type()):
@@ -100,6 +104,8 @@ class RunSpec:
             )
         if self.horizon_s <= SECONDS_PER_HOUR:
             raise ConfigurationError("horizon must exceed one hour")
+        if not 0.0 <= self.grace_s < math.inf:
+            raise ConfigurationError(f"grace_s must be finite and >= 0, got {self.grace_s!r}")
 
     def with_(self, **kw) -> "RunSpec":
         """A copy with fields replaced."""
@@ -209,6 +215,7 @@ def build_stack(
     provider = CloudProvider(
         catalog,
         rng=streams.get("provider/startup"),
+        grace_s=spec.grace_s,
         startup_cv=spec.startup_cv,
         sink=sink,
     )

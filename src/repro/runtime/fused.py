@@ -11,7 +11,8 @@ unit's catalog is cached:
   provably identical runs. It also drops the parameters a strategy never
   reads — an on-demand-only strategy never evaluates bids, a pure-spot
   strategy never evaluates the reverse-migration threshold — so whole
-  axes of a sweep collapse onto one executed representative.
+  axes of a sweep collapse onto one executed representative. Every other
+  ``RunSpec`` field is keyed as it is, bar :data:`KEY_EXCLUDED_FIELDS`.
 * :func:`band_matches` matches reverse thresholds against the envelope of
   prices an executed run actually compared.
 
@@ -24,11 +25,30 @@ property in ``tests/runtime/test_fused_engine.py``.
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import operator
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.simulation import RunSpec
+
 __all__ = ["band_matches", "dynamics_key"]
+
+
+#: The :class:`~repro.core.simulation.RunSpec` fields :func:`dynamics_key`
+#: leaves out, each with its reason. Every other field is keyed as it is,
+#: so a new field joins the key by default: fewer clones, never wrong ones.
+KEY_EXCLUDED_FIELDS = {
+    "bidding": "keyed as its rank-projected signature",
+    "label": "names the result, never changes the dynamics",
+    **dict.fromkeys(("seed", "horizon_s", "regions", "sizes"), "in the catalog key"),
+    **dict.fromkeys(("calibrations", "faults"), "makes the spec ineligible"),
+}
+#: The keyed fields' values of one spec, as a tuple.
+_keyed_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(RunSpec) if f.name not in KEY_EXCLUDED_FIELDS)
+)
 
 
 #: One spec frame, keyed by (strategy identity, regions, sizes): the
@@ -88,9 +108,11 @@ def dynamics_key(
     dropped: an on-demand-only strategy keeps only the policy's name
     (which default result labels embed).
 
-    Returns ``(key, reverse_thresholds)``. The key covers everything the
-    run's dynamics depend on *except* the reverse-migration thresholds;
-    those come back separately (``{(region, size): threshold}``), or
+    Returns ``(key, reverse_thresholds)``. The key is the catalog key,
+    the projected bidding signature and every ``RunSpec`` field but the
+    named exclusions of :data:`KEY_EXCLUDED_FIELDS`: everything the run's
+    dynamics depend on *except* the reverse-migration thresholds, which
+    come back separately (``{(region, size): threshold}``), or
     ``None`` when the strategy never evaluates the reverse predicate
     (od-only, pure-spot) so the key alone decides equivalence. Reverse
     thresholds are matched against the *observed reverse band* of an
@@ -145,15 +167,7 @@ def dynamics_key(
                     (k.region, k.size): float(v)
                     for k, v in zip(markets, comp["reverse_thresholds"])
                 }
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            sig,
-        )
+        key = (catalog_key, sig, _keyed_fields(spec))
         hash(key)
     except Exception:
         return None

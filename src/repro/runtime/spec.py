@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ def _canonical(obj: Any) -> Any:
     """Reduce ``obj`` to a JSON-encodable canonical form.
 
     The reduction is *structural*: dataclasses become ``[module-qualified
-    class name, {field: value}]``, enums their module-qualified class +
+    class name, {field: value}]`` (an additive field at its default left
+    out, see :func:`_field_plan`), enums their module-qualified class +
     value, and mappings sorted key/value lists. Two objects reduce to the
     same form iff they would configure a simulation identically, which is
     what the run ledger's fingerprints need — no pickle bytes (unstable
@@ -56,10 +58,11 @@ def _canonical(obj: Any) -> Any:
         return ["enum", f"{cls.__module__}.{cls.__qualname__}", _canonical(obj.value)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         cls = type(obj)
-        fields = {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        fields = {}
+        for name, _, default in _field_plan(cls):
+            value = _canonical(getattr(obj, name))
+            if default is None or _ENCODE(value) != default:
+                fields[name] = value
         return [f"{cls.__module__}.{cls.__qualname__}", fields]
     if isinstance(obj, Mapping):
         items = [[_canonical(k), _canonical(v)] for k, v in obj.items()]
@@ -84,18 +87,31 @@ def _canonical(obj: Any) -> Any:
 #: The canonical JSON encoding every fingerprint hashes.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: The fields :func:`spec_fingerprint` hashes, in key order, each with its
-#: encoded ``"name":`` prefix: every field of the spec.
-_FINGERPRINT_FIELDS = tuple(
-    (name, _ENCODE(name) + ":")
-    for name in sorted(f.name for f in dataclasses.fields(RunSpec))
-)
+
+@functools.lru_cache(maxsize=None)
+def _field_plan(cls: type) -> tuple:
+    """Each field of dataclass ``cls`` in key order: its name, its encoded
+    ``"name":`` prefix and, for a field declared additive
+    (``field(default=..., metadata={"additive": True})``), its default's
+    encoding, else ``None``. An additive field is hashed only when its
+    value encodes differently from its default, so adding one changes no
+    earlier fingerprint. Encodings, not values: ``-0.0 == 0.0``, ``2 == 2.0``.
+    """
+    return tuple(
+        (
+            f.name,
+            _ENCODE(f.name) + ":",
+            _ENCODE(_canonical(f.default)) if f.metadata.get("additive") else None,
+        )
+        for f in sorted(dataclasses.fields(cls), key=lambda f: f.name)
+    )
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
     """Stable content hash of one :class:`~repro.core.simulation.RunSpec`:
     SHA-256 of ``["RunSpec", {field: canonical value}]`` as canonical
-    JSON."""
+    JSON, where an additive field at its default is left out (see
+    :func:`_field_plan`)."""
     return spec_fingerprints((spec,))[0]
 
 
@@ -119,9 +135,11 @@ def spec_fingerprints(specs: Sequence[RunSpec]) -> Tuple[str, ...]:
         return hit[1]
 
     def fingerprint(spec: RunSpec) -> str:
-        parts = (
-            prefix + encoded(getattr(spec, name)) for name, prefix in _FINGERPRINT_FIELDS
-        )
+        parts = []
+        for name, prefix, default in _field_plan(type(spec)):
+            value = encoded(getattr(spec, name))
+            if default is None or value != default:
+                parts.append(prefix + value)
         blob = '["RunSpec",{' + ",".join(parts) + "}]"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

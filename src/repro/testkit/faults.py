@@ -105,14 +105,6 @@ class FaultStats:
     checkpoint_failures: int = 0  #: transient failures (each retried)
     checkpoint_delay_total_s: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "checkpoint_writes": self.checkpoint_writes,
-            "checkpoint_delayed": self.checkpoint_delayed,
-            "checkpoint_failures": self.checkpoint_failures,
-            "checkpoint_delay_total_s": self.checkpoint_delay_total_s,
-        }
-
 
 def kill_orchestrator_after_n_runs(
     n: int, *, sig: int = signal.SIGKILL

@@ -379,18 +379,17 @@ def check_jobs_determinism(
     return report
 
 
-def _twin_key(spec) -> Optional[tuple]:
-    """Plain dynamics identity of one spec, or ``None``: its catalog key,
-    the rest of its non-label configuration and the bidding policy's
+def _twin_key(spec) -> Optional[object]:
+    """Plain dynamics identity of one spec, or ``None``: the spec itself
+    with its label cleared and its bidding policy replaced by the policy's
     frozen ``dynamics_components`` — no rank projection, no capability
-    projection. ``None`` under the same guards as
-    :func:`~repro.runtime.fused.dynamics_key`."""
+    projection, and every other field compared as it is. ``None`` under
+    the same guards as :func:`~repro.runtime.fused.dynamics_key`."""
     from repro.traces.calibration import on_demand_price
 
     comp_fn = getattr(spec.bidding, "dynamics_components", None)
-    catalog_key = spec.catalog_key()
     if (
-        catalog_key is None
+        spec.catalog_key() is None
         or not callable(comp_fn)
         or spec.faults is not None
         or spec.calibrations is not None
@@ -400,15 +399,7 @@ def _twin_key(spec) -> Optional[tuple]:
         comp = comp_fn(
             tuple(on_demand_price(r, s) for r in spec.regions for s in spec.sizes)
         )
-        key = (
-            catalog_key,
-            spec.strategy,
-            spec.mechanism,
-            spec.params,
-            float(spec.startup_cv),
-            float(spec.service_disk_gib),
-            tuple(sorted(comp.items())),
-        )
+        key = replace(spec, label="", bidding=tuple(sorted(comp.items())))
         hash(key)
     except Exception:
         return None

@@ -47,7 +47,7 @@ def test_deterministic_experiments_hold_in_fast_mode(eid):
     assert run_experiment(eid, FAST).all_hold()
 
 
-@pytest.mark.parametrize("eid", ["fig6", "ext-sensitivity", "ext-fleet"])
+@pytest.mark.parametrize("eid", ["fig6", "ext-sensitivity", "ext-fleet", "abl-grace"])
 def test_drivers_forward_the_engine_to_every_batch(eid):
     with observe() as scope:
         run_experiment(eid, FAST.with_(execution=ExecutionOptions(engine="event")))

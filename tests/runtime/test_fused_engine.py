@@ -84,6 +84,11 @@ _STRATEGIES = (
     lambda: StrategySpec.index_tracking((EAST,), service_units=4, n_markets=2),
 )
 
+#: Per-spec ``(grace_s, startup_cv)`` settings: non-bidding fields every
+#: dedupe key must tell apart. The default and one setting per field, so
+#: most draws hold a pair that differs in that field alone.
+_CONFIGS = ((120.0, 0.25), (0.0, 0.25), (120.0, 0.0))
+
 
 @settings(
     max_examples=12,
@@ -108,31 +113,37 @@ _STRATEGIES = (
         max_size=3,
         unique=True,
     ),
+    configs=st.lists(st.sampled_from(_CONFIGS), min_size=2, max_size=3, unique=True),
 )
-def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids):
+def test_fused_vector_event_equivalence(seed, ks, fracs, strategy_ids, configs):
     """``auto == unfused oracle == event`` over random mixed-strategy
     cohorts, including the vectorizable stability and index-tracking
-    families; the dedupe tiers must be invisible in the results."""
+    families, each crossed with per-spec ``grace_s``/``startup_cv``
+    settings; the dedupe tiers must be invisible in the results, and a
+    key that dropped a configuration field would clone across it."""
     specs = []
-    for sid in strategy_ids:
-        for k in ks:
-            for frac in fracs:
-                specs.append(
-                    _spec(
-                        strategy=_STRATEGIES[sid](),
-                        bidding=ProactiveBidding(k=k, reverse_threshold_frac=frac),
-                        seed=seed,
-                        label=f"s{sid}/k{k:.3f}/f{frac:.3f}",
+    for grace_s, startup_cv in configs:
+        cfg = dict(seed=seed, grace_s=grace_s, startup_cv=startup_cv)
+        tag = f"g{grace_s:g}/cv{startup_cv:g}"
+        for sid in strategy_ids:
+            for k in ks:
+                for frac in fracs:
+                    specs.append(
+                        _spec(
+                            strategy=_STRATEGIES[sid](),
+                            bidding=ProactiveBidding(k=k, reverse_threshold_frac=frac),
+                            label=f"s{sid}/k{k:.3f}/f{frac:.3f}/{tag}",
+                            **cfg,
+                        )
                     )
+            specs.append(
+                _spec(
+                    strategy=_STRATEGIES[sid](),
+                    bidding=ReactiveBidding(),
+                    label=f"s{sid}/reactive/{tag}",
+                    **cfg,
                 )
-        specs.append(
-            _spec(
-                strategy=_STRATEGIES[sid](),
-                bidding=ReactiveBidding(),
-                seed=seed,
-                label=f"s{sid}/reactive",
             )
-        )
     auto = list(_results(specs, "auto"))
     assert auto == unfused_vector_results(specs, _CACHE)
     assert auto == list(_results(specs, "event"))
@@ -205,6 +216,38 @@ def test_frontier_matches_unfused_oracle():
     assert batch.deduped_runs == 14
     assert batch.vector_runs == len(specs)
     assert list(auto) == unfused_vector_results(specs, _CACHE)
+
+
+def test_dedupe_key_tells_grace_windows_apart():
+    """Same-seed specs that differ only in ``grace_s`` are different runs:
+    none is cloned from another, and each equals its event-engine run."""
+    from repro.vm.mechanisms import Mechanism
+
+    specs = [
+        _spec(
+            bidding=ReactiveBidding(),
+            mechanism=Mechanism.CKPT_LR,
+            horizon_s=days(10),
+            grace_s=g,
+        )
+        for g in (0.0, 30.0, 60.0, 120.0, 240.0)
+    ]
+    with observe() as scope:
+        auto = _results(specs, "auto")
+    (batch,) = scope.batches
+    assert batch.deduped_runs == 0
+    assert auto == _results(specs, "event")
+    # The axis matters on this sample: every window gives its own result.
+    assert len({r.unavailability_percent for r in auto}) == len(specs)
+
+
+def test_key_exclusions_name_real_fields():
+    """A renamed field must not silently stop being excluded."""
+    from repro.runtime.fused import KEY_EXCLUDED_FIELDS
+
+    names = {f.name for f in dataclasses.fields(RunSpec)}
+    assert set(KEY_EXCLUDED_FIELDS) <= names
+    assert all(KEY_EXCLUDED_FIELDS.values())
 
 
 def test_batch_rejects_unknown_engine_with_choices():

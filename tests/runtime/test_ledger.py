@@ -111,23 +111,33 @@ class TestFingerprints:
 
     def test_fingerprint_equals_whole_blob_hash(self):
         # The blob is assembled from per-field encodings; it must hash the
-        # same bytes as encoding ["RunSpec", fields] in one go.
+        # same bytes as encoding ["RunSpec", fields] in one go, with each
+        # additive field left out while it encodes as its default.
         import hashlib
 
         from repro.runtime.spec import _canonical
+
+        def encode(obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
         specs = [
             _spec(),
             _spec(bidding=ReactiveBidding(), label="x"),
             _spec(calibrations={("us-east-1a", "small"): None}, startup_cv=-0.0),
+            _spec(grace_s=30.0),
+            _spec(grace_s=120),
         ]
         for spec in specs:
-            fields = {
-                f.name: _canonical(getattr(spec, f.name))
-                for f in dataclasses.fields(spec)
-            }
-            blob = json.dumps(["RunSpec", fields], sort_keys=True, separators=(",", ":"))
+            fields = {}
+            for f in dataclasses.fields(spec):
+                value = _canonical(getattr(spec, f.name))
+                if f.metadata.get("additive") and encode(value) == encode(_canonical(f.default)):
+                    continue
+                fields[f.name] = value
+            blob = encode(["RunSpec", fields])
             assert spec_fingerprint(spec) == hashlib.sha256(blob.encode()).hexdigest()
+        # 120 == 120.0, but the int encodes differently from the default.
+        assert spec_fingerprint(specs[-1]) != spec_fingerprint(specs[0])
 
     def test_same_named_dataclasses_from_different_modules_differ(self):
         from repro.runtime.spec import _canonical
@@ -155,6 +165,65 @@ class TestFingerprints:
             return Mode
 
         assert _canonical(make("ext_a").FAST) != _canonical(make("ext_b").FAST)
+
+
+class TestAdditiveFields:
+    """A field declared additive is hashed only off its default, so
+    ``RunSpec`` can grow without invalidating journals already written."""
+
+    @staticmethod
+    def _grown(additive):
+        metadata = {"additive": True} if additive else {}
+
+        @dataclasses.dataclass(frozen=True)
+        class GrownSpec(RunSpec):
+            extra: float = dataclasses.field(default=1.0, metadata=metadata)
+
+        def grow(spec, **kw):
+            fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+            return GrownSpec(**fields, **kw)
+
+        return grow
+
+    @staticmethod
+    def _journaled():
+        # The frozen journal's per-run fingerprints, written before any
+        # additive field existed.
+        from tests.runtime.test_ledger_compat import FIXTURE, fixture_specs
+
+        records = [json.loads(line) for line in FIXTURE.read_text().splitlines()[1:]]
+        return fixture_specs(), tuple(r["fingerprint"] for r in records)
+
+    def test_defaulted_additive_field_keeps_every_fingerprint(self):
+        specs, journaled = self._journaled()
+        assert spec_fingerprints(specs) == journaled
+        grow = self._grown(additive=True)
+        assert spec_fingerprints([grow(s) for s in specs]) == journaled
+
+    def test_setting_an_additive_field_changes_the_fingerprint(self):
+        specs, journaled = self._journaled()
+        grow = self._grown(additive=True)
+        for extra in (2.0, 1, -1.0):  # off-default encodings, 1 == 1.0 included
+            moved = spec_fingerprints([grow(s, extra=extra) for s in specs])
+            assert all(a != b for a, b in zip(moved, journaled))
+
+    def test_non_additive_field_changes_every_fingerprint(self):
+        specs, journaled = self._journaled()
+        grow = self._grown(additive=False)
+        grown = spec_fingerprints([grow(s) for s in specs])
+        assert all(a != b for a, b in zip(grown, journaled))
+
+    def test_nested_dataclass_additive_field(self):
+        from repro.runtime.spec import _canonical
+
+        @dataclasses.dataclass(frozen=True)
+        class Params:
+            x: int = 1
+            y: float = dataclasses.field(default=0.0, metadata={"additive": True})
+
+        assert _canonical(Params())[1] == {"x": 1}
+        assert _canonical(Params(y=-0.0))[1] == {"x": 1, "y": -0.0}
+        assert _canonical(Params(y=0))[1] == {"x": 1, "y": 0}
 
 
 # ------------------------------------------------------------------ journaling

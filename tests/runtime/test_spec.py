@@ -193,6 +193,12 @@ def test_run_spec_refuses_non_strategy_spec():
             portable.with_(strategy=strategy)
 
 
+@pytest.mark.parametrize("grace_s", [-1.0, -1e-9, float("inf"), float("nan")])
+def test_run_spec_rejects_bad_grace_window(grace_s):
+    with pytest.raises(ConfigurationError, match="grace_s"):
+        RunSpec(strategy=StrategySpec.single(KEY), grace_s=grace_s)
+
+
 def test_batch_spec_holds_runs_in_order():
     base = RunSpec(strategy=StrategySpec.single(KEY))
     batch = BatchSpec(runs=tuple(base.with_(seed=s) for s in (1, 2, 3)))
