@@ -11,14 +11,17 @@ path, recorded to ``benchmarks/output/BENCH_perf.current.json``: a
 (``ledgered_sweep_1000_serial_s``), the mean cost of journaling one of
 its records in its real commit group (``ledger_record_us``), and the
 mean cost of building and encoding one record without writing it
-(``ledger_encode_us``).
+(``ledger_encode_us``); and (iv) the trace writer: the mean cost of one
+JSONL line of six traced months written into memory
+(``trace_line_encode_us``).
 
-The first two include one fsync per commit group (one executed run and
-its clones), so they measure the disk under the ledger as much as the
-code; only ``ledger_encode_us`` is storage-independent, and it is the
-one CI gates.
+The first two ledger entries include one fsync per commit group (one
+executed run and its clones), so they measure the disk under the ledger
+as much as the code; ``ledger_encode_us`` and ``trace_line_encode_us``
+are storage-independent, and they are the ones CI gates.
 """
 
+import io
 import json
 import os
 import tempfile
@@ -31,6 +34,7 @@ import pytest
 from test_bench_decisions import best_of, record
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.obs import observe
 from repro.runtime import (
     ExecutionOptions,
     RunLedger,
@@ -127,6 +131,30 @@ def test_runtime_fig6_parallel_speedup():
     print(f"\nfig6 serial {serial_s:.2f}s, jobs=4 {parallel_s:.2f}s -> {speedup:.2f}x")
     if cores >= 4:
         assert speedup >= 2.0, f"expected >=2x speedup on {cores} cores, got {speedup:.2f}x"
+
+
+@pytest.mark.benchmark(group="trace")
+def test_bench_trace_line_encode():
+    """One trace line encoded by ``ObservationScope.write_jsonl``, no I/O.
+
+    The six 30-day policy-comparison runs execute once, traced, on the
+    per-event engine; most of their lines are the per-boundary
+    ``billing-tick`` decisions. ``trace_line_encode_us`` is the mean time
+    per line to write all of them into an ``io.StringIO``, best of five
+    passes.
+    """
+    with observe(trace=True) as scope:
+        run_batch(_policy_comparison_runs(), cache=TraceCatalogCache())
+    lines = scope.event_count
+    assert lines > 4000  # about one billing tick per hour per run
+
+    def write_all():
+        assert scope.write_jsonl(io.StringIO(), extra_tags={"experiment": "bench"}) == lines
+
+    per_line = best_of(write_all, repeats=5) / lines
+    cores = len(os.sched_getaffinity(0))
+    record(trace_line_encode_us={"value": per_line * 1e6, "unit": "us", "cores": cores})
+    print(f"\ntrace line encode: {per_line * 1e6:.2f} us/line over {lines} lines ({cores} cores)")
 
 
 def _ledgered_sweep_specs():

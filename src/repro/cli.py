@@ -229,9 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     wall_s=time.perf_counter() - start,
                     events_processed=observed.fired_events,
                     metrics=observed.metrics.to_dict(),
-                    trace_events=(
-                        tuple(e.to_dict() for e in sink.events) if want_trace else None
-                    ),
+                    trace_events=sink.to_dicts() if want_trace else None,
                     engine_kind=observed.engine_kind,
                     vector_checks=observed.vector_checks,
                 )

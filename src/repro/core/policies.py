@@ -169,11 +169,6 @@ class IndexTrackingStrategy(HostingStrategy):
             np.mean([self.on_demand_rate(provider, k) for k in basket])
         )
 
-    def in_band(self, provider: CloudProvider, key: MarketKey, t: float) -> bool:
-        """Is ``key``'s current spot rate within the tracking band?"""
-        price = provider.catalog.trace(key).price_at(t)
-        return self.spot_rate(key, float(price)) <= self.band_cap(provider)
-
     def band_cap(self, provider: CloudProvider) -> float:
         """The highest spot rate the tracking band admits (USD/hour)."""
         return (1.0 + self.band) * self.index_rate(provider)

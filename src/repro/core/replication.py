@@ -78,7 +78,6 @@ class ReplicatedScheduler:
         service_size: str,
         candidate_keys: List[MarketKey],
         remus: RemusReplication,
-        rng: np.random.Generator,
         horizon: float,
     ) -> None:
         if not candidate_keys:
@@ -95,7 +94,6 @@ class ReplicatedScheduler:
         self.bidding = bidding
         self.service_size = service_size
         self.remus = remus
-        self.rng = rng
         self.horizon = float(horizon)
         self.memory = MemoryProfile(size_gib=instance_type(service_size).nested_memory_gib)
 

@@ -49,7 +49,7 @@ def _run_replicated(cfg: ExperimentConfig) -> tuple[float, float]:
         sch = ReplicatedScheduler(
             engine=Engine(), provider=provider, bidding=ProactiveBidding(),
             service_size="small", candidate_keys=cat.markets(),
-            remus=RemusReplication(), rng=streams.get("sched"),
+            remus=RemusReplication(),
             horizon=cfg.effective_horizon(),
         )
         sch.run()

@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
+import typing
+from json.encoder import encode_basestring_ascii
 from typing import (
-    IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    IO, TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence,
+    Tuple, Type, Union,
 )
 
+from repro.obs.events import EVENT_TYPES, TraceEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import JSONL_ENCODER
 
@@ -36,6 +41,95 @@ __all__ = [
     "trace_capture_active",
     "notify_batch",
 ]
+
+
+#: A compiled line encoder: ``(event dict, encoded tags prefix)`` -> the
+#: JSONL line, or ``None`` when the dict needs the generic encoder.
+_LineEncoder = Callable[[Dict[str, Any], str], Optional[str]]
+
+#: Declared field type -> (exact-type check, finiteness term, ``%`` format,
+#: ``%`` argument), each a template over the field's value ``{v}``. For a
+#: value of exactly that type the format writes ``JSONL_ENCODER``'s bytes.
+_FIELD_CODECS: Dict[Any, Tuple[str, str, str, str]] = {
+    float: ("type({v}) is float", "{v}", "%r", "{v}"),
+    int: ("type({v}) is int", "", "%r", "{v}"),
+    str: ("type({v}) is str", "", "%s", "_esc({v})"),
+    bool: ("type({v}) is bool", "", "%s", '("true" if {v} else "false")'),
+    Optional[float]: (
+        "({v} is None or type({v}) is float)", "({v} or 0.0)", "%s",
+        '("null" if {v} is None else repr({v}))',
+    ),
+}
+
+
+def _literal(text: str) -> str:
+    """``text`` JSON-encoded for a ``%`` template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _compile_line_encoder(cls: Type[TraceEvent]) -> Optional[_LineEncoder]:
+    """One event class's line function, generated from its dataclass
+    fields and type hints (``None`` if a field's type has no codec).
+
+    The keys and the ``"type"`` pair are pre-encoded into a ``%`` template.
+    The function returns ``None``, and the line falls back to the generic
+    encoder, unless the dict holds exactly the class's keys in field
+    order, every value has exactly its declared type, and every float is
+    finite (the floats' sum times zero is ``0.0`` only then; an overflow
+    of the sum merely falls back).
+    """
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    try:
+        codecs = [_FIELD_CODECS[hints[name]] for name in names]
+    except KeyError:
+        return None
+    values = [f"v{i}" for i in range(len(names))]
+    checks = " and ".join(c[0].format(v=v) for c, v in zip(codecs, values))
+    floats = " + ".join(c[1].format(v=v) for c, v in zip(codecs, values) if c[1])
+    args = ", ".join(c[3].format(v=v) for c, v in zip(codecs, values))
+    template = (
+        f"%s{_literal('type')}:{_literal(cls.etype)}"
+        + "".join(f",{_literal(name)}:{c[2]}" for name, c in zip(names, codecs))
+        + "}\n"
+    )
+    source = (
+        "def line(d, prefix):\n"
+        "    if tuple(d) != _keys:\n"
+        "        return None\n"
+        f"    _, {', '.join(values)}, = d.values()\n"
+        f"    if not ({checks}):\n"
+        "        return None\n"
+        + (f"    if ({floats}) * 0.0:\n        return None\n" if floats else "")
+        + f"    return _template % (prefix, {args})\n"
+    )
+    namespace: Dict[str, Any] = {
+        "_keys": ("type", *names), "_template": template, "_esc": encode_basestring_ascii,
+    }
+    exec(source, namespace)
+    return namespace["line"]
+
+
+class _LineEncoders(Dict[Any, Optional[_LineEncoder]]):
+    """Wire name -> compiled line encoder, built on first use so importing
+    ``repro.obs`` compiles nothing; an unknown wire name maps to ``None``."""
+
+    def __missing__(self, etype: Any) -> Optional[_LineEncoder]:
+        cls = EVENT_TYPES.get(etype)
+        if cls is None:
+            return None
+        encoder = self[etype] = _compile_line_encoder(cls)
+        return encoder
+
+
+_LINE_ENCODERS = _LineEncoders()
+
+
+def _event_keys() -> FrozenSet[str]:
+    """Every key an event dict can hold: ``type`` and each field name."""
+    return frozenset(["type"]).union(
+        *((f.name for f in dataclasses.fields(cls)) for cls in EVENT_TYPES.values())
+    )
 
 
 class ObservationScope:
@@ -78,8 +172,12 @@ class ObservationScope:
 
     def _write_lines(self, fp: IO[str], extra_tags: Optional[Dict[str, Any]]) -> int:
         encode = JSONL_ENCODER.encode
+        event_keys = _event_keys()
         n = 0
         for run in self.runs:
+            events = run.trace_events
+            if not events:
+                continue
             tags: Dict[str, Any] = dict(extra_tags or {})
             tags["run"] = run.label
             tags["seed"] = run.seed
@@ -88,11 +186,20 @@ class ObservationScope:
             # trace lines don't grow for the common case.
             if run.deduped:
                 tags["deduped"] = True
+            # The tags open every line: encode them once, then let each
+            # event's compiled encoder append its fields. A line it
+            # declines is the plain merge of tags and event.
+            prefix = encode(tags)[:-1] + ","
+            fast = event_keys.isdisjoint(tags)
             lines = []
-            for event in run.trace_events or ():
-                record = dict(tags)
-                record.update(event)
-                lines.append(encode(record) + "\n")
+            for event in events:
+                encoder = _LINE_ENCODERS[event.get("type")] if fast else None
+                line = encoder(event, prefix) if encoder is not None else None
+                if line is None:
+                    record = dict(tags)
+                    record.update(event)
+                    line = encode(record) + "\n"
+                lines.append(line)
             fp.write("".join(lines))
             n += len(lines)
         return n

@@ -21,8 +21,8 @@ inverts :meth:`TraceEvent.to_dict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Optional, Type
 
 __all__ = [
     "TraceEvent",
@@ -46,10 +46,6 @@ __all__ = [
 
 #: Wire name -> event class, populated by :func:`_register`.
 EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
-
-#: Event class -> its dataclass field names in declaration order, filled
-#: on each class's first :meth:`TraceEvent.to_dict`.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 
 
 def _register(cls: Type["TraceEvent"]) -> Type["TraceEvent"]:
@@ -75,14 +71,13 @@ class TraceEvent:
     t: float
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict with the wire ``type`` first, then the fields."""
-        cls = type(self)
-        names = _FIELD_NAMES.get(cls)
-        if names is None:
-            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+        """JSON-safe dict with the wire ``type`` first, then the fields.
+
+        The generated ``__init__`` sets the fields in declaration order, so
+        the instance ``__dict__`` already holds them in that order.
+        """
         out: Dict[str, Any] = {"type": self.etype}
-        for name in names:
-            out[name] = getattr(self, name)
+        out.update(self.__dict__)
         return out
 
 

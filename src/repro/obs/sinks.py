@@ -12,15 +12,16 @@ Provided sinks:
   across the process-pool boundary).
 
 Trace files are written one way:
-:meth:`repro.obs.ObservationScope.write_jsonl` (``--trace FILE``) encodes
-every line with :data:`JSONL_ENCODER`; :func:`read_jsonl` reads them back.
+:meth:`repro.obs.ObservationScope.write_jsonl` (``--trace FILE``) writes
+every line as :data:`JSONL_ENCODER` encodes it; :func:`read_jsonl` reads
+them back.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Protocol, Union, runtime_checkable
+from typing import Any, Dict, Iterator, List, Protocol, Tuple, Union, runtime_checkable
 
 from repro.obs.events import TraceEvent
 
@@ -72,6 +73,12 @@ class MemorySink:
 
     def clear(self) -> None:
         self.events.clear()
+
+    def to_dicts(self) -> Tuple[Dict[str, Any], ...]:
+        """Every event as :meth:`TraceEvent.to_dict` output, in emission
+        order: the plain dicts a run ships on ``RunTelemetry.trace_events``
+        (they pickle across the process-pool boundary)."""
+        return tuple(e.to_dict() for e in self.events)
 
     def __len__(self) -> int:
         return len(self.events)

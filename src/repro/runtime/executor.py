@@ -134,10 +134,7 @@ def _attempt_one(
     if notes is not None:
         notes["reverse_band"] = observed.reverse_band
     wall = time.perf_counter() - start
-    # Ship events as plain dicts so they pickle across the pool boundary.
-    trace_events = (
-        tuple(e.to_dict() for e in sink.events) if capture else None  # type: ignore[union-attr]
-    )
+    trace_events = sink.to_dicts() if capture else None  # type: ignore[attr-defined]
     telemetry = RunTelemetry(
         label=result.label,
         seed=spec.seed,

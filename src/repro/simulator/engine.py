@@ -16,7 +16,7 @@ Design notes (following the HPC-Python guides):
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.events import EngineRunCompleted
@@ -229,10 +229,6 @@ class Engine:
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return sum(1 for *_rest, h in self._heap if not h.cancelled)
-
-    def drain_labels(self) -> Iterable[str]:
-        """Labels of pending events (testing/debugging aid)."""
-        return [h.event.label for *_r, h in sorted(self._heap) if not h.cancelled]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Engine t={self._now:.3f} pending={self.pending_count()} fired={self.fired_count}>"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import registry
+from repro.obs import read_jsonl
 from repro.traces.calibration import calibration_for
 from repro.traces.generator import generate_trace
 from repro.traces.loader import save_aws_csv
@@ -63,8 +64,12 @@ def test_csv_replay(tmp_path, capsys):
     trace = generate_trace(calibration_for("us-east-1a", "small"), days(7), seed=3)
     path = tmp_path / "hist.csv"
     save_aws_csv(trace, path, instance_type="m1.small", availability_zone="us-east-1a")
-    assert main(["--csv", str(path)]) == 0
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["--csv", str(path), "--trace", str(trace_path)]) == 0
     assert "single / proactive" in capsys.readouterr().out
+    records = list(read_jsonl(trace_path))
+    assert {r["run"] for r in records} == {"proactive/single"}
+    assert "billing-tick" in {r["type"] for r in records}
 
 
 def test_csv_rejected_for_multi_strategies(tmp_path, capsys):

@@ -24,7 +24,7 @@ def run(trace_a, trace_b, horizon=HORIZON):
     sch = ReplicatedScheduler(
         engine=Engine(), provider=provider, bidding=ProactiveBidding(),
         service_size="small", candidate_keys=[A, B],
-        remus=RemusReplication(), rng=np.random.default_rng(1), horizon=horizon,
+        remus=RemusReplication(), horizon=horizon,
     )
     sch.run()
     return sch, provider
@@ -117,8 +117,7 @@ class TestValidation:
             ReplicatedScheduler(
                 engine=Engine(), provider=provider, bidding=ProactiveBidding(),
                 service_size="small", candidate_keys=[],
-                remus=RemusReplication(), rng=np.random.default_rng(1),
-                horizon=HORIZON,
+                remus=RemusReplication(), horizon=HORIZON,
             )
 
     def test_size_capacity_filter(self):
@@ -128,8 +127,7 @@ class TestValidation:
             ReplicatedScheduler(
                 engine=Engine(), provider=provider, bidding=ProactiveBidding(),
                 service_size="xlarge", candidate_keys=[A],  # small can't host xlarge
-                remus=RemusReplication(), rng=np.random.default_rng(1),
-                horizon=HORIZON,
+                remus=RemusReplication(), horizon=HORIZON,
             )
 
     def test_window_closed_at_horizon(self):
