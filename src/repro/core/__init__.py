@@ -5,7 +5,8 @@ on a mix of spot and on-demand servers, combining a bidding policy
 (:mod:`repro.core.bidding`: reactive vs proactive), a hosting strategy
 (:mod:`repro.core.strategies`: single-market, multi-market, multi-region,
 pure-spot, on-demand-only; :mod:`repro.core.policies`: index-tracking,
-no-fault-tolerance, LP portfolio bid) and a migration mechanism
+no-fault-tolerance, LP portfolio bid; :mod:`repro.core.replication`: the
+Remus pair) and a migration mechanism
 (:mod:`repro.vm.mechanisms`). Strategy families register themselves with
 :mod:`repro.core.registry`, which every consumer (CLIs, specs, fleet
 synthesis) enumerates. Costs and downtime are tracked by
@@ -40,7 +41,7 @@ from repro.core.registry import (
     strategy_kinds,
 )
 from repro.core.scheduler import CloudScheduler, MigrationRecord, PlacementRecord, ServiceContext
-from repro.core.replication import ReplicatedScheduler
+from repro.core.replication import RemusPairStrategy, ReplicatedScheduler
 from repro.core.elastic import DemandCurve, ElasticResult, ElasticSpotFleet
 from repro.core.results import SimulationResult, AggregateResult, aggregate
 from repro.core.simulation import (
@@ -69,6 +70,7 @@ __all__ = [
     "IndexTrackingStrategy",
     "NoFaultToleranceStrategy",
     "PortfolioBidStrategy",
+    "RemusPairStrategy",
     "solve_portfolio_lp",
     "ArgSpec",
     "StrategyInfo",

@@ -143,7 +143,9 @@ class StrategyInfo:
 _REGISTRY: Dict[str, StrategyInfo] = {}
 
 #: Modules whose import registers the built-in families.
-_BUILTIN_MODULES = ("repro.core.strategies", "repro.core.policies")
+_BUILTIN_MODULES = (
+    "repro.core.strategies", "repro.core.policies", "repro.core.replication",
+)
 _BUILTINS_LOADED = False
 _PLUGINS_LOADED = False
 

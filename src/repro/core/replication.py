@@ -23,26 +23,66 @@ Event loop (mirrors :class:`repro.core.scheduler.CloudScheduler`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
-
-import numpy as np
+from typing import Generator, List, Optional, Sequence
 
 from repro.cloud.instance_types import instance_type
 from repro.cloud.provider import CloudProvider, Lease, LeaseKind
 from repro.cloud.regions import link_between
-from repro.core.accounting import AvailabilityTracker, CostLedger
-from repro.core.bidding import BiddingPolicy
-from repro.core.scheduler import MigrationRecord
-from repro.errors import SchedulingError
-from repro.simulator.engine import Engine
-from repro.simulator.process import Process, Timeout
+from repro.core.registry import ArgSpec, register_strategy
+from repro.core.scheduler import CloudScheduler, _boundary_check_after
+from repro.core.strategies import HostingStrategy
+from repro.errors import ConfigurationError, SchedulingError
+from repro.simulator.process import Timeout
 from repro.traces.catalog import MarketKey
 from repro.units import SECONDS_PER_HOUR
 from repro.vm.memory import MemoryProfile
 from repro.vm.replication import RemusReplication
 from repro.vm.restore import LazyRestore
 
-__all__ = ["ReplicatedScheduler"]
+__all__ = ["RemusPairStrategy", "ReplicatedScheduler"]
+
+
+@register_strategy(
+    "remus-pair",
+    display_name="Remus pair",
+    citation="Cully et al., Remus (NSDI 2008), ref [9] of the HPDC 2015 source "
+    "paper; extension: the hot standby rides a second spot market",
+    arg_schema=(
+        ArgSpec("regions", "regions"),
+        # No CLI flag: ``--units`` defaults to the fleet families' 8.
+        ArgSpec("service_units", "int", required=False, default=1,
+                help="service size in small-equivalents"),
+    ),
+    example_args=(("us-east-1a", "us-west-1a"),),
+    summary="primary plus Remus hot standby on two spot markets",
+)
+class RemusPairStrategy(HostingStrategy):
+    """A Remus-protected primary/standby pair across spot markets.
+
+    The service is ``service_units`` small-sized nested VMs; candidates
+    are every market in ``regions`` one server of which hosts it all.
+    :func:`~repro.core.simulation.build_stack` runs this family on a
+    :class:`ReplicatedScheduler`. Not vectorizable.
+    """
+
+    def __init__(self, regions: Sequence[str], service_units: int = 1) -> None:
+        if not regions:
+            raise ConfigurationError("need at least one region")
+        if service_units <= 0:
+            raise ConfigurationError("service_units must be positive")
+        self.regions = tuple(regions)
+        self.service_units = service_units
+
+    def candidate_markets(self, provider: CloudProvider) -> List[MarketKey]:
+        out: List[MarketKey] = []
+        for region in self.regions:
+            out.extend(provider.catalog.markets_in_region(region))
+        return sorted(
+            k for k in out if instance_type(k.size).capacity_units >= self.service_units
+        )
+
+    def __repr__(self) -> str:
+        return f"RemusPair({','.join(self.regions)}, units={self.service_units})"
 
 
 @dataclass
@@ -53,13 +93,26 @@ class _Node:
     key: MarketKey
     protected_from: float  #: when the standby's initial sync completes
 
+    @property
+    def kind(self) -> LeaseKind:
+        return self.lease.kind
 
-class ReplicatedScheduler:
+    @property
+    def leases(self) -> List[Lease]:
+        """The placement view :meth:`CloudScheduler._release` bills."""
+        return [self.lease]
+
+
+class ReplicatedScheduler(CloudScheduler):
     """Hosts one service as a Remus-protected primary/standby spot pair.
 
-    Results are read from :attr:`ledger`, :attr:`availability` and
-    :attr:`migrations` exactly as for the paper's scheduler, so the same
-    aggregation machinery applies.
+    Built by :func:`~repro.core.simulation.build_stack` for a
+    :class:`RemusPairStrategy`, with :class:`CloudScheduler`'s constructor
+    (the migration model and service disk are unused). The
+    :attr:`placement` is the primary, so the placement log records its
+    tenures; :attr:`standby` is the hot standby. Ledger, availability,
+    migrations and metrics are :class:`CloudScheduler`'s, so results are
+    summarised and audited exactly as for the paper's scheduler.
     """
 
     BOUNDARY_LEAD_S = 60.0
@@ -69,58 +122,24 @@ class ReplicatedScheduler:
     #: would spend the availability budget on pennies.
     REOPT_IMPROVEMENT = 0.70
     REOPT_DWELL_S = 12 * SECONDS_PER_HOUR
+    #: The replication channel every pair runs.
+    remus = RemusReplication()
 
-    def __init__(
-        self,
-        engine: Engine,
-        provider: CloudProvider,
-        bidding: BiddingPolicy,
-        service_size: str,
-        candidate_keys: List[MarketKey],
-        remus: RemusReplication,
-        horizon: float,
-    ) -> None:
-        if not candidate_keys:
-            raise SchedulingError("need at least one candidate market")
-        cap_needed = instance_type(service_size).capacity_units
-        self.candidates = [
-            k for k in candidate_keys
-            if instance_type(k.size).capacity_units >= cap_needed
-        ]
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.candidates = self.strategy.candidate_markets(self.provider)
         if not self.candidates:
             raise SchedulingError("no candidate market can host the service size")
-        self.engine = engine
-        self.provider = provider
-        self.bidding = bidding
-        self.service_size = service_size
-        self.remus = remus
-        self.horizon = float(horizon)
-        self.memory = MemoryProfile(size_gib=instance_type(service_size).nested_memory_gib)
-
-        self.ledger = CostLedger()
-        self.availability = AvailabilityTracker()
-        self.migrations: List[MigrationRecord] = []
-        self.primary: Optional[_Node] = None
+        #: The emergency on-demand market (on-demand prices are static).
+        self._od_key = min(self.candidates, key=self.provider.on_demand_price)
+        self.memory = MemoryProfile(
+            size_gib=self.strategy.service_units * instance_type("small").nested_memory_gib
+        )
         self.standby: Optional[_Node] = None
         self.unprotected_s = 0.0  #: time spent without a synced standby
-        self._process: Optional[Process] = None
         self._last_reopt = -float("inf")
 
-    # ------------------------------------------------------------------ run
-    def run(self) -> None:
-        if self._process is None:
-            self._process = Process(self.engine, self._main(), label="replicated-scheduler")
-        self.engine.run(until=self.horizon + 1.0)
-        if self._process.alive:
-            raise SchedulingError("replicated scheduler did not finish")
-
-    def migration_count(self, *kinds: str) -> int:
-        return sum(1 for m in self.migrations if m.kind in kinds)
-
     # -------------------------------------------------------------- helpers
-    def _bid(self, key: MarketKey) -> float:
-        return self.bidding.bid_price(self.provider.market(key), self.engine.now)
-
     def _cheapest_grantable(self, t: float, exclude: Optional[MarketKey]) -> Optional[MarketKey]:
         best_key, best_price = None, None
         for key in self.candidates:
@@ -134,17 +153,15 @@ class ReplicatedScheduler:
                 best_key, best_price = key, price
         return best_key
 
-    def _acquire_spot(self, key: MarketKey, t: float) -> _Node:
-        lease = self.provider.request_spot(key, self._bid(key), t)
+    def _node(self, lease: Lease, key: MarketKey) -> _Node:
+        """A server of the pair, protected once its initial sync ends."""
         sync = self.remus.initial_sync_s(
             self.memory, link_between(key.region, key.region)
         )
         return _Node(lease=lease, key=key, protected_from=lease.ready_at + sync)
 
-    def _release(self, node: _Node, t: float, *, revoked: bool, reason: str) -> None:
-        done = self.provider.terminate(node.lease, t, revoked=revoked, reason=reason)
-        if done.billing is not None:
-            self.ledger.add_billing(done.billing, market=str(node.key))
+    def _acquire_spot(self, key: MarketKey, t: float) -> _Node:
+        return self._node(self.provider.request_spot(key, self._bid(key), t), key)
 
     def _warning(self, node: Optional[_Node], from_t: float) -> Optional[float]:
         if node is None or node.lease.kind is not LeaseKind.SPOT:
@@ -154,27 +171,16 @@ class ReplicatedScheduler:
             node.lease.bid, from_t
         )
 
-    def _record(self, kind: str, start: float, end: float, down: float,
-                src: str, dst: str) -> None:
-        self.migrations.append(MigrationRecord(kind, start, end, down, src, dst))
-
     def _procure_standby(self, t: float) -> None:
         """Acquire a fresh standby in the cheapest market not hosting the
         primary; falls back to on-demand when nothing is grantable."""
-        assert self.primary is not None
-        key = self._cheapest_grantable(t, exclude=self.primary.key)
+        assert self.placement is not None
+        key = self._cheapest_grantable(t, exclude=self.placement.key)
         if key is not None:
             self.standby = self._acquire_spot(key, t)
         else:
-            od_key = min(
-                self.candidates, key=lambda k: self.provider.on_demand_price(k)
-            )
-            lease = self.provider.request_on_demand(od_key, t)
-            sync = self.remus.initial_sync_s(
-                self.memory, link_between(od_key.region, od_key.region)
-            )
-            self.standby = _Node(lease=lease, key=od_key,
-                                 protected_from=lease.ready_at + sync)
+            lease = self.provider.request_on_demand(self._od_key, t)
+            self.standby = self._node(lease, self._od_key)
 
     # ============================================================= main loop
     def _main(self) -> Generator:
@@ -182,12 +188,11 @@ class ReplicatedScheduler:
         first = self._cheapest_grantable(t, exclude=None)
         if first is None:
             # No spot market grantable at t=0: start on-demand as primary.
-            od_key = min(self.candidates, key=lambda k: self.provider.on_demand_price(k))
-            lease = self.provider.request_on_demand(od_key, t)
-            self.primary = _Node(lease=lease, key=od_key, protected_from=lease.ready_at)
+            lease = self.provider.request_on_demand(self._od_key, t)
+            self.placement = _Node(lease=lease, key=self._od_key, protected_from=lease.ready_at)
         else:
-            self.primary = self._acquire_spot(first, t)
-        ready = min(self.primary.lease.ready_at, self.horizon)
+            self.placement = self._acquire_spot(first, t)
+        ready = min(self.placement.lease.ready_at, self.horizon)
         yield Timeout(max(0.0, ready - t))
         self.availability.open_window(ready)
         self._procure_standby(self.engine.now)
@@ -198,16 +203,12 @@ class ReplicatedScheduler:
 
     def _step(self) -> Generator:
         now = self.engine.now
-        assert self.primary is not None
-        wp = self._warning(self.primary, now)
+        assert self.placement is not None
+        wp = self._warning(self.placement, now)
         ws = self._warning(self.standby, now)
-        anchor = self.primary.lease.ready_at
-        k = int(max(1, np.ceil((now + self.BOUNDARY_LEAD_S - anchor) / SECONDS_PER_HOUR)))
-        check = anchor + k * SECONDS_PER_HOUR - self.BOUNDARY_LEAD_S
-        while check <= now + 1e-9:
-            k += 1
-            check = anchor + k * SECONDS_PER_HOUR - self.BOUNDARY_LEAD_S
-
+        check = _boundary_check_after(
+            self.placement.lease.ready_at, now, self.BOUNDARY_LEAD_S
+        )
         t_next = min(
             wp if wp is not None else float("inf"),
             ws if ws is not None else float("inf"),
@@ -231,37 +232,35 @@ class ReplicatedScheduler:
 
     # ---------------------------------------------------------------- events
     def _primary_revoked(self, warning: float) -> Generator:
-        assert self.primary is not None
+        assert self.placement is not None
         grace = self.provider.grace_s
         dead_at = min(warning + grace, self.horizon)
         yield Timeout(max(0.0, dead_at - self.engine.now))
-        old = self.primary
+        old = self.placement
         self._release(old, dead_at, revoked=True, reason="revoked")
 
         if self.standby is not None and self.standby.protected_from <= dead_at:
             fo = self.remus.failover()
             resume = dead_at + fo.downtime_s
-            self.availability.record_downtime(dead_at, min(resume, self.horizon), "failover")
-            self.primary = self.standby
+            self._blackout(dead_at, resume, "failover", 0.0)
+            self.placement = self.standby
             self.standby = None
-            self._record("failover", warning, resume, fo.downtime_s,
-                         str(old.key), str(self.primary.key))
+            self._record_migration("failover", warning, resume, fo.downtime_s,
+                                   str(old.key), str(self.placement.key))
         else:
             # Unprotected: emergency on-demand restore from the periodic
             # EBS checkpoint (lazy restore, size-independent).
             if self.standby is not None:
                 self._release(self.standby, dead_at, revoked=False, reason="unsynced")
                 self.standby = None
-            od_key = min(self.candidates, key=lambda k: self.provider.on_demand_price(k))
+            od_key = self._od_key
             lease = self.provider.request_on_demand(od_key, warning)
             restore = LazyRestore().restore(self.memory)
             resume = max(dead_at, lease.ready_at) + restore.downtime_s
-            self.availability.record_downtime(
-                dead_at, min(resume, self.horizon), "unprotected-restore"
-            )
-            self.primary = _Node(lease=lease, key=od_key, protected_from=lease.ready_at)
-            self._record("unprotected-restore", warning, resume,
-                         resume - dead_at, str(old.key), str(od_key))
+            self._blackout(dead_at, resume, "unprotected-restore", 0.0)
+            self.placement = _Node(lease=lease, key=od_key, protected_from=lease.ready_at)
+            self._record_migration("unprotected-restore", warning, resume,
+                                   resume - dead_at, str(old.key), str(od_key))
         if self.engine.now < self.horizon:
             self._procure_standby(max(self.engine.now, dead_at))
         yield Timeout(max(0.0, min(self.horizon, self.engine.now) - self.engine.now))
@@ -274,23 +273,23 @@ class ReplicatedScheduler:
             old = self.standby
             self._release(old, dead_at, revoked=True, reason="revoked")
             self.standby = None
-            self._record("standby-replace", warning, dead_at, 0.0, str(old.key), "-")
+            self._record_migration(
+                "standby-replace", warning, dead_at, 0.0, str(old.key), "-"
+            )
         if self.engine.now < self.horizon:
             self._procure_standby(dead_at)
 
     def _planned_failover(self, now: float, reason: str) -> None:
         """Promote the (synced) standby, retire the primary, re-procure."""
-        assert self.primary is not None and self.standby is not None
+        assert self.placement is not None and self.standby is not None
         fo = self.remus.planned_failover()
-        old = self.primary
+        old = self.placement
         self._release(old, now, revoked=False, reason=reason)
-        self.availability.record_downtime(
-            now, min(now + fo.downtime_s, self.horizon), "planned-failover"
-        )
-        self.primary = self.standby
+        self._blackout(now, now + fo.downtime_s, "planned-failover", 0.0)
+        self.placement = self.standby
         self.standby = None
-        self._record(reason, now, now + fo.downtime_s,
-                     fo.downtime_s, str(old.key), str(self.primary.key))
+        self._record_migration(reason, now, now + fo.downtime_s,
+                               fo.downtime_s, str(old.key), str(self.placement.key))
         self._procure_standby(now)
 
     def _swap_standby(self, now: float) -> None:
@@ -298,13 +297,13 @@ class ReplicatedScheduler:
         old = self.standby
         self._release(old, now, revoked=False, reason="standby-swap")
         self.standby = None
-        self._record("standby-replace", now, now, 0.0, str(old.key), "-")
+        self._record_migration("standby-replace", now, now, 0.0, str(old.key), "-")
         self._procure_standby(now)
 
     def _boundary_check(self, now: float) -> None:
-        assert self.primary is not None
-        p_price = self.provider.market(self.primary.key).price_at(now)
-        p_od = self.provider.on_demand_price(self.primary.key)
+        assert self.placement is not None
+        p_price = self.provider.market(self.placement.key).price_at(now)
+        p_od = self.provider.on_demand_price(self.placement.key)
         standby_synced = (
             self.standby is not None
             and self.standby.protected_from <= now
@@ -317,7 +316,7 @@ class ReplicatedScheduler:
 
         # Mandatory exit: the primary's market has risen above on-demand.
         if (
-            self.primary.lease.kind is LeaseKind.SPOT
+            self.placement.lease.kind is LeaseKind.SPOT
             and p_price > p_od
             and standby_synced
         ):
@@ -342,7 +341,7 @@ class ReplicatedScheduler:
         too_expensive = (
             self.standby.lease.kind is LeaseKind.ON_DEMAND or s_price > s_od
         )
-        cheapest = self._cheapest_grantable(now, self.primary.key)
+        cheapest = self._cheapest_grantable(now, self.placement.key)
         if too_expensive and cheapest is not None:
             self._swap_standby(now)
             return
@@ -358,10 +357,10 @@ class ReplicatedScheduler:
 
     def _finalize(self) -> None:
         now = min(self.engine.now, self.horizon)
-        for node in (self.primary, self.standby):
+        for node in (self.placement, self.standby):
             if node is not None and node.lease.active:
                 self._release(node, now, revoked=False, reason="horizon")
-        self.primary = None
+        self.placement = None
         self.standby = None
         if self.availability.window_start is None:
             self.availability.open_window(now)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
+from repro.core.replication import RemusPairStrategy, ReplicatedScheduler
 from repro.core.results import SimulationResult
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import HostingStrategy
@@ -196,7 +197,9 @@ def build_stack(
     Configurations the vector engine cannot batch (non-vectorizable
     strategy or bidding policy, an enabled trace sink) transparently run
     per-event; the scheduler's ``vectorized`` attribute says which
-    happened.
+    happened. A :class:`~repro.core.replication.RemusPairStrategy` runs
+    on a :class:`~repro.core.replication.ReplicatedScheduler` under
+    either engine.
     """
     if engine not in ("event", "vector"):
         raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
@@ -223,7 +226,9 @@ def build_stack(
         provider = faults.wrap_provider(provider, run_seed=spec.seed)
     strategy = spec.strategy.build()
     scheduler_cls = CloudScheduler
-    if engine == "vector":
+    if isinstance(strategy, RemusPairStrategy):
+        scheduler_cls = ReplicatedScheduler
+    elif engine == "vector":
         # Imported lazily: repro.runtime builds on this module.
         from repro.runtime.vector import VectorScheduler
 

@@ -19,45 +19,17 @@ import numpy as np
 from repro.analysis.figures import line_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
-from repro.cloud.provider import CloudProvider
-from repro.core.bidding import ProactiveBidding, ReactiveBidding
-from repro.core.replication import ReplicatedScheduler
+from repro.core.bidding import ReactiveBidding
 from repro.experiments.common import ExperimentConfig, simulate
-from repro.runtime import StrategySpec, shared_catalog
-from repro.simulator.engine import Engine
-from repro.simulator.rng import RngStreams
+from repro.runtime import StrategySpec
 from repro.traces.catalog import MarketKey
-from repro.units import SECONDS_PER_HOUR
 from repro.vm.mechanisms import Mechanism
-from repro.vm.replication import RemusReplication
 
 EXPERIMENT_ID = "ext-frontier"
 TITLE = "Extension: cost-availability frontier of hosting policies"
 
 KEY = MarketKey("us-east-1a", "small")
 PAIR_REGIONS = ("us-east-1a", "us-east-1b")
-
-
-def _run_replicated(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(normalized cost %, unavailability %) of the Remus pair, seed-averaged."""
-    costs, unavail = [], []
-    for seed in cfg.effective_seeds():
-        cat = shared_catalog(seed=seed, horizon=cfg.effective_horizon(),
-                             regions=PAIR_REGIONS)
-        streams = RngStreams(seed)
-        provider = CloudProvider(cat, rng=streams.get("provider/startup"))
-        sch = ReplicatedScheduler(
-            engine=Engine(), provider=provider, bidding=ProactiveBidding(),
-            service_size="small", candidate_keys=cat.markets(),
-            remus=RemusReplication(),
-            horizon=cfg.effective_horizon(),
-        )
-        sch.run()
-        dur_h = sch.availability.window_duration / SECONDS_PER_HOUR
-        baseline = 0.06 * dur_h
-        costs.append(sch.ledger.total / baseline * 100.0)
-        unavail.append(sch.availability.unavailability_percent())
-    return float(np.mean(costs)), float(np.mean(unavail))
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
@@ -101,7 +73,11 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                   label="portfolio-bid")
     points["LP portfolio bid"] = (lp.normalized_cost_percent, lp.unavailability_percent)
 
-    points["Remus dual-spot pair"] = _run_replicated(cfg)
+    remus = simulate(cfg, StrategySpec.of("remus-pair", PAIR_REGIONS),
+                     regions=PAIR_REGIONS, label="remus-pair")
+    points["Remus dual-spot pair"] = (
+        remus.normalized_cost_percent, remus.unavailability_percent
+    )
 
     t = Table(headers=("policy", "norm cost %", "unavail %"),
               title="cost-availability frontier (small service, us-east)")

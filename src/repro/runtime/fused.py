@@ -123,7 +123,8 @@ def dynamics_key(
     ``None`` — no dedupe for this spec — for anything the components
     cannot vouch for: faults, calibration overrides (they could move
     on-demand prices), a policy without numeric ``*_thresholds``
-    components, or no ``catalog_key``.
+    components, unhashable spec arguments, or no ``catalog_key``. Any
+    other error (a raising ``dynamics_components``) propagates.
     ``ladders`` is the caller's memo of sorted unique prices, keyed
     ``(catalog_key, region, size)``; ``frames`` its memo of spec frames
     (:data:`Frame`).
@@ -136,40 +137,41 @@ def dynamics_key(
         or spec.calibrations is not None
     ):
         return None
-    try:
-        _, markets, ods, allows_spot, allows_on_demand = _frame(spec, frames)
-        comp = comp_fn(ods)
-        if "reverse_thresholds" not in comp:
+    _, markets, ods, allows_spot, allows_on_demand = _frame(spec, frames)
+    comp = comp_fn(ods)
+    if "reverse_thresholds" not in comp:
+        return None
+
+    def ranks(values) -> Optional[tuple]:
+        if values is None:
             return None
+        out = []
+        for key, value in zip(markets, values):
+            lkey = (catalog_key, key.region, key.size)
+            ladder = ladders.get(lkey)
+            if ladder is None:
+                # Stored as a plain list: rank lookups are scalar, and
+                # bisect beats scalar np.searchsorted call overhead.
+                ladder = np.unique(catalog.trace(key).compiled.prices).tolist()
+                ladders[lkey] = ladder
+            out.append(bisect.bisect_right(ladder, value))
+        return tuple(out)
 
-        def ranks(values) -> Optional[tuple]:
-            if values is None:
-                return None
-            out = []
-            for key, value in zip(markets, values):
-                lkey = (catalog_key, key.region, key.size)
-                ladder = ladders.get(lkey)
-                if ladder is None:
-                    # Stored as a plain list: rank lookups are scalar, and
-                    # bisect beats scalar np.searchsorted call overhead.
-                    ladder = np.unique(catalog.trace(key).compiled.prices).tolist()
-                    ladders[lkey] = ladder
-                out.append(bisect.bisect_right(ladder, value))
-            return tuple(out)
-
-        reverse: Optional[Dict[Tuple[str, str], float]] = None
-        if not allows_spot:
-            sig: object = comp["name"]
-        else:
-            sig = (comp["name"], ranks(comp["bids"]), ranks(comp["planned_thresholds"]))
-            if allows_on_demand:
-                reverse = {
-                    (k.region, k.size): float(v)
-                    for k, v in zip(markets, comp["reverse_thresholds"])
-                }
-        key = (catalog_key, sig, _keyed_fields(spec))
+    reverse: Optional[Dict[Tuple[str, str], float]] = None
+    if not allows_spot:
+        sig: object = comp["name"]
+    else:
+        sig = (comp["name"], ranks(comp["bids"]), ranks(comp["planned_thresholds"]))
+        if allows_on_demand:
+            reverse = {
+                (k.region, k.size): float(v)
+                for k, v in zip(markets, comp["reverse_thresholds"])
+            }
+    key = (catalog_key, sig, _keyed_fields(spec))
+    try:
         hash(key)
-    except Exception:
+    except TypeError:
+        # Unhashable spec arguments (``StrategySpec.of(kind, [list])``).
         return None
     return key, reverse
 

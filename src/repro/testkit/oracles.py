@@ -395,13 +395,14 @@ def _twin_key(spec) -> Optional[object]:
         or spec.calibrations is not None
     ):
         return None
+    comp = comp_fn(
+        tuple(on_demand_price(r, s) for r in spec.regions for s in spec.sizes)
+    )
+    key = replace(spec, label="", bidding=tuple(sorted(comp.items())))
     try:
-        comp = comp_fn(
-            tuple(on_demand_price(r, s) for r in spec.regions for s in spec.sizes)
-        )
-        key = replace(spec, label="", bidding=tuple(sorted(comp.items())))
         hash(key)
-    except Exception:
+    except TypeError:
+        # Unhashable spec arguments (``StrategySpec.of(kind, [list])``).
         return None
     return key
 

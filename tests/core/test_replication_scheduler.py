@@ -1,33 +1,47 @@
-"""Behavioural tests of the replicated (hot-standby) scheduler."""
+"""Behavioural tests of the replicated (hot-standby) scheduler.
+
+Every pair is set up the one way every run is: a ``remus-pair``
+:class:`~repro.runtime.StrategySpec` in a :class:`RunSpec`, handed to
+:func:`~repro.core.simulation.build_stack`, which picks the
+:class:`ReplicatedScheduler`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cloud.provider import CloudProvider, LeaseKind
-from repro.core.bidding import ProactiveBidding
-from repro.core.replication import ReplicatedScheduler
+from repro.core.replication import RemusPairStrategy, ReplicatedScheduler
+from repro.core.simulation import build_stack, summarize_stack
 from repro.errors import SchedulingError
-from repro.simulator.engine import Engine
+from repro.runtime import RunSpec, StrategySpec, run_batch
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.trace import PriceTrace
 from repro.units import days, hours
-from repro.vm.replication import RemusReplication
 
 A = MarketKey("us-east-1a", "small")
 B = MarketKey("us-east-1b", "small")
+PAIR = (A.region, B.region)
 HORIZON = days(2)
 
 
-def run(trace_a, trace_b, horizon=HORIZON):
-    cat = TraceCatalog({A: trace_a, B: trace_b}, {A: 0.06, B: 0.06}, horizon)
-    provider = CloudProvider(cat, rng=np.random.default_rng(0), startup_cv=0.0)
-    sch = ReplicatedScheduler(
-        engine=Engine(), provider=provider, bidding=ProactiveBidding(),
-        service_size="small", candidate_keys=[A, B],
-        remus=RemusReplication(), horizon=horizon,
+def pair_spec(regions=PAIR, **kw) -> RunSpec:
+    return RunSpec(
+        strategy=StrategySpec.of("remus-pair", regions, **kw),
+        horizon_s=HORIZON,
+        regions=regions,
+        startup_cv=0.0,
     )
-    sch.run()
-    return sch, provider
+
+
+def build(catalog, regions=PAIR, **kw):
+    return build_stack(pair_spec(regions, **kw), catalog=catalog)
+
+
+def run(trace_a, trace_b):
+    cat = TraceCatalog({A: trace_a, B: trace_b}, {A: 0.06, B: 0.06}, HORIZON)
+    stack = build(cat)
+    assert isinstance(stack.scheduler, ReplicatedScheduler)
+    stack.scheduler.run()
+    return stack.scheduler, stack.provider
 
 
 def flat(p):
@@ -43,7 +57,7 @@ def steps(segments):
 class TestSteadyState:
     def test_pair_runs_both_markets(self):
         sch, provider = run(flat(0.02), flat(0.025))
-        assert sch.primary is None and sch.standby is None  # released
+        assert sch.placement is None and sch.standby is None  # released
         assert provider.active_leases() == []
         # primary in the cheaper market, standby in the other
         spent = {e.market for e in sch.ledger.entries}
@@ -61,6 +75,14 @@ class TestSteadyState:
         sch, _ = run(flat(0.02), flat(0.025))
         # one spot boot (~281 s) + one initial sync (~60 s)
         assert 0.0 < sch.unprotected_s < 900.0
+
+    def test_calm_all_spot_pair_reports_its_spot_time(self):
+        cat = TraceCatalog({A: flat(0.02), B: flat(0.025)}, {A: 0.06, B: 0.06}, HORIZON)
+        stack = build(cat)
+        stack.scheduler.run()
+        result = summarize_stack(stack)
+        assert result.spot_time_fraction > 0.99
+        assert stack.scheduler.placement_log  # the primary's tenures
 
 
 class TestFailover:
@@ -112,24 +134,43 @@ class TestFailover:
 class TestValidation:
     def test_empty_candidates_rejected(self):
         cat = TraceCatalog({A: flat(0.02)}, {A: 0.06}, HORIZON)
-        provider = CloudProvider(cat, rng=np.random.default_rng(0))
         with pytest.raises(SchedulingError):
-            ReplicatedScheduler(
-                engine=Engine(), provider=provider, bidding=ProactiveBidding(),
-                service_size="small", candidate_keys=[],
-                remus=RemusReplication(), horizon=HORIZON,
-            )
+            build(cat, regions=("us-west-1a",))  # no market of the catalog
 
     def test_size_capacity_filter(self):
         cat = TraceCatalog({A: flat(0.02)}, {A: 0.06}, HORIZON)
-        provider = CloudProvider(cat, rng=np.random.default_rng(0))
         with pytest.raises(SchedulingError):
-            ReplicatedScheduler(
-                engine=Engine(), provider=provider, bidding=ProactiveBidding(),
-                service_size="xlarge", candidate_keys=[A],  # small can't host xlarge
-                remus=RemusReplication(), horizon=HORIZON,
-            )
+            build(cat, regions=(A.region,), service_units=8)  # small can't host xlarge
 
     def test_window_closed_at_horizon(self):
         sch, _ = run(flat(0.02), flat(0.025))
         assert sch.availability.window_end == HORIZON
+
+    def test_repr_is_deterministic(self):
+        strategy = StrategySpec.of("remus-pair", PAIR, service_units=2).build()
+        assert isinstance(strategy, RemusPairStrategy)
+        assert repr(strategy) == "RemusPair(us-east-1a,us-east-1b, units=2)"
+        assert not strategy.vectorizable
+
+
+class TestBatch:
+    SPECS = [
+        RunSpec(strategy=StrategySpec.of("remus-pair", PAIR), seed=seed,
+                horizon_s=days(3), regions=PAIR)
+        for seed in (11, 23, 37)
+    ]
+
+    def test_same_results_at_any_jobs_engine_and_after_resume(self, tmp_path):
+        serial = run_batch(self.SPECS, engine="event")
+        want = [repr(r) for r in serial.results]
+        assert all("RemusPair(" in r.label for r in serial.results)
+        for jobs in (1, 2):
+            for engine in ("auto", "event"):
+                batch = run_batch(self.SPECS, jobs=jobs, engine=engine)
+                assert [repr(r) for r in batch.results] == want, (jobs, engine)
+                assert {t.engine_kind for t in batch.run_telemetry} == {"event"}
+        ledger = tmp_path / "remus.jsonl"
+        run_batch(self.SPECS, jobs=2, ledger=ledger)
+        resumed = run_batch(self.SPECS, ledger=ledger, resume=True)
+        assert [repr(r) for r in resumed.results] == want
+        assert resumed.telemetry.replayed_runs == len(self.SPECS)

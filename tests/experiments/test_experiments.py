@@ -56,6 +56,15 @@ def test_drivers_forward_the_engine_to_every_batch(eid):
     assert sum(b.vector_runs for b in scope.batches) == 0
 
 
+def test_ext_frontier_submits_every_point_as_a_batch():
+    """The Remus pair is an ordinary run: eight policy points, eight
+    batches, all counted in the runner footer."""
+    with observe() as scope:
+        run_experiment("ext-frontier", FAST)
+    assert len(scope.batches) == 8
+    assert sum(b.runs for b in scope.batches) == 8 * len(FAST.effective_seeds())
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["--list"]) == 0

@@ -256,3 +256,16 @@ def test_batch_rejects_unknown_engine_with_choices():
     for engine in ("bogus", "vector", "fused"):
         with pytest.raises(ConfigurationError, match="auto, event"):
             run_batch([_spec()], engine=engine, cache=_CACHE)
+
+
+class _BrokenComponentsBidding(ProactiveBidding):
+    def dynamics_components(self, od_prices):
+        raise RuntimeError("broken dynamics_components")
+
+
+def test_dedupe_key_errors_propagate():
+    """A bidding policy whose ``dynamics_components`` raises fails the
+    batch instead of silently running it undeduplicated."""
+    specs = [_spec(bidding=_BrokenComponentsBidding(), label=f"run-{i}") for i in range(2)]
+    with pytest.raises(RuntimeError, match="broken dynamics_components"):
+        run_batch(specs, engine="auto", cache=_CACHE)

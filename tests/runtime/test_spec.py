@@ -13,6 +13,7 @@ from repro.core.policies import (
     PortfolioBidStrategy,
 )
 from repro.core.registry import unregister_strategy
+from repro.core.replication import RemusPairStrategy
 from repro.core.strategies import (
     HostingStrategy,
     MultiMarketStrategy,
@@ -60,6 +61,7 @@ SPEC_CASES = {
         StrategySpec.portfolio_bid(REGION_PAIR, risk_cap=0.1),
         PortfolioBidStrategy,
     ),
+    "remus-pair": (StrategySpec.of("remus-pair", REGION_PAIR), RemusPairStrategy),
 }
 
 BIDDINGS = (ReactiveBidding(), ProactiveBidding(), AdaptiveBidding())

@@ -1,4 +1,5 @@
-"""The stdlib-``ast`` lint gate: no unused module-level imports under src/."""
+"""The stdlib-``ast`` lint gate: no unused module-level imports and no
+unlisted broad ``except`` clauses under src/."""
 
 import importlib.util
 import subprocess
@@ -42,4 +43,47 @@ def test_checker_flags_only_unused_names(tmp_path):
     assert [name for _, name in found] == ["math", "field", "Tuple"]
     assert _tool().check(tmp_path / "src") == [
         f"src/pkg/mod.py:{line}: unused import {name!r}" for line, name in found
+    ]
+
+
+def test_checker_flags_only_unlisted_broad_excepts(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "def narrow():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (TypeError, KeyError):\n"
+        "        pass\n"
+        "def broad():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except Exception:\n"
+        "        pass\n"
+        "    try:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n"
+        "    def inner():\n"
+        "        try:\n"
+        "            pass\n"
+        "        except (ValueError, BaseException) as exc:\n"
+        "            raise exc\n"
+        "try:\n"
+        "    pass\n"
+        "except Exception:\n"
+        "    pass\n"
+    )
+    tool = _tool()
+    root = tmp_path / "src"
+    found = tool.broad_excepts(pkg / "mod.py", root)
+    assert found == [(9, "broad"), (13, "broad"), (18, "broad.inner"), (22, "<module>")]
+    assert tool.check(root) == [
+        f"src/pkg/mod.py:{line}: broad except in {func}" for line, func in found
+    ]
+    # Listing a clause by file, function and position allows exactly it
+    # (``tool`` is this test's own copy of the module).
+    tool.BROAD_EXCEPT_ALLOWED[("pkg/mod.py", "broad", 1)] = "test"
+    assert tool.broad_excepts(pkg / "mod.py", root) == [
+        (9, "broad"), (18, "broad.inner"), (22, "<module>")
     ]
