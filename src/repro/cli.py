@@ -24,22 +24,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+import tempfile
+from contextlib import ExitStack
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.analysis.tables import Table
 from repro.core import registry
 from repro.core.bidding import ProactiveBidding, ReactiveBidding
 from repro.core.results import aggregate
-from repro.core.simulation import RunSpec, run_many, run_simulation_observed
-from repro.obs import NULL_SINK, MemorySink, observe
-from repro.runtime import ExecutionOptions, RunTelemetry, StrategySpec, add_execution_options
+from repro.core.simulation import RunSpec, run_many
+from repro.obs import observe
+from repro.runtime import ExecutionOptions, StrategySpec, add_execution_options
 from repro.runtime.options import print_observation
 from repro.errors import ConfigurationError, TraceFormatError
-from repro.traces.calibration import REGIONS, SIZES, on_demand_price
-from repro.traces.catalog import MarketKey, TraceCatalog
-from repro.traces.loader import load_aws_csv
-from repro.units import days
+from repro.traces.calibration import REGIONS, SIZES
+from repro.traces.catalog import MarketKey
+from repro.traces.ingest import ingest_archive, load_segment_catalog
+from repro.units import SECONDS_PER_DAY, days
 from repro.vm.mechanisms import Mechanism, PESSIMISTIC_PARAMS, TYPICAL_PARAMS
 
 __all__ = ["main", "build_parser"]
@@ -69,11 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=float, default=30.0)
     p.add_argument("--csv", type=str, default=None,
                    help="replay an AWS-format spot history instead of "
-                   "generating traces (single-market strategies only)")
+                   "generating traces: ingested to a temporary segment "
+                   "directory, then replayed as --segments (single-market "
+                   "strategies only)")
     p.add_argument("--segments", type=str, default=None, metavar="DIR",
                    help="replay an ingested mmap segment directory "
-                   "(see repro.traces.ingest) instead of generating traces "
-                   "(single-market strategies only)")
+                   "(see repro.traces.ingest) instead of generating traces, "
+                   "over its whole horizon (single-market strategies only)")
     p.add_argument("--stability-weight", type=float, default=2.0)
     p.add_argument("--band", type=float, default=0.15,
                    help="index-tracking: tracking-error band above the index")
@@ -133,26 +137,19 @@ def _render_strategy_list() -> str:
     return "\n".join(lines)
 
 
-def _csv_catalog(args) -> TraceCatalog:
-    trace = load_aws_csv(args.csv)
-    key = MarketKey(args.region[0], args.size)
-    od = on_demand_price(args.region[0], args.size)
-    return TraceCatalog({key: trace}, {key: od}, trace.horizon)
-
-
-def _segment_catalog(args) -> TraceCatalog:
-    from repro.traces.ingest import load_segment_catalog
-
-    catalog = load_segment_catalog(args.segments)
+def _replay(args, spec: RunSpec, directory: str, name: str) -> RunSpec:
+    """``spec`` replaying the ingested archive in ``directory`` over its
+    whole horizon; ``name`` is how the user named the archive."""
+    catalog = load_segment_catalog(directory)
     key = MarketKey(args.region[0], args.size)
     if key not in catalog:
         raise TraceFormatError(
-            f"market {key} not in segment directory {args.segments}; "
+            f"market {key} not in {name}; "
             f"available: {[str(k) for k in catalog.markets()]}"
         )
-    # Restrict to the requested market so the single-market strategy sees
-    # exactly the same catalog shape as the --csv path.
-    return catalog.restricted([key])
+    return spec.with_(
+        traces=str(Path(directory).resolve()), sizes=(args.size,), horizon_s=catalog.horizon
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -168,10 +165,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.csv is not None and args.segments is not None:
         print("--csv and --segments are mutually exclusive", file=sys.stderr)
         return 2
-    if execution.ledger is not None and (args.csv is not None or args.segments is not None):
-        # Replays are single in-process runs outside run_batch; there is
-        # no batch to journal.
-        print("--ledger does not apply to --csv/--segments replays", file=sys.stderr)
+    if args.csv is not None and execution.ledger is not None:
+        # The CSV is ingested into a fresh temporary directory, so the
+        # journal's run identity would differ on every invocation.
+        print("--ledger cannot resume a --csv replay: ingest the archive once "
+              "with python -m repro.traces.ingest and replay it with --segments",
+              file=sys.stderr)
+        return 2
+    flag = "--csv" if args.csv is not None else "--segments"
+    if (args.csv, args.segments) != (None, None) and not _single_market_kind(args.strategy):
+        print(f"{flag} supports single-market strategies only", file=sys.stderr)
         return 2
     if args.fast:
         args.days = min(args.days, 10.0)
@@ -180,62 +183,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         ProactiveBidding(k=args.k) if args.bidding == "proactive" else ReactiveBidding()
     )
     strategy, regions = _make_strategy(args)
-    catalog = None
-    horizon = days(args.days)
-    if args.csv is not None or args.segments is not None:
-        flag = "--csv" if args.csv is not None else "--segments"
-        if not _single_market_kind(args.strategy):
-            print(f"{flag} supports single-market strategies only", file=sys.stderr)
-            return 2
-        catalog = _csv_catalog(args) if args.csv is not None else _segment_catalog(args)
-        horizon = catalog.horizon
-
     spec = RunSpec(
         strategy=strategy,
         bidding=bidding,
         mechanism=MECHANISMS[args.mechanism],
         params=PESSIMISTIC_PARAMS if args.pessimistic else TYPICAL_PARAMS,
-        horizon_s=horizon,
+        horizon_s=days(args.days),
         regions=regions,
         sizes=tuple(SIZES),
         label=f"{args.bidding}/{args.strategy}",
     )
-
+    with ExitStack() as stack:
+        if args.segments is not None:
+            spec = _replay(args, spec, args.segments, f"segment directory {args.segments}")
+        elif args.csv is not None:
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-simulate-"))
+            try:
+                ingest_archive(args.csv, tmp)
+                spec = _replay(args, spec, tmp, args.csv)
+            except TraceFormatError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+        with observe(trace=args.trace is not None) as scope:
+            results = run_many(spec, args.seeds, execution=execution)
     t = Table(
         headers=("seed", "norm cost %", "unavail %", "downtime (s)",
                  "forced", "planned+rev", "spot $", "od $"),
         title=f"{args.strategy} / {args.bidding} / {args.mechanism}"
-        f"{' (pessimistic)' if args.pessimistic else ''} over {args.days:g} days",
+        f"{' (pessimistic)' if args.pessimistic else ''} "
+        f"over {spec.horizon_s / SECONDS_PER_DAY:g} days",
     )
-    want_trace = args.trace is not None
-    with observe(trace=want_trace) as scope:
-        if catalog is not None:
-            # The CSV replay is a single in-process run that bypasses
-            # run_batch, so capture its observability directly.
-            sink = MemorySink() if want_trace else NULL_SINK
-            # A single replay has no batch to route: auto takes the vector
-            # scheduler, which itself degrades to per-event under --trace
-            # or for non-vectorizable policies (results are identical).
-            one_engine = "vector" if execution.engine == "auto" else "event"
-            start = time.perf_counter()
-            observed = run_simulation_observed(
-                spec, sink=sink, engine=one_engine, catalog=catalog
-            )
-            results = [observed.result]
-            scope.add_run(
-                RunTelemetry(
-                    label=observed.result.label,
-                    seed=spec.seed,
-                    wall_s=time.perf_counter() - start,
-                    events_processed=observed.fired_events,
-                    metrics=observed.metrics.to_dict(),
-                    trace_events=sink.to_dicts() if want_trace else None,
-                    engine_kind=observed.engine_kind,
-                    vector_checks=observed.vector_checks,
-                )
-            )
-        else:
-            results = run_many(spec, args.seeds, execution=execution)
     for r in results:
         t.add_row(
             r.seed, r.normalized_cost_percent, r.unavailability_percent,

@@ -27,7 +27,7 @@ from typing import Generator, List, Optional, Sequence
 
 from repro.cloud.instance_types import instance_type
 from repro.cloud.provider import CloudProvider, Lease, LeaseKind
-from repro.cloud.regions import link_between
+from repro.cloud.regions import RegionLink, link_between
 from repro.core.registry import ArgSpec, register_strategy
 from repro.core.scheduler import CloudScheduler, _boundary_check_after
 from repro.core.strategies import HostingStrategy
@@ -140,10 +140,20 @@ class ReplicatedScheduler(CloudScheduler):
         self._last_reopt = -float("inf")
 
     # -------------------------------------------------------------- helpers
-    def _cheapest_grantable(self, t: float, exclude: Optional[MarketKey]) -> Optional[MarketKey]:
+    def _sync_link(self, primary: _Node, key: MarketKey) -> Optional[RegionLink]:
+        """The primary-to-``key`` link a standby there replicates over, or
+        ``None`` when it cannot sustain the service's dirty rate."""
+        link = link_between(primary.key.region, key.region)
+        return link if self.remus.supports(self.memory, link) else None
+
+    def _cheapest_grantable(self, t: float, primary: Optional[_Node]) -> Optional[MarketKey]:
+        """The cheapest grantable candidate: for a standby of ``primary``,
+        one outside its market that it can replicate to."""
         best_key, best_price = None, None
         for key in self.candidates:
-            if key == exclude:
+            if primary is not None and (
+                key == primary.key or self._sync_link(primary, key) is None
+            ):
                 continue
             market = self.provider.market(key)
             if not market.grantable(self._bid(key), t):
@@ -152,16 +162,6 @@ class ReplicatedScheduler(CloudScheduler):
             if best_price is None or price < best_price:
                 best_key, best_price = key, price
         return best_key
-
-    def _node(self, lease: Lease, key: MarketKey) -> _Node:
-        """A server of the pair, protected once its initial sync ends."""
-        sync = self.remus.initial_sync_s(
-            self.memory, link_between(key.region, key.region)
-        )
-        return _Node(lease=lease, key=key, protected_from=lease.ready_at + sync)
-
-    def _acquire_spot(self, key: MarketKey, t: float) -> _Node:
-        return self._node(self.provider.request_spot(key, self._bid(key), t), key)
 
     def _warning(self, node: Optional[_Node], from_t: float) -> Optional[float]:
         if node is None or node.lease.kind is not LeaseKind.SPOT:
@@ -172,26 +172,33 @@ class ReplicatedScheduler(CloudScheduler):
         )
 
     def _procure_standby(self, t: float) -> None:
-        """Acquire a fresh standby in the cheapest market not hosting the
-        primary; falls back to on-demand when nothing is grantable."""
-        assert self.placement is not None
-        key = self._cheapest_grantable(t, exclude=self.placement.key)
+        """Acquire a standby in the cheapest other market the primary can
+        replicate to, else on-demand, else none; it is protected once its
+        initial sync over the primary-to-standby link ends."""
+        primary = self.placement
+        assert primary is not None
+        key = self._cheapest_grantable(t, primary)
         if key is not None:
-            self.standby = self._acquire_spot(key, t)
+            lease = self.provider.request_spot(key, self._bid(key), t)
+        elif self._sync_link(primary, self._od_key) is not None:
+            key = self._od_key
+            lease = self.provider.request_on_demand(key, t)
         else:
-            lease = self.provider.request_on_demand(self._od_key, t)
-            self.standby = self._node(lease, self._od_key)
+            return
+        sync = self.remus.initial_sync_s(self.memory, self._sync_link(primary, key))
+        self.standby = _Node(lease=lease, key=key, protected_from=lease.ready_at + sync)
 
     # ============================================================= main loop
     def _main(self) -> Generator:
         t = self.engine.now
-        first = self._cheapest_grantable(t, exclude=None)
+        first = self._cheapest_grantable(t, None)
         if first is None:
             # No spot market grantable at t=0: start on-demand as primary.
-            lease = self.provider.request_on_demand(self._od_key, t)
-            self.placement = _Node(lease=lease, key=self._od_key, protected_from=lease.ready_at)
+            first = self._od_key
+            lease = self.provider.request_on_demand(first, t)
         else:
-            self.placement = self._acquire_spot(first, t)
+            lease = self.provider.request_spot(first, self._bid(first), t)
+        self.placement = _Node(lease=lease, key=first, protected_from=lease.ready_at)
         ready = min(self.placement.lease.ready_at, self.horizon)
         yield Timeout(max(0.0, ready - t))
         self.availability.open_window(ready)
@@ -341,7 +348,7 @@ class ReplicatedScheduler(CloudScheduler):
         too_expensive = (
             self.standby.lease.kind is LeaseKind.ON_DEMAND or s_price > s_od
         )
-        cheapest = self._cheapest_grantable(now, self.placement.key)
+        cheapest = self._cheapest_grantable(now, self.placement)
         if too_expensive and cheapest is not None:
             self._swap_standby(now)
             return

@@ -14,7 +14,16 @@ import numpy as np
 
 from repro.errors import SchedulingError
 
-__all__ = ["SimulationResult", "AggregateResult", "aggregate"]
+__all__ = ["MIGRATION_COUNTERS", "SimulationResult", "AggregateResult", "aggregate"]
+
+#: The migration kinds each :class:`SimulationResult` counter counts (the
+#: Remus pair's included); forced kinds also feed ``forced_times``.
+MIGRATION_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    "forced_migrations": ("forced", "failover", "unprotected-restore"),
+    "planned_migrations": ("planned", "spot-switch", "planned-failover", "reopt-failover"),
+    "reverse_migrations": ("reverse",),
+    "outages": ("outage",),
+}
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class SimulationResult:
     downtime_s: float
     degraded_s: float
     forced_migrations: int
-    planned_migrations: int  #: planned + spot-switch moves
+    planned_migrations: int  #: planned moves (see :data:`MIGRATION_COUNTERS`)
     reverse_migrations: int
     outages: int  #: pure-spot dark periods
     spot_cost: float

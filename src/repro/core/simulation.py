@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bidding import BiddingPolicy, ProactiveBidding
 from repro.core.replication import RemusPairStrategy, ReplicatedScheduler
-from repro.core.results import SimulationResult
+from repro.core.results import MIGRATION_COUNTERS, SimulationResult
 from repro.core.scheduler import CloudScheduler
 from repro.core.strategies import HostingStrategy
 from repro.cloud.provider import CloudProvider
@@ -28,7 +29,8 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.simulator.engine import Engine
 from repro.simulator.rng import RngStreams
 from repro.traces.calibration import MarketCalibration, REGIONS, SIZES
-from repro.traces.catalog import TraceCatalog, build_catalog
+from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog
+from repro.traces.ingest import load_segment_catalog
 from repro.units import SECONDS_PER_HOUR, days
 from repro.vm.mechanisms import (
     Mechanism,
@@ -95,6 +97,9 @@ class RunSpec:
     faults: Optional[Any] = None
     #: Revocation warning window; additive: fingerprinted only off-default.
     grace_s: float = field(default=REVOCATION_GRACE_S, metadata={"additive": True})
+    #: Absolute path of an ingested segment directory whose prices the run
+    #: replays instead of generating them from ``seed``; additive.
+    traces: Optional[str] = field(default=None, metadata={"additive": True})
 
     def __post_init__(self) -> None:
         if not isinstance(self.strategy, _STRATEGY_SPEC or _strategy_spec_type()):
@@ -107,6 +112,10 @@ class RunSpec:
             raise ConfigurationError("horizon must exceed one hour")
         if not 0.0 <= self.grace_s < math.inf:
             raise ConfigurationError(f"grace_s must be finite and >= 0, got {self.grace_s!r}")
+        if self.traces is not None and not os.path.isabs(self.traces):
+            raise ConfigurationError(f"traces must be an absolute path, got {self.traces!r}")
+        if self.traces is not None and self.calibrations is not None:
+            raise ConfigurationError("traces replays an archive; calibrations cannot apply")
 
     def with_(self, **kw) -> "RunSpec":
         """A copy with fields replaced."""
@@ -119,7 +128,8 @@ class RunSpec:
         from repro.runtime.cache import CatalogKey
 
         return CatalogKey.of(
-            self.seed, self.horizon_s, self.regions, self.sizes, self.calibrations
+            self.seed, self.horizon_s, self.regions, self.sizes, self.calibrations,
+            source=self.traces,
         )
 
 
@@ -181,10 +191,10 @@ def build_stack(
 
     The one place a run is set up, on every path (direct calls,
     ``run_batch`` at any ``jobs``, the golden corpus). ``catalog`` reuses
-    a prebuilt trace set (an ingested archive, or one sample shared by
-    several policies); otherwise one is generated from ``spec.seed``. The
-    bidding policy is deep-copied, so no run sees state an earlier run
-    left in it.
+    a prebuilt trace set; otherwise ``spec.traces``' archive is loaded
+    (its ``regions`` x ``sizes`` markets), or a sample is generated from
+    ``spec.seed``. The bidding policy is deep-copied, so no run sees
+    state an earlier run left in it.
 
     If ``spec.faults`` is set, its spikes are overlaid on the catalog
     before the provider is constructed (so billing sees the spiked
@@ -203,7 +213,11 @@ def build_stack(
     """
     if engine not in ("event", "vector"):
         raise ConfigurationError(f"unknown engine {engine!r} (want 'event' or 'vector')")
-    if catalog is None:
+    if catalog is None and spec.traces is not None:
+        catalog = load_segment_catalog(spec.traces).restricted(
+            MarketKey(r, s) for r in spec.regions for s in spec.sizes
+        )
+    elif catalog is None:
         catalog = build_catalog(
             seed=spec.seed,
             horizon=spec.horizon_s,
@@ -211,6 +225,8 @@ def build_stack(
             sizes=spec.sizes,
             calibrations=spec.calibrations,
         )
+    if spec.traces is not None and spec.horizon_s > catalog.horizon:
+        raise ConfigurationError(f"horizon runs past the archive in {spec.traces}")
     faults = spec.faults
     if faults is not None:
         catalog = faults.apply_to_catalog(catalog)
@@ -270,6 +286,7 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
         if duration_h > 0
         else 0.0
     )
+    forced_kinds = MIGRATION_COUNTERS["forced_migrations"]
     by_cause: dict[str, float] = {}
     for iv in avail.downtime:
         by_cause[iv.cause] = by_cause.get(iv.cause, 0.0) + iv.duration
@@ -283,16 +300,13 @@ def summarize_stack(stack: SimStack) -> SimulationResult:
         unavailability_percent=avail.unavailability_percent(),
         downtime_s=avail.total_downtime(),
         degraded_s=avail.total_degraded(),
-        forced_migrations=scheduler.migration_count("forced"),
-        planned_migrations=scheduler.migration_count("planned", "spot-switch"),
-        reverse_migrations=scheduler.migration_count("reverse"),
-        outages=scheduler.migration_count("outage"),
+        **{name: scheduler.migration_count(*kinds) for name, kinds in MIGRATION_COUNTERS.items()},
         spot_cost=ledger.total_by_kind("spot"),
         on_demand_cost=ledger.total_by_kind("on_demand"),
         spot_time_fraction=scheduler.spot_time_fraction(),
         downtime_by_cause=by_cause,
         forced_times=tuple(
-            m.started_at for m in scheduler.migrations if m.kind == "forced"
+            m.started_at for m in scheduler.migrations if m.kind in forced_kinds
         ),
     )
     metrics = scheduler.metrics

@@ -9,7 +9,8 @@ calibration overrides): the store generates each market once, and any
 region/size subset is a view over the same trace objects, bit-identical to
 a fresh :func:`~repro.traces.catalog.build_catalog`. The cache is a small
 LRU of those stores; both the serial executor and every pool worker hold
-one per process (:func:`shared_catalog_cache`).
+one per process (:func:`shared_catalog_cache`). A replayed archive
+(``RunSpec.traces``) is an :class:`ArchiveStore`, keyed by its directory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from repro.traces.calibration import (
     SIZES,
     MarketCalibration,
 )
-from repro.traces.catalog import MarketStore, TraceCatalog
+from repro.traces.catalog import MarketKey, MarketStore, TraceCatalog
+from repro.traces.ingest import load_segment_catalog
 
 __all__ = ["CatalogKey", "TraceCatalogCache", "shared_catalog", "shared_catalog_cache"]
 
@@ -45,6 +47,9 @@ class CatalogKey:
     regions: Tuple[str, ...]
     sizes: Tuple[str, ...]
     calibration_token: Optional[tuple] = None  #: sorted calibration overrides
+    #: A replay's segment directory. The seed stays in the key: it drives
+    #: every other stream, and the dedupe key leaves seeds to this key.
+    source: Optional[str] = None
 
     @classmethod
     def of(
@@ -54,13 +59,15 @@ class CatalogKey:
         regions: Iterable[str] = REGIONS,
         sizes: Iterable[str] = SIZES,
         calibrations: Optional[Mapping[Tuple[str, str], MarketCalibration]] = None,
+        *,
+        source: Optional[str] = None,
     ) -> Optional["CatalogKey"]:
-        """The key of :func:`build_catalog`'s arguments, or ``None`` when
-        they are unhashable (calibration overrides that cannot be cached)."""
+        """The key of :func:`build_catalog`'s arguments (or of a view of the
+        archive in ``source``), or ``None`` when they are unhashable."""
         token: Optional[tuple] = None
         if calibrations is not None:
             token = tuple(sorted(calibrations.items()))
-        key = cls(int(seed), float(horizon), tuple(regions), tuple(sizes), token)
+        key = cls(int(seed), float(horizon), tuple(regions), tuple(sizes), token, source)
         try:
             hash(key)
         except TypeError:
@@ -68,10 +75,12 @@ class CatalogKey:
         return key
 
     @property
-    def store_key(self) -> tuple:
+    def store_key(self) -> object:
         """``(seed, horizon_s, overrides)`` of the market store this key's
-        catalog is a view of. An override equal to its market's default
-        calibration generates the default trace, so it is left out."""
+        catalog is a view of (a replay's: its directory). An override equal
+        to its market's default calibration is left out."""
+        if self.source is not None:
+            return self.source
         token = self.calibration_token
         if token is not None:
             token = tuple(
@@ -79,6 +88,24 @@ class CatalogKey:
                 if cal != DEFAULT_CALIBRATIONS.get(market)
             ) or None
         return (self.seed, self.horizon_s, token)
+
+
+class ArchiveStore:
+    """The :class:`~repro.traces.catalog.MarketStore` of an ingested segment
+    directory: mapped on first use; every view shares the mapped traces."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self._archive: Optional[TraceCatalog] = None
+
+    def has(self, regions: Iterable[str], sizes: Iterable[str]) -> bool:
+        return self._archive is not None
+
+    def catalog(self, regions: Iterable[str], sizes: Iterable[str]) -> TraceCatalog:
+        """The view of ``regions`` x ``sizes``; each must be archived."""
+        if self._archive is None:
+            self._archive = load_segment_catalog(self.directory)
+        return self._archive.restricted(MarketKey(r, s) for r in regions for s in sizes)
 
 
 class TraceCatalogCache:
@@ -92,7 +119,7 @@ class TraceCatalogCache:
         if maxsize <= 0:
             raise ConfigurationError("cache maxsize must be positive")
         self.maxsize = maxsize
-        self._stores: "OrderedDict[tuple, MarketStore]" = OrderedDict()
+        self._stores: "OrderedDict[object, MarketStore | ArchiveStore]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.builds = 0
@@ -103,7 +130,10 @@ class TraceCatalogCache:
         store_key = key.store_key
         store = self._stores.get(store_key)
         if store is None:
-            store = MarketStore(key.seed, key.horizon_s, dict(store_key[2] or ()))
+            if key.source is not None:
+                store = ArchiveStore(key.source)
+            else:
+                store = MarketStore(key.seed, key.horizon_s, dict(store_key[2] or ()))
             self._stores[store_key] = store
             while len(self._stores) > self.maxsize:
                 self._stores.popitem(last=False)

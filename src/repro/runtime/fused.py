@@ -42,7 +42,7 @@ __all__ = ["band_matches", "dynamics_key"]
 KEY_EXCLUDED_FIELDS = {
     "bidding": "keyed as its rank-projected signature",
     "label": "names the result, never changes the dynamics",
-    **dict.fromkeys(("seed", "horizon_s", "regions", "sizes"), "in the catalog key"),
+    **dict.fromkeys(("seed", "horizon_s", "regions", "sizes", "traces"), "in the catalog key"),
     **dict.fromkeys(("calibrations", "faults"), "makes the spec ineligible"),
 }
 #: The keyed fields' values of one spec, as a tuple.
@@ -58,16 +58,16 @@ _keyed_fields = operator.attrgetter(
 Frame = Tuple[object, List[object], Tuple[float, ...], bool, bool]
 
 
-def _frame(spec, frames: Dict[tuple, Frame]) -> Frame:
+def _frame(spec, catalog, frames: Dict[tuple, Frame]) -> Frame:
     """The per-(strategy, regions, sizes) part of :func:`dynamics_key`,
-    built once per distinct frame of a unit: the strategy is built only to
+    built once per distinct frame of a unit, over the unit's ``catalog``
+    (whose on-demand prices the runs see): the strategy is built only to
     read its two capability flags. The strategy is keyed by identity,
     never by equality; the region and size names, plain strings, by value.
     """
     fkey = (id(spec.strategy), tuple(spec.regions), tuple(spec.sizes))
     frame = frames.get(fkey)
     if frame is None:
-        from repro.traces.calibration import on_demand_price
         from repro.traces.catalog import MarketKey
 
         markets = [MarketKey(r, s) for r in spec.regions for s in spec.sizes]
@@ -75,7 +75,7 @@ def _frame(spec, frames: Dict[tuple, Frame]) -> Frame:
         frame = frames[fkey] = (
             spec.strategy,
             markets,
-            tuple(on_demand_price(k.region, k.size) for k in markets),
+            tuple(catalog.on_demand_price(k) for k in markets),
             getattr(strategy, "allows_spot", True),
             getattr(strategy, "allows_on_demand", True),
         )
@@ -137,7 +137,7 @@ def dynamics_key(
         or spec.calibrations is not None
     ):
         return None
-    _, markets, ods, allows_spot, allows_on_demand = _frame(spec, frames)
+    _, markets, ods, allows_spot, allows_on_demand = _frame(spec, catalog, frames)
     comp = comp_fn(ods)
     if "reverse_thresholds" not in comp:
         return None

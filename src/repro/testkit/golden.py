@@ -24,9 +24,11 @@ pool, churn) checked by the same machinery.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -38,7 +40,7 @@ from repro.fleet.spec import FleetSpec, ServiceSpec, synthesize_fleet
 from repro.runtime.spec import StrategySpec
 from repro.testkit.faults import FaultPlan
 from repro.traces.calibration import MarketCalibration, calibration_for
-from repro.traces.catalog import MarketKey, TraceCatalog
+from repro.traces.catalog import MarketKey
 from repro.units import days, hours
 
 __all__ = [
@@ -64,22 +66,15 @@ REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GoldenScenario:
-    """One committed scenario: a name, a story, a seeded run and, for a
-    scenario that replays a prebuilt catalog, that catalog's factory."""
+    """One committed scenario: a name, a story and a seeded run."""
 
     name: str
     description: str
     build: Callable[[], RunSpec]
-    build_catalog: Optional[Callable[[], TraceCatalog]] = None
 
     def spec(self) -> RunSpec:
         """The scenario's run, labelled ``golden/<name>``."""
         return self.build().with_(label=f"golden/{self.name}")
-
-    def catalog(self) -> Optional[TraceCatalog]:
-        """The prebuilt catalog every runner passes as ``catalog=``, or
-        ``None`` to generate one from the spec's seed."""
-        return self.build_catalog() if self.build_catalog is not None else None
 
 
 def default_golden_dir() -> Path:
@@ -510,20 +505,17 @@ def _spike_train_medium() -> RunSpec:
     )
 
 
-def _archive_catalog() -> TraceCatalog:
-    # End-to-end data-path pin: generate one market, write it as an AWS
-    # CSV archive, stream-ingest it into mmap-compiled segments, and run
-    # the simulation off the memory-mapped catalog. The pinned report
-    # freezes the CSV -> ingest -> mmap path's economics; the ingest test
-    # suite separately proves it matches the in-memory path bit-for-bit.
-    import tempfile
-
+@functools.lru_cache(maxsize=None)
+def _archive_dir() -> tempfile.TemporaryDirectory:
+    # End-to-end data-path pin, built once per process and kept until it
+    # exits: one generated market, written as an AWS CSV archive and
+    # stream-ingested into mmap-compiled segments. The ingest tests prove
+    # the mmap path matches the in-memory one bit-for-bit.
     from repro.traces.catalog import build_catalog
-    from repro.traces.ingest import ingest_archive, load_segment_catalog
+    from repro.traces.ingest import ingest_archive
     from repro.traces.loader import save_aws_csv
 
-    horizon = days(3)
-    source = build_catalog(199, horizon, regions=("us-east-1a",), sizes=("small",))
+    source = build_catalog(199, days(3), regions=("us-east-1a",), sizes=("small",))
     tmp = tempfile.TemporaryDirectory(prefix="repro-golden-segments-")
     root = Path(tmp.name)
     save_aws_csv(
@@ -532,12 +524,8 @@ def _archive_catalog() -> TraceCatalog:
         instance_type="m1.small",
         availability_zone="us-east-1a",
     )
-    ingest_archive(root / "archive.csv", root / "segments", horizon=horizon)
-    catalog = load_segment_catalog(root / "segments")
-    # The catalog's arrays are views over the segment files; keep the
-    # temporary directory alive for as long as the catalog is.
-    catalog._tmpdir = tmp
-    return catalog
+    ingest_archive(root / "archive.csv", root / "segments", horizon=days(3))
+    return tmp
 
 
 def _archive_roundtrip() -> RunSpec:
@@ -547,6 +535,7 @@ def _archive_roundtrip() -> RunSpec:
         horizon_s=days(3),
         regions=("us-east-1a",),
         sizes=("small",),
+        traces=str((Path(_archive_dir().name) / "segments").resolve()),
     )
 
 
@@ -673,7 +662,7 @@ SCENARIOS: Tuple[GoldenScenario, ...] = (
     ),
     GoldenScenario(
         "archive-roundtrip", "CSV -> streaming ingest -> mmap segment replay",
-        _archive_roundtrip, build_catalog=_archive_catalog,
+        _archive_roundtrip,
     ),
     GoldenScenario(
         "refit-regenerated", "simulate on calibrations refit from a generated archive",
@@ -738,9 +727,7 @@ def scenario_by_name(name: str):
 def run_scenario(scenario: GoldenScenario, verify: bool = True) -> Dict[str, object]:
     """Run one scenario (with the invariant oracles by default) and return
     its report as a JSON-ready dict."""
-    observed = run_simulation_observed(
-        scenario.spec(), verify=verify, catalog=scenario.catalog()
-    )
+    observed = run_simulation_observed(scenario.spec(), verify=verify)
     return dataclasses.asdict(observed.result)
 
 

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.results import MIGRATION_COUNTERS
 from repro.errors import InvariantViolation, TraceFormatError
 from repro.traces.catalog import MarketKey
 from repro.units import SECONDS_PER_HOUR
@@ -253,17 +254,12 @@ def _check_metrics(report: OracleReport, stack, result) -> None:
         c = m.counters.get(name)
         return c.value if c is not None else 0.0
 
-    pairs = [
-        ("migrations.forced", counter("migrations.forced"), result.forced_migrations),
-        (
-            "migrations.planned(+spot-switch)",
-            counter("migrations.planned") + counter("migrations.spot-switch"),
-            result.planned_migrations,
-        ),
-        ("migrations.reverse", counter("migrations.reverse"), result.reverse_migrations),
-        ("migrations.outage", counter("migrations.outage"), result.outages),
-    ]
-    bad = [f"{n}: metric {v:g} vs report {r}" for n, v, r in pairs if not _close(v, r)]
+    bad = []
+    for name, kinds in MIGRATION_COUNTERS.items():
+        total = sum(counter(f"migrations.{kind}") for kind in kinds)
+        if not _close(total, getattr(result, name)):
+            bad.append(f"migrations.{'+'.join(kinds)}: metric {total:g} vs {name} "
+                       f"{getattr(result, name)}")
     report.add("metrics.migration-counters", not bad, "; ".join(bad))
 
     spend = sum(c.value for name, c in m.counters.items() if name.startswith("spend_usd."))

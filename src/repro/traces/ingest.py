@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
 
 import numpy as np
 
-from repro.errors import CalibrationError, TraceFormatError
+from repro.errors import CalibrationError, ConfigurationError, TraceFormatError
 from repro.traces.calibration import SIZES, on_demand_price
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.loader import _open_for_read, iter_aws_rows
@@ -250,7 +250,8 @@ def ingest_archive(
     out_dir:
         Destination directory; created if needed. Receives one ``.seg``
         file per (availability zone, instance type) market plus a
-        ``manifest.json`` describing the catalog.
+        ``manifest.json`` describing the catalog. A directory that holds
+        a manifest is refused: replays name an archive by its directory.
     chunk_records:
         Records buffered in memory before every market buffer is flushed
         to its spill file — the knob that bounds peak demux memory.
@@ -279,6 +280,10 @@ def ingest_archive(
     if isinstance(sources, (str, Path)) or hasattr(sources, "read"):
         sources = [sources]
     out = Path(out_dir)
+    if (out / MANIFEST_NAME).exists():
+        raise ConfigurationError(
+            f"{out} already holds an ingested archive; ingest into a new directory"
+        )
     out.mkdir(parents=True, exist_ok=True)
     spill_dir = out / ".spill"
     spill_dir.mkdir(exist_ok=True)

@@ -152,10 +152,77 @@ def test_segments_rejected_for_multi_strategies(tmp_path, capsys):
     assert main(["--segments", str(seg), "--strategy", "multi-market"]) == 2
 
 
-def test_segments_rejected_with_ledger(tmp_path, capsys):
+def _rows(out):
+    """The seed column of a printed per-seed table."""
+    return [line.split("|")[0].strip() for line in out.splitlines()
+            if line[:1].isdigit()]
+
+
+def test_segments_replay_journals_and_resumes(tmp_path, capsys):
+    """A --segments replay is a batch like any other: it journals, and
+    --resume replays the journal byte-identically without re-running."""
     seg, _ = _segment_dir(tmp_path)
-    rc = main(["--segments", str(seg), "--ledger", str(tmp_path / "ledger")])
+    journal = tmp_path / "replay.jsonl"
+    argv = ["--segments", str(seg), "--seeds", "0", "1", "--ledger", str(journal)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    journaled = journal.read_bytes()
+    assert main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == first
+    assert journal.read_bytes() == journaled  # nothing re-executed
+    assert _rows(first) == ["0", "1"]
+
+
+def test_replay_honours_seeds(tmp_path, capsys):
+    seg, _ = _segment_dir(tmp_path)
+    assert main(["--segments", str(seg), "--seeds", "0", "1", "2"]) == 0
+    out = capsys.readouterr().out
+    assert _rows(out) == ["0", "1", "2"]
+    assert "mean over 3 seeds" in out
+
+
+def test_replay_stdout_identical_across_jobs_and_engines(tmp_path, capsys):
+    seg, _ = _segment_dir(tmp_path)
+    base = ["--segments", str(seg), "--seeds", "0", "1", "2", "3"]
+    outs = []
+    for extra in ([], ["--jobs", "2"], ["--engine", "event"]):
+        assert main(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert _rows(outs[0]) == ["0", "1", "2", "3"]
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_replay_title_shows_archive_horizon(tmp_path, capsys):
+    from repro.traces.ingest import load_segment_catalog
+
+    seg, csv_path = _segment_dir(tmp_path)
+    horizon_days = load_segment_catalog(seg).horizon / 86400.0
+    for flag, path in (("--segments", seg), ("--csv", csv_path)):
+        assert main([flag, str(path), "--seeds", "1", "--days", "30"]) == 0
+        out = capsys.readouterr().out
+        assert f"over {horizon_days:g} days" in out
+        assert "over 30 days" not in out
+
+
+def test_csv_keys_markets_by_the_files_own_zone_and_type(tmp_path, capsys):
+    """--csv takes --segments' market rule: a file of another market is
+    refused (exit 2, naming what it holds), not relabelled."""
+    trace = generate_trace(calibration_for("us-east-1b", "small"), days(7), seed=3)
+    path = tmp_path / "east-1b.csv"
+    save_aws_csv(trace, path, instance_type="m1.small", availability_zone="us-east-1b")
+    assert main(["--csv", str(path), "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "us-east-1a/small" in err and "us-east-1b/small" in err
+    assert main(["--csv", str(path), "--seeds", "1", "--region", "us-east-1b"]) == 0
+
+
+def test_csv_rejected_with_ledger(tmp_path, capsys):
+    _, csv_path = _segment_dir(tmp_path)
+    rc = main(["--csv", str(csv_path), "--ledger", str(tmp_path / "ledger")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "python -m repro.traces.ingest" in err and "--segments" in err
+    assert not (tmp_path / "ledger").exists()
 
 
 def test_calibrate_cli_fits_segments(tmp_path, capsys):

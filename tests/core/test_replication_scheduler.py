@@ -6,6 +6,8 @@ Every pair is set up the one way every run is: a ``remus-pair``
 :class:`ReplicatedScheduler`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,62 @@ class TestBatch:
         resumed = run_batch(self.SPECS, ledger=ledger, resume=True)
         assert [repr(r) for r in resumed.results] == want
         assert resumed.telemetry.replayed_runs == len(self.SPECS)
+
+
+class TestReplicationLink:
+    """A standby syncs over the primary-to-standby link, and only where
+    that link can carry Remus."""
+
+    @staticmethod
+    def _pair(regions):
+        first, second = (MarketKey(r, "small") for r in regions)
+        cat = TraceCatalog(
+            {first: flat(0.02), second: flat(0.025)}, {first: 0.06, second: 0.06}, HORIZON
+        )
+        stack = build(cat, regions=regions)
+        stack.scheduler.start()
+        stack.engine.run(until=hours(2))
+        return stack
+
+    def test_cross_geo_standby_syncs_over_the_wan_link(self):
+        sch = self._pair(("us-east-1a", "us-west-1a")).scheduler
+        assert sch.placement.key == MarketKey("us-east-1a", "small")
+        assert sch.standby.key == MarketKey("us-west-1a", "small")
+        # 80.6 s over the 245 Mbit/s us-east/us-west link (a LAN sync: 58.4 s)
+        sync = sch.standby.protected_from - sch.standby.lease.ready_at
+        assert sync == pytest.approx(80.57, abs=0.01)
+
+    def test_no_standby_across_a_link_remus_cannot_sustain(self):
+        """us-west/eu-west's 127 Mbit/s cannot carry the 100 Mbit/s dirty
+        rate with Remus's 1.5x headroom: the pair runs unprotected."""
+        stack = self._pair(("us-west-1a", "eu-west-1a"))
+        assert stack.scheduler.placement.key == MarketKey("us-west-1a", "small")
+        assert stack.scheduler.standby is None
+        stack.engine.run(until=HORIZON + 1.0)
+        assert {e.market for e in stack.scheduler.ledger.entries} == {"us-west-1a/small"}
+
+
+class TestResultCounters:
+    def test_failovers_count_as_forced_and_planned_moves(self):
+        """The pair's failovers reach the result's migration counters (and
+        forced_times), which the metrics oracle checks against the
+        per-kind counters."""
+        from repro.testkit.oracles import verify_stack
+
+        regions = ("us-east-1a", "us-east-1b")
+        spec = RunSpec(strategy=StrategySpec.of("remus-pair", regions), seed=23,
+                       horizon_s=days(10), regions=regions)
+        stack = build_stack(spec)
+        stack.scheduler.run()
+        result = summarize_stack(stack)
+        counts = {k: stack.scheduler.migration_count(k) for k in (
+            "failover", "unprotected-restore", "planned-failover", "reopt-failover")}
+        assert counts == {"failover": 1, "unprotected-restore": 1,
+                          "planned-failover": 2, "reopt-failover": 9}
+        assert (result.forced_migrations, result.planned_migrations) == (2, 11)
+        assert len(result.forced_times) == 2
+        assert verify_stack(stack, result).passed
+        # The oracle sums the same kinds: the old failover-blind count fails it.
+        blind = dataclasses.replace(result, forced_migrations=0, planned_migrations=0)
+        failed = {c.name for c in verify_stack(stack, blind).failures}
+        assert failed == {"metrics.migration-counters"}

@@ -216,3 +216,65 @@ class TestSharedCatalog:
             for r in REGIONS
             for s in SIZES
         }
+
+
+def _archive(tmp_path) -> str:
+    """A one-market (us-east-1a/small) segment directory of seed 5's sample."""
+    from repro.traces.ingest import ingest_archive
+    from repro.traces.loader import save_aws_csv
+
+    source = build_catalog(5, days(2), ("us-east-1a",), ("small",))
+    csv_path = tmp_path / "archive.csv"
+    save_aws_csv(source.trace(KEY), csv_path, instance_type="m1.small",
+                 availability_zone="us-east-1a")
+    ingest_archive(csv_path, tmp_path / "seg", horizon=days(2))
+    return str((tmp_path / "seg").resolve())
+
+
+class TestArchiveSource:
+    def test_source_key_maps_the_directory_once(self, tmp_path):
+        seg = _archive(tmp_path)
+        cache = TraceCatalogCache()
+        k1, k2 = (spec(seed=s, traces=seg).catalog_key() for s in (1, 2))
+        assert k1 != k2  # the seed stays in the key
+        assert k1.store_key == k2.store_key == seg
+        first, hit1, _ = cache.get_or_build(k1)
+        second, hit2, _ = cache.get_or_build(k2)
+        assert (hit1, hit2) == (False, True)
+        assert second.trace(KEY) is first.trace(KEY) and first.source == seg
+        assert len(cache) == 1
+
+    def test_missing_market_is_named(self, tmp_path):
+        from repro.core.simulation import run_simulation
+        from repro.errors import CalibrationError
+
+        seg = _archive(tmp_path)
+        wide = spec(traces=seg, sizes=("small", "large"))
+        with pytest.raises(CalibrationError, match="us-east-1a/large"):
+            TraceCatalogCache().get_or_build(wide.catalog_key())
+        with pytest.raises(CalibrationError, match="us-east-1a/large"):
+            run_simulation(wide)
+
+    def test_horizon_past_the_archive_is_refused(self, tmp_path):
+        from repro.core.simulation import run_simulation
+
+        seg = _archive(tmp_path)
+        with pytest.raises(ConfigurationError, match="runs past the archive"):
+            run_simulation(spec(traces=seg, horizon_s=days(3)))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_replay_matches_the_prebuilt_catalog(self, tmp_path, jobs):
+        """run_batch resolves ``traces`` through the cache (in workers too)
+        and equals build_stack over the same archive passed as
+        ``catalog=``; runs of distinct seeds are never cloned onto each
+        other, while a repeated seed is."""
+        from repro.core.simulation import run_simulation
+        from repro.traces.ingest import load_segment_catalog
+
+        seg = _archive(tmp_path)
+        specs = [spec(seed=s, traces=seg) for s in (1, 2, 2)]
+        batch = run_batch(specs, jobs=jobs, cache=TraceCatalogCache())
+        catalog = load_segment_catalog(seg)
+        assert list(batch.results) == [run_simulation(s, catalog=catalog) for s in specs]
+        assert [r.seed for r in batch.results] == [1, 2, 2]
+        assert [t.deduped for t in batch.run_telemetry] == [False, False, True]

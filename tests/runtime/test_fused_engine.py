@@ -54,13 +54,14 @@ def test_fused_matches_event_on_golden_corpus(scenario):
     """``--engine auto`` is byte-identical to ``event`` on every golden
     scenario — including the ones whose policies route per-event.
 
-    ``run_batch`` takes no catalog: it generates the spec's sample. For
-    ``archive-roundtrip`` the event run replays the ingested archive, so
-    the check also pins the archive path to the generated sample."""
+    ``archive-roundtrip`` replays an ingested archive of the sample its
+    seed generates, so comparing it with ``traces=None`` also pins the
+    archive path to the generated sample."""
     spec = scenario.spec()
-    event = run_simulation_observed(spec, catalog=scenario.catalog())
+    event = run_simulation_observed(spec)
     auto = run_batch([spec], engine="auto")
     assert auto.results[0] == event.result
+    assert run_batch([spec.with_(traces=None)], engine="auto").results[0] == event.result
 
 
 def test_fused_matches_event_on_fleet_golden():

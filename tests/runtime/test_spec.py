@@ -201,6 +201,32 @@ def test_run_spec_rejects_bad_grace_window(grace_s):
         RunSpec(strategy=StrategySpec.single(KEY), grace_s=grace_s)
 
 
+def test_run_spec_traces_must_be_absolute(tmp_path):
+    with pytest.raises(ConfigurationError, match="absolute"):
+        RunSpec(strategy=StrategySpec.single(KEY), traces="segments")
+    RunSpec(strategy=StrategySpec.single(KEY), traces=str(tmp_path))
+
+
+def test_run_spec_traces_excludes_calibrations(tmp_path):
+    from repro.traces.calibration import calibration_for
+
+    cal = {("us-east-1a", "small"): calibration_for("us-east-1a", "small")}
+    with pytest.raises(ConfigurationError, match="calibrations"):
+        RunSpec(strategy=StrategySpec.single(KEY), traces=str(tmp_path), calibrations=cal)
+
+
+def test_run_spec_traces_is_additive_to_the_fingerprint(tmp_path):
+    """Unset, ``traces`` leaves every fingerprint as it was; set, it
+    changes the run's identity, and two archives are two identities."""
+    from repro.runtime.spec import spec_fingerprint
+
+    base = RunSpec(strategy=StrategySpec.single(KEY))
+    assert spec_fingerprint(base.with_(traces=None)) == spec_fingerprint(base)
+    one = spec_fingerprint(base.with_(traces=str(tmp_path / "a")))
+    assert one != spec_fingerprint(base)
+    assert one != spec_fingerprint(base.with_(traces=str(tmp_path / "b")))
+
+
 def test_batch_spec_holds_runs_in_order():
     base = RunSpec(strategy=StrategySpec.single(KEY))
     batch = BatchSpec(runs=tuple(base.with_(seed=s) for s in (1, 2, 3)))

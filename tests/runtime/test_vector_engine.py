@@ -51,8 +51,8 @@ def test_vector_matches_event_on_golden_corpus(scenario):
     vector run falls back to per-event execution and reports it.
     """
     spec = scenario.spec()
-    event = run_simulation_observed(spec, catalog=scenario.catalog())
-    vector = run_simulation_observed(spec, engine="vector", catalog=scenario.catalog())
+    event = run_simulation_observed(spec)
+    vector = run_simulation_observed(spec, engine="vector")
     assert event.engine_kind == "event"
     if spec.strategy.build().vectorizable:
         assert vector.engine_kind == "vector"

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import TraceFormatError
+from repro.errors import ConfigurationError, TraceFormatError
 from repro.traces.catalog import MarketKey, build_catalog
 from repro.traces.ingest import (
     DEFAULT_HORIZON_PAD_S,
@@ -280,6 +280,19 @@ def test_ingest_rejects_horizon_before_last_record(tmp_path):
                  availability_zone="us-east-1a")
     with pytest.raises(TraceFormatError, match="horizon"):
         ingest_archive(csv_path, tmp_path / "seg", horizon=1.0)
+
+
+def test_ingest_refuses_a_directory_that_holds_an_archive(tmp_path):
+    """A replay names its archive by directory, so a directory holds one
+    archive for its lifetime: re-ingesting into it is refused."""
+    csv_path = tmp_path / "a.csv"
+    save_aws_csv(_trace(15, n=10), csv_path, instance_type="m1.small",
+                 availability_zone="us-east-1a")
+    ingest_archive(csv_path, tmp_path / "seg")
+    manifest = (tmp_path / "seg" / MANIFEST_NAME).read_bytes()
+    with pytest.raises(ConfigurationError, match="already holds"):
+        ingest_archive(csv_path, tmp_path / "seg")
+    assert (tmp_path / "seg" / MANIFEST_NAME).read_bytes() == manifest
 
 
 def test_ingest_rejects_empty_archive(tmp_path):

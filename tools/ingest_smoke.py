@@ -9,10 +9,13 @@ Runs the acceptance scenario from docs/DATA.md end to end, in a temp dir:
    spill/flush machinery actually engages, and check the demux bound
    (``peak_buffered_records <= chunk_records``).
 3. Memory-map the segment directory back and demand bit-identical
-   times/prices against the source catalog, then a byte-identical
-   single-market simulation report between the mmap catalog and the
-   CSV -> in-memory loader path.
-4. Refit calibrations from the mmap catalog (the repro-calibrate path)
+   times/prices against the source catalog.
+4. Replay the archive the way every run does: specs that name it in
+   ``RunSpec.traces``, executed by ``run_batch`` at ``jobs`` 1 and 2
+   under the ``event`` and ``auto`` engines. Every result must equal the
+   same spec run over the CSV -> in-memory loader catalog, and a
+   ledgered batch resumed from its journal must replay every run.
+5. Refit calibrations from the mmap catalog (the repro-calibrate path)
    and check the fitted set survives a JSON save/load round trip.
 
 Exits nonzero with a diagnostic on any deviation.
@@ -36,10 +39,10 @@ sys.path.insert(0, str(REPO / "src"))
 import numpy as np  # noqa: E402
 
 from repro.core.simulation import RunSpec, run_simulation_observed  # noqa: E402
-from repro.runtime.spec import StrategySpec  # noqa: E402
+from repro.runtime import StrategySpec, run_batch  # noqa: E402
 from repro.traces.catalog import MarketKey, TraceCatalog, build_catalog  # noqa: E402
 from repro.traces.ingest import ingest_archive, load_segment_catalog  # noqa: E402
-from repro.traces.loader import load_aws_csv, save_aws_csv  # noqa: E402
+from repro.traces.loader import load_aws_csv  # noqa: E402
 from repro.traces.refit import fit_catalog, load_calibrations, save_calibrations  # noqa: E402
 from repro.units import days  # noqa: E402
 
@@ -98,37 +101,48 @@ def main() -> int:
             if not np.array_equal(np.asarray(got.prices), np.asarray(src.prices)):
                 fail(f"{key}: prices drifted through ingest")
 
-        # Byte-identical report: mmap catalog vs CSV -> in-memory loader.
-        key = MarketKey(REGIONS[0], SIZES[0])
-        solo_csv = root / "solo.csv"
-        save_aws_csv(
-            source.trace(key), solo_csv,
-            instance_type=f"m1.{key.size}", availability_zone=key.region,
-        )
-        ingest_archive(solo_csv, root / "solo-seg", horizon=HORIZON)
-        mem_catalog = TraceCatalog(
-            {key: load_aws_csv(solo_csv, horizon=HORIZON)},
-            {key: catalog.on_demand_price(key)},
+        # The replay path: each run names the archive and runs through
+        # run_batch; the reference is build_stack over the CSV -> in-memory
+        # loader catalog, passed as catalog=.
+        seg = str((root / "seg").resolve())
+        memory = TraceCatalog(
+            {
+                k: load_aws_csv(csv_path, instance_type=f"m1.{k.size}",
+                                availability_zone=k.region, horizon=HORIZON)
+                for k in source.markets()
+            },
+            {k: catalog.on_demand_price(k) for k in source.markets()},
             HORIZON,
         )
+        frames = [(StrategySpec.single(k), (k.region,), (k.size,)) for k in source.markets()]
+        frames.append((StrategySpec.multi_region(REGIONS), REGIONS, SIZES))
+        specs = [
+            RunSpec(strategy=strategy, seed=seed, horizon_s=HORIZON, regions=regions,
+                    sizes=sizes, traces=seg)
+            for seed in (9, 10)
+            for strategy, regions, sizes in frames
+        ]
 
-        spec = RunSpec(
-            strategy=StrategySpec.single(key),
-            seed=9,
-            horizon_s=HORIZON,
-            regions=(key.region,),
-            sizes=(key.size,),
-            label="ingest-smoke",
+        def reports(results):
+            return [dataclasses.asdict(r) for r in results]
+
+        want = reports(
+            run_simulation_observed(s, catalog=memory.restricted(
+                MarketKey(r, z) for r in s.regions for z in s.sizes
+            )).result
+            for s in specs
         )
-
-        def run(cat):
-            return dataclasses.asdict(run_simulation_observed(spec, catalog=cat).result)
-
-        mm = run(load_segment_catalog(root / "solo-seg").restricted([key]))
-        mem = run(mem_catalog)
-        if mm != mem:
-            diffs = [k for k in mem if mem[k] != mm.get(k)]
-            fail(f"mmap vs in-memory report mismatch in fields: {diffs}")
+        for jobs in (1, 2):
+            for engine in ("event", "auto"):
+                if reports(run_batch(specs, jobs=jobs, engine=engine).results) != want:
+                    fail(f"traces= replay at jobs={jobs}, engine={engine} differs "
+                         "from the in-memory catalog run")
+        ledger = root / "replay.jsonl"
+        run_batch(specs, jobs=2, ledger=ledger)
+        resumed = run_batch(specs, ledger=ledger, resume=True)
+        if resumed.telemetry.replayed_runs != len(specs) or reports(resumed.results) != want:
+            fail(f"ledgered replay resumed {resumed.telemetry.replayed_runs} of "
+                 f"{len(specs)} runs, or its results drifted")
 
         # Refit + persistence round trip off the mmap catalog.
         fitted = fit_catalog(catalog, grid_step_s=900.0)
@@ -140,7 +154,8 @@ def main() -> int:
         print(
             f"ingest smoke OK: {report.n_records} records -> {report.n_markets} "
             f"segments (peak buffer {report.peak_buffered_records}/{CHUNK}), "
-            f"mmap report byte-identical, {len(fitted)} calibrations refit + round-tripped"
+            f"{len(specs)} replayed runs identical at jobs 1/2, event/auto and on "
+            f"resume, {len(fitted)} calibrations refit + round-tripped"
         )
     return 0
 
