@@ -23,7 +23,6 @@ point show up here automatically.
 from __future__ import annotations
 
 import argparse
-import sys
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
@@ -37,7 +36,7 @@ from repro.core.simulation import RunSpec, run_many
 from repro.obs import observe
 from repro.runtime import ExecutionOptions, StrategySpec, add_execution_options
 from repro.runtime.options import print_observation
-from repro.errors import ConfigurationError, TraceFormatError
+from repro.errors import ConfigurationError, TraceFormatError, cli_main
 from repro.traces.calibration import REGIONS, SIZES
 from repro.traces.catalog import MarketKey
 from repro.traces.ingest import ingest_archive, load_segment_catalog
@@ -152,30 +151,25 @@ def _replay(args, spec: RunSpec, directory: str, name: str) -> RunSpec:
     )
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_strategies:
         print(_render_strategy_list())
         return 0
-    try:
-        execution = ExecutionOptions.from_args(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    execution = ExecutionOptions.from_args(args)
     if args.csv is not None and args.segments is not None:
-        print("--csv and --segments are mutually exclusive", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--csv and --segments are mutually exclusive")
     if args.csv is not None and execution.ledger is not None:
         # The CSV is ingested into a fresh temporary directory, so the
         # journal's run identity would differ on every invocation.
-        print("--ledger cannot resume a --csv replay: ingest the archive once "
-              "with python -m repro.traces.ingest and replay it with --segments",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--ledger cannot resume a --csv replay: ingest the archive once "
+            "with python -m repro.traces.ingest and replay it with --segments"
+        )
     flag = "--csv" if args.csv is not None else "--segments"
     if (args.csv, args.segments) != (None, None) and not _single_market_kind(args.strategy):
-        print(f"{flag} supports single-market strategies only", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"{flag} supports single-market strategies only")
     if args.fast:
         args.days = min(args.days, 10.0)
         args.seeds = args.seeds[:2]
@@ -198,12 +192,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = _replay(args, spec, args.segments, f"segment directory {args.segments}")
         elif args.csv is not None:
             tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-simulate-"))
-            try:
-                ingest_archive(args.csv, tmp)
-                spec = _replay(args, spec, tmp, args.csv)
-            except TraceFormatError as exc:
-                print(exc, file=sys.stderr)
-                return 2
+            ingest_archive(args.csv, tmp)
+            spec = _replay(args, spec, tmp, args.csv)
         with observe(trace=args.trace is not None) as scope:
             results = run_many(spec, args.seeds, execution=execution)
     t = Table(

@@ -3,10 +3,15 @@
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch the whole family with a single ``except`` clause while still being able
 to discriminate between configuration problems, market-semantics violations,
-and simulation-engine faults.
+and simulation-engine faults. :func:`cli_main` is that clause for every
+command-line entry point.
 """
 
 from __future__ import annotations
+
+import functools
+import sys
+from typing import Callable
 
 __all__ = [
     "ReproError",
@@ -147,3 +152,25 @@ class LedgerError(ReproError):
     since the ledger was written), or when the ledger is structurally
     invalid beyond the tolerated torn trailing record.
     """
+
+
+def cli_main(main: Callable[..., int]) -> Callable[..., int]:
+    """Decorate a command-line ``main`` so a :class:`ReproError` becomes
+    one ``error: ...`` line on stderr and exit code 2.
+
+    The package raises its own exceptions for input it cannot use: a bad
+    option value, a market the archive lacks, a ledger that already
+    journals the batch. Any other exception is a bug and keeps its
+    traceback. The decorated function is still a plain ``main(argv)``
+    returning an ``int``.
+    """
+
+    @functools.wraps(main)
+    def wrapper(*args, **kwargs) -> int:
+        try:
+            return main(*args, **kwargs)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return wrapper

@@ -29,9 +29,16 @@ class ExperimentConfig:
     each driver batch runs (worker count, engine, run ledger, resume);
     results are identical at any setting. A driver emits many batches, so
     ``execution.ledger`` is always a directory holding one ledger file per
-    batch (named by batch fingerprint); with ``resume`` set, batches
-    already journaled there replay instead of re-executing, so an
-    interrupted ``repro-experiments`` invocation picks up where it died.
+    batch (named by batch fingerprint).
+
+    A pass journals into a fresh directory, or resumes one: a config
+    whose ledger directory already holds a ``batch-*.jsonl`` raises
+    :class:`~repro.errors.ConfigurationError` at construction unless
+    ``resume`` is set. Every batch then runs with ``resume=True``, so a
+    batch already journaled there replays instead of re-executing. That
+    covers both a batch an earlier pass journaled (an interrupted
+    ``repro-experiments`` invocation picks up where it died) and one this
+    pass repeats (``sec62`` resubmits four of ``fig11``'s batches).
     """
 
     seeds: Sequence[int] = DEFAULT_SEEDS
@@ -41,10 +48,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         ledger = self.execution.ledger
-        if ledger is not None and Path(ledger).exists() and not Path(ledger).is_dir():
+        if ledger is None or not Path(ledger).exists():
+            return
+        if not Path(ledger).is_dir():
             raise ConfigurationError(
                 f"ledger {ledger} is a file; experiments journal one file per "
                 "batch, so the ledger must be a directory"
+            )
+        if not self.execution.resume and any(Path(ledger).glob("batch-*.jsonl")):
+            raise ConfigurationError(
+                f"ledger directory {ledger} already journals batches; pass "
+                "--resume to replay them, or journal into a fresh directory"
             )
 
     def effective_seeds(self) -> List[int]:
@@ -69,11 +83,14 @@ class ExperimentConfig:
 
         Looks ``run_batch`` up on this module at call time, so a wrapper
         installed here (``perfbench``'s recorder) sees every driver batch.
+        With a ledger every batch resumes: the directory was fresh or
+        resumed at construction, so a journal in it was written by this
+        pass or by the one being resumed.
         """
         e = self.execution
+        ledger = self.effective_ledger()
         return run_batch(
-            specs, jobs=e.jobs, ledger=self.effective_ledger(),
-            resume=e.resume, engine=e.engine,
+            specs, jobs=e.jobs, ledger=ledger, resume=ledger is not None, engine=e.engine,
         )
 
 

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from repro.experiments.common import DEFAULT_SEEDS, ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, cli_main
 from repro.obs import observe
 from repro.runtime import ExecutionOptions, add_execution_options, batches_summary
 from repro.units import days
@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
@@ -59,17 +60,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     ids = args.experiments or sorted(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment ids: {unknown}", file=sys.stderr)
-        print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    try:
-        cfg = ExperimentConfig(
-            seeds=tuple(args.seeds), horizon_s=days(args.days), fast=args.fast,
-            execution=ExecutionOptions.from_args(args),
+        raise ConfigurationError(
+            f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}"
         )
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig(
+        seeds=tuple(args.seeds), horizon_s=days(args.days), fast=args.fast,
+        execution=ExecutionOptions.from_args(args),
+    )
     md_dir = None
     if args.markdown is not None:
         from pathlib import Path

@@ -19,14 +19,13 @@ at any ``--jobs`` value and across ``--engine auto``/``event``. See
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.tables import Table
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import synthesize_fleet
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, cli_main
 from repro.obs import observe
 from repro.runtime import ExecutionOptions, add_execution_options, batches_summary
 from repro.runtime.options import print_observation
@@ -75,16 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        execution = ExecutionOptions.from_args(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    execution = ExecutionOptions.from_args(args)
     if args.services < 1:
-        print("--services must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--services must be >= 1")
     if args.fast:
         args.services = min(args.services, 16)
         args.days = min(args.days, 7.0)

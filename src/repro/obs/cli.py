@@ -10,6 +10,7 @@ with ``--types``).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -20,6 +21,7 @@ from repro.analysis.decisions import (
     group_runs,
     migration_narrative,
 )
+from repro.errors import cli_main
 from repro.obs.sinks import read_jsonl
 
 __all__ = ["main"]
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _summarize(args: argparse.Namespace) -> int:
     try:
         records = list(read_jsonl(args.path))
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"repro-trace: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     if not records:
@@ -88,6 +90,7 @@ def _summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -14,6 +14,10 @@ makes the hostile regimes first-class:
   availability, metrics/results agreement, lease hygiene) runnable after
   any simulation via ``run_simulation(..., verify=True)`` or the
   ``repro-verify`` CLI;
+* :mod:`repro.testkit.checkpoint_process` — the τ-bound oracle: Yank's
+  background checkpointer run as a live event-driven process, the
+  reference :class:`~repro.vm.checkpoint.BoundedCheckpointer`'s
+  arithmetic is tested against;
 * :mod:`repro.testkit.conformance` — the policy conformance suite:
   :func:`conformance_check` audits any registered hosting strategy
   against the registry contract (``pytest -m conformance``);

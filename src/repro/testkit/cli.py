@@ -12,7 +12,8 @@ Modes
   the full battery — invariant oracles, rerun determinism, and jobs=1 vs
   ``--jobs`` byte-identity (the acceptance gate for the fault layer).
 
-Exit status is 0 when everything is green, 1 otherwise.
+Exit status is 0 when everything is green, 1 otherwise, and 2 for input
+it cannot use (an unknown scenario name).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.errors import cli_main
 from repro.testkit.golden import (
     FLEET_SCENARIOS,
     SCENARIOS,
@@ -151,6 +153,7 @@ def _cmd_storm(seed: int, jobs: int, horizon_days: float) -> int:
     return 1
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:

@@ -11,10 +11,9 @@ downstream users (requires the ``test`` extra for ``hypothesis``):
 * :func:`worlds` — a full random market world plus a policy selection;
 * :func:`fault_plans` — random :class:`~repro.testkit.faults.FaultPlan`
   instances for chaos-mode testing;
-* :func:`portfolio_weights` / :func:`tracking_bands` /
-  :func:`risk_estimates` — inputs for the related-work policy families
-  (:mod:`repro.core.policies`): simplex weight vectors, index-tracking
-  band configurations, and LP risk/cost problem instances.
+* :func:`tracking_bands` / :func:`risk_estimates` — inputs for the
+  related-work policy families (:mod:`repro.core.policies`):
+  index-tracking band configurations and LP risk/cost problem instances.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "calibrations",
     "worlds",
     "fault_plans",
-    "portfolio_weights",
     "tracking_bands",
     "risk_estimates",
 ]
@@ -190,24 +188,6 @@ def fault_plans(draw, horizon_s: float = 7 * 24 * SECONDS_PER_HOUR) -> FaultPlan
         disk_copy_factor=disk,
         startup_factor=startup,
     )
-
-
-@st.composite
-def portfolio_weights(draw, max_markets: int = 6) -> np.ndarray:
-    """A random portfolio weight vector on the probability simplex —
-    the feasible-point shape :func:`~repro.core.policies.solve_portfolio_lp`
-    optimizes over (``w >= 0``, ``sum(w) == 1``)."""
-    n = draw(st.integers(min_value=1, max_value=max_markets))
-    raw = np.asarray(
-        draw(
-            st.lists(
-                st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
-    return raw / raw.sum()
 
 
 @st.composite

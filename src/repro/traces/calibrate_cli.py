@@ -15,12 +15,11 @@ See ``docs/DATA.md`` for the full refit pipeline walkthrough.
 from __future__ import annotations
 
 import argparse
-import sys
 import tempfile
 from typing import List, Optional
 
 from repro.analysis.tables import Table
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, cli_main
 from repro.traces.ingest import ingest_archive, load_segment_catalog
 from repro.traces.refit import fit_catalog, save_calibrations
 
@@ -63,23 +62,19 @@ def _render(calibrations) -> str:
     return t.render()
 
 
+@cli_main
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if (args.segments is None) == (args.csv is None):
-        print("pass exactly one of --segments DIR or --csv PATH", file=sys.stderr)
-        return 2
-    try:
-        if args.segments is not None:
-            catalog = load_segment_catalog(args.segments)
+        raise ConfigurationError("pass exactly one of --segments DIR or --csv PATH")
+    if args.segments is not None:
+        catalog = load_segment_catalog(args.segments)
+        calibrations = fit_catalog(catalog, grid_step_s=args.grid_step)
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as tmp:
+            ingest_archive(args.csv, tmp)
+            catalog = load_segment_catalog(tmp)
             calibrations = fit_catalog(catalog, grid_step_s=args.grid_step)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as tmp:
-                ingest_archive(args.csv, tmp)
-                catalog = load_segment_catalog(tmp)
-                calibrations = fit_catalog(catalog, grid_step_s=args.grid_step)
-    except ReproError as exc:
-        print(f"refit failed: {exc}", file=sys.stderr)
-        return 1
     print(_render(calibrations))
     if args.out is not None:
         save_calibrations(args.out, calibrations)

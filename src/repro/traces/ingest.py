@@ -50,17 +50,19 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
 
 import numpy as np
 
-from repro.errors import CalibrationError, ConfigurationError, TraceFormatError
-from repro.traces.calibration import SIZES, on_demand_price
+from repro.errors import CalibrationError, ConfigurationError, TraceFormatError, cli_main
+from repro.traces.calibration import DEFAULT_CALIBRATIONS, SIZES, on_demand_price
 from repro.traces.catalog import MarketKey, TraceCatalog
 from repro.traces.loader import _open_for_read, iter_aws_rows
 from repro.traces.trace import PriceTrace
+from repro.traces.validation import ValidationReport, validate_trace
 
 __all__ = [
     "SEGMENT_MAGIC",
@@ -205,6 +207,9 @@ class IngestReport:
     epoch_offset: float  #: epoch seconds subtracted from every timestamp
     peak_buffered_records: int
     markets: Tuple[Tuple[str, str], ...]  #: (region, size) catalog keys
+    #: One report per ingested market that has a calibration, in market
+    #: order: the archive checked against that calibration. Not persisted.
+    validation: Tuple[ValidationReport, ...] = ()
 
 
 def _size_key(instance_type: str) -> str:
@@ -269,6 +274,12 @@ def ingest_archive(
         Shift every market onto a common clock starting at the archive's
         first record (what the simulator expects). All markets share one
         offset, so cross-market alignment is preserved exactly.
+
+    Every market with a calibration (``DEFAULT_CALIBRATIONS``) is
+    checked against it with :func:`~repro.traces.validation.validate_trace`
+    and the reports land on :attr:`IngestReport.validation`; a failing
+    report flags an archive in the wrong units or a mislabeled market. It
+    does not stop the ingest, and nothing of it is written to disk.
 
     Memory guarantee: the demux pass holds at most ``chunk_records``
     buffered rows; the compile pass materialises one market at a time.
@@ -360,6 +371,7 @@ def ingest_archive(
         dup_dropped = 0
         manifest_markets = []
         catalog_keys: List[Tuple[str, str]] = []
+        validation: List[ValidationReport] = []
         for key in sorted(counts):
             az, itype = key
             data = np.fromfile(_spill_path(key), dtype=_F8).reshape(-1, 2)
@@ -373,6 +385,9 @@ def ingest_archive(
             size = size_of[key]
             od = _resolve_od(az, itype, size, prices, od_prices)
             trace = PriceTrace(times, prices, final_horizon, market=itype, region=az)
+            cal = DEFAULT_CALIBRATIONS.get((az, size))
+            if cal is not None:
+                validation.append(validate_trace(trace, cal))
             fname = f"{az}__{itype}.seg"
             write_segment(out / fname, trace, od)
             _spill_path(key).unlink()
@@ -414,6 +429,7 @@ def ingest_archive(
         epoch_offset=offset,
         peak_buffered_records=peak_buffered,
         markets=tuple(catalog_keys),
+        validation=tuple(validation),
     )
 
 
@@ -456,8 +472,13 @@ def load_segment_catalog(segment_dir: str | Path) -> TraceCatalog:
 
 
 # --------------------------------------------------------------- module CLI
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
-    """``python -m repro.traces.ingest ARCHIVE [ARCHIVE...] -o DIR``."""
+@cli_main
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.traces.ingest ARCHIVE [ARCHIVE...] -o DIR``.
+
+    Each failing validation report is printed to stderr; the archive is
+    still ingested and the exit code stays 0.
+    """
     import argparse
 
     p = argparse.ArgumentParser(
@@ -474,6 +495,8 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin
         f"segment(s) under {report.out_dir} "
         f"(horizon {report.horizon:.0f}s, {report.duplicates_dropped} duplicate(s) dropped)"
     )
+    for failed in (v for v in report.validation if not v.ok):
+        print(failed.describe(), file=sys.stderr)
     return 0
 
 

@@ -106,8 +106,11 @@ def _open_for_read(source: str | Path | TextIO) -> tuple[TextIO, bool]:
     both work.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as probe:
-            magic = probe.read(2)
+        try:
+            with open(source, "rb") as probe:
+                magic = probe.read(2)
+        except OSError as exc:
+            raise TraceFormatError(f"cannot read archive {source}: {exc.strerror}") from exc
         if magic == b"\x1f\x8b":
             return gzip.open(source, "rt", encoding="utf-8-sig", newline=""), True
         return open(source, "r", encoding="utf-8-sig", newline=""), True

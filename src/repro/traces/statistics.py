@@ -30,7 +30,6 @@ __all__ = [
     "excursion_episodes",
     "calm_profile",
     "weighted_quantile",
-    "calm_price_quantile",
     "calm_change_rate_per_hour",
 ]
 
@@ -187,12 +186,6 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     cum = np.cumsum(w)
     idx = int(np.searchsorted(cum, q * cum[-1], side="left"))
     return float(v[min(idx, v.size - 1)])
-
-
-def calm_price_quantile(trace: PriceTrace, q: float, threshold: float) -> float:
-    """Time-weighted quantile of the calm (price <= threshold) regime."""
-    dur, prices = calm_profile(trace, threshold)
-    return weighted_quantile(prices, dur, q)
 
 
 def calm_change_rate_per_hour(trace: PriceTrace, threshold: float) -> float:

@@ -24,11 +24,6 @@ from repro.vm.checkpoint import BoundedCheckpointer, CheckpointResult
 from repro.vm.restore import EagerRestore, LazyRestore, RestoreResult
 from repro.vm.disk_copy import disk_copy_seconds
 from repro.vm.replication import RemusReplication, FailoverTiming
-from repro.vm.checkpoint_process import (
-    BackgroundCheckpointProcess,
-    DirtyRateProfile,
-    FlushRecord,
-)
 from repro.vm.mechanisms import (
     Mechanism,
     MechanismParams,
@@ -52,9 +47,6 @@ __all__ = [
     "disk_copy_seconds",
     "RemusReplication",
     "FailoverTiming",
-    "BackgroundCheckpointProcess",
-    "DirtyRateProfile",
-    "FlushRecord",
     "Mechanism",
     "MechanismParams",
     "TYPICAL_PARAMS",

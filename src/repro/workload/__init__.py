@@ -19,13 +19,6 @@ from repro.workload.tpcw import TpcwConfig, TpcwModel, TpcwPoint
 from repro.workload.iperf import IperfSimulator, IperfResult
 from repro.workload.diskbench import DiskBenchSimulator, DiskBenchResult
 from repro.workload.capacity import CapacityModel, savings_with_overhead
-from repro.workload.multiclass import (
-    CustomerClass,
-    MultiClassNetwork,
-    MultiClassSolution,
-    multiclass_mva,
-    tpcw_two_class_network,
-)
 
 __all__ = [
     "ClosedNetwork",
@@ -40,9 +33,4 @@ __all__ = [
     "DiskBenchResult",
     "CapacityModel",
     "savings_with_overhead",
-    "CustomerClass",
-    "MultiClassNetwork",
-    "MultiClassSolution",
-    "multiclass_mva",
-    "tpcw_two_class_network",
 ]

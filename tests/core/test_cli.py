@@ -138,8 +138,10 @@ def test_segment_replay_matches_csv_replay(tmp_path, capsys):
 
 def test_segment_replay_unknown_market(tmp_path, capsys):
     seg, _ = _segment_dir(tmp_path)
-    with pytest.raises(Exception):  # TraceFormatError lists available markets
-        main(["--segments", str(seg), "--size", "xlarge"])
+    assert main(["--segments", str(seg), "--size", "xlarge"]) == 2
+    err = capsys.readouterr().err
+    assert "market us-east-1a/xlarge not in segment directory" in err
+    assert "available: ['us-east-1a/small']" in err
 
 
 def test_csv_and_segments_mutually_exclusive(tmp_path, capsys):
@@ -257,5 +259,5 @@ def test_calibrate_cli_requires_exactly_one_source(tmp_path, capsys):
 def test_calibrate_cli_reports_refit_errors(tmp_path, capsys):
     from repro.traces.calibrate_cli import main as calibrate_main
 
-    assert calibrate_main(["--segments", str(tmp_path)]) == 1
-    assert "refit failed" in capsys.readouterr().err
+    assert calibrate_main(["--segments", str(tmp_path)]) == 2
+    assert "error: no manifest.json in" in capsys.readouterr().err

@@ -106,6 +106,26 @@ class TestCli:
         capsys.readouterr()
         assert ledger.is_dir() and list(ledger.glob("batch-*.jsonl"))
 
+    def test_ledgered_full_pass_matches_unledgered(self, tmp_path, capsys):
+        """A pass repeats batches (``sec62`` resubmits ``fig11``'s): into a
+        fresh directory it replays them from its own journal, and its
+        reports equal the unledgered pass's. A second pass into the same
+        directory must resume or stop before any experiment runs."""
+        ledger = f"{tmp_path / 'ledger'}/"
+        strip = lambda text: [l for l in text.splitlines() if not l.startswith("[")]
+        assert main(["--fast", "--ledger", ledger]) == 0
+        ledgered = capsys.readouterr().out
+        assert main(["--fast"]) == 0
+        assert strip(ledgered) == strip(capsys.readouterr().out)
+
+        assert main(["--fast", "--ledger", ledger]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "already journals batches" in captured.err
+        with pytest.raises(ConfigurationError, match="already journals batches"):
+            ExperimentConfig(execution=ExecutionOptions(ledger=ledger))
+        ExperimentConfig(execution=ExecutionOptions(ledger=ledger, resume=True))
+
     def test_run_parallel_jobs(self, capsys):
         """The --jobs path produces the same report plus a telemetry footer."""
         assert main(["fig11", "--fast", "--jobs", "2"]) == 0

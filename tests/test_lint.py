@@ -1,5 +1,6 @@
-"""The stdlib-``ast`` lint gate: no unused module-level imports and no
-unlisted broad ``except`` clauses under src/."""
+"""The stdlib-``ast`` lint gate: no unused module-level imports, no
+unlisted broad ``except`` clauses and no unlisted unreachable modules
+under src/."""
 
 import importlib.util
 import subprocess
@@ -87,3 +88,40 @@ def test_checker_flags_only_unlisted_broad_excepts(tmp_path):
     assert tool.broad_excepts(pkg / "mod.py", root) == [
         (9, "broad"), (18, "broad.inner"), (22, "<module>")
     ]
+
+
+def test_checker_flags_only_unlisted_unreachable_modules(tmp_path):
+    files = {
+        "pyproject.toml": '[project.scripts]\npkg-cli = "pkg.cli:main"\n\n[tool.x]\n',
+        # An __init__'s own imports are re-exports, not edges: the
+        # re-exported orphan stays unreachable.
+        "src/pkg/__init__.py": "from pkg.orphan import Orphan\nfrom pkg.lib import helper\n",
+        "src/pkg/cli.py": "from pkg import helper\nPLUGINS = ('pkg.plugin',)\n",
+        "src/pkg/lib.py": "def helper():\n    return 1\n",
+        "src/pkg/plugin.py": "NAME = 'named only by string'\n",
+        "src/pkg/orphan.py": "class Orphan:\n    pass\n",
+        "src/pkg/allowed.py": "",
+        "src/pkg/tool/__init__.py": "",
+        "src/pkg/tool/__main__.py": "def main():\n    from .run import go\n",
+        "src/pkg/tool/run.py": "def go():\n    pass\n",
+        "examples/demo.py": "import pkg.shown\n",
+        "src/pkg/shown.py": "",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    tool = _tool()
+    assert tool.unreachable_modules(tmp_path, {"pkg.allowed": "test"}) == [
+        "src/pkg/orphan.py: unreachable module 'pkg.orphan' "
+        "(no entry point, __main__, example or benchmark imports it)"
+    ]
+    # Allowlist entries go stale when their module is reached or deleted.
+    stale = tool.unreachable_modules(
+        tmp_path, {"pkg.allowed": "test", "pkg.orphan": "test", "pkg.lib": "test", "pkg.gone": "test"}
+    )
+    assert stale == [
+        "REACHABILITY_ALLOWED lists 'pkg.gone', which does not exist",
+        "REACHABILITY_ALLOWED lists 'pkg.lib', which is reachable",
+    ]
+    # The real tree's allowlist gives a reason for every entry.
+    assert all(reason.strip() for reason in tool.REACHABILITY_ALLOWED.values())

@@ -6,6 +6,7 @@ The contracts pinned here are the module's whole point:
 * an mmap-loaded trace answers every query identically to the in-memory
   build (same CompiledTrace results, adopted bounds and all);
 * corrupt/truncated/foreign files raise clean TraceFormatError;
+* each ingested market with a calibration is validated against it;
 * the demux pass's peak memory is bounded by ``chunk_records`` and is
   independent of archive size and market count;
 * a simulation run off an mmap catalog produces a byte-identical report
@@ -20,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceFormatError
+from repro.traces.calibration import calibration_for
 from repro.traces.catalog import MarketKey, build_catalog
+from repro.traces.generator import generate_trace
 from repro.traces.ingest import (
     DEFAULT_HORIZON_PAD_S,
     MANIFEST_NAME,
@@ -321,6 +324,42 @@ def test_ingest_od_override_chain(tmp_path):
     assert catalog.on_demand_price(exotic) == pytest.approx(
         4.0 * float(np.median(np.asarray(tr.prices)))
     )
+
+
+def test_ingest_validates_each_calibrated_market(tmp_path, capsys):
+    """Each market with a calibration is validated against it: the same
+    archive in cents instead of dollars fails, a market with no
+    calibration is skipped, and the CLI prints the failing report to
+    stderr. The manifest records none of it and the exit code stays 0."""
+    from repro.traces.ingest import main as ingest_main
+
+    good = generate_trace(calibration_for("us-east-1a", "small"), days(30), seed=3)
+    cents = PriceTrace(good.times, np.asarray(good.prices) * 100.0, good.horizon)
+    archive = tmp_path / "mixed.csv"
+    _write_archive(
+        archive,
+        {
+            ("us-east-1a", "m1.small"): good,
+            ("us-west-1a", "m1.small"): cents,
+            ("ap-south-1z", "m1.small"): good,
+        },
+    )
+    report = ingest_archive(archive, tmp_path / "seg")
+    assert [(v.market, v.ok) for v in report.validation] == [
+        ("us-east-1a/m1.small", True),
+        ("us-west-1a/m1.small", False),
+    ]
+    manifest = json.loads((tmp_path / "seg" / MANIFEST_NAME).read_text())
+    assert set(manifest) == {
+        "format", "version", "horizon", "epoch_offset", "records",
+        "duplicates_dropped", "markets",
+    }
+
+    assert ingest_main([str(archive), "-o", str(tmp_path / "seg2")]) == 0
+    err = capsys.readouterr().err
+    assert "validation of us-west-1a/m1.small: FAIL" in err
+    assert "[FAIL] calm price level ($/hr)" in err
+    assert "us-east-1a" not in err
 
 
 def test_load_segment_catalog_rejects_non_segment_dir(tmp_path):

@@ -9,7 +9,7 @@ from repro.errors import CheckpointBoundError, MigrationError
 from repro.simulator.engine import Engine
 from repro.units import hours
 from repro.vm.checkpoint import BoundedCheckpointer
-from repro.vm.checkpoint_process import (
+from repro.testkit.checkpoint_process import (
     BackgroundCheckpointProcess,
     DirtyRateProfile,
     FlushRecord,

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Lint ``src/`` with stdlib ``ast`` only: unused imports and broad excepts.
+"""Lint ``src/`` with stdlib ``ast`` only: unused imports, broad excepts
+and unreachable modules.
 
 **Unused module-level imports.** A module-level import binds a name in
 the module namespace; it is unused when no expression in the module
@@ -19,16 +20,32 @@ bare ``except:`` (alone or in a tuple) turn any bug into a silent
 fallback. Each one allowed under ``src/`` is listed in
 :data:`BROAD_EXCEPT_ALLOWED` with its reason; every other is flagged.
 
-Exits non-zero with one ``path:line: ...`` report per finding.
-Run from the repository root (CI does): ``python tools/check_imports.py``.
+**Unreachable modules.** Every module under ``src/`` must be reachable
+from a user path. The roots are the ``[project.scripts]`` modules of
+``pyproject.toml``, every ``__main__.py``, and the files of ``examples/``
+and ``benchmarks/``. An edge runs from a module to each module it
+imports, at any depth of the module (lazy imports inside functions
+count), and to each module it names in a string constant
+(``registry._BUILTIN_MODULES`` loads strategies by name). A name
+imported from a package resolves through the package ``__init__``'s
+re-exports to the module that defines it, so ``from repro.runtime import
+run_batch`` reaches ``runtime/executor.py``. An ``__init__``'s own
+imports are not edges: otherwise every module a package re-exports
+would count as live. Reaching a module reaches its packages. Each
+exception is listed in :data:`REACHABILITY_ALLOWED` with its reason.
+
+Exits non-zero with one ``path:line: ...`` (or ``path: ...``) report per
+finding. Run from the repository root (CI does):
+``python tools/check_imports.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -149,6 +166,138 @@ def unused_imports(path: Path) -> List[Tuple[int, str]]:
     return unused
 
 
+#: The modules under ``src/`` that no user path reaches, each with its
+#: reason. They ship in the package for the test suite and for
+#: downstream test suites.
+REACHABILITY_ALLOWED = {
+    "repro.testkit.builders":
+        "test support: the hand-built trace and catalog fixtures of the test suite",
+    "repro.testkit.checkpoint_process":
+        "test oracle: the event-driven reference BoundedCheckpointer's tau bound "
+        "is tested against",
+    "repro.testkit.conformance":
+        "test support: the registry conformance suite (pytest -m conformance)",
+    "repro.testkit.strategies":
+        "test support: the shared Hypothesis generators (needs the test extra)",
+}
+
+
+class ModuleGraph:
+    """The import graph of the modules under one ``src/`` root."""
+
+    def __init__(self, root: Path) -> None:
+        self.paths: Dict[str, Path] = {}
+        for path in sorted(root.rglob("*.py")):
+            parts = path.relative_to(root).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            self.paths[".".join(parts)] = path
+        self._trees: Dict[str, ast.Module] = {}
+
+    def tree(self, name: str) -> ast.Module:
+        if name not in self._trees:
+            path = self.paths[name]
+            self._trees[name] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        return self._trees[name]
+
+    def is_package(self, name: str) -> bool:
+        return self.paths[name].name == "__init__.py"
+
+    def _absolute(self, importer: Optional[str], node: ast.ImportFrom) -> str:
+        """The module a ``from ... import`` names, relative levels resolved."""
+        if not node.level or importer is None:
+            return node.module or ""
+        base = importer.split(".")
+        if not self.is_package(importer):
+            base = base[:-1]
+        base = base[: len(base) - (node.level - 1)]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def resolve(self, package: str, attr: str, seen: Tuple[str, ...] = ()) -> str:
+        """The module that defines ``package.attr``: a submodule of that
+        name, else the module the package ``__init__`` re-exports it
+        from, else the package itself."""
+        if f"{package}.{attr}" in self.paths:
+            return f"{package}.{attr}"
+        if package in seen or not self.is_package(package):
+            return package
+        for node in _module_imports(self.tree(package).body):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                if (alias.asname or alias.name) == attr:
+                    source = self._absolute(package, node)
+                    if source in self.paths:
+                        return self.resolve(source, alias.name, seen + (package,))
+        return package
+
+    def edges(self, tree: ast.Module, importer: Optional[str]) -> Set[str]:
+        """The modules under the root that ``tree`` imports or names."""
+        out: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                out.update(a.name for a in node.names if a.name in self.paths)
+            elif isinstance(node, ast.ImportFrom):
+                source = self._absolute(importer, node)
+                if source in self.paths:
+                    out.update(self.resolve(source, a.name) for a in node.names)
+            elif isinstance(node, ast.Constant) and node.value in self.paths:
+                out.add(node.value)
+        return out
+
+    def reached(self, roots: Set[str], external: List[Path]) -> Set[str]:
+        """Every module reached from the ``roots`` modules and from the
+        imports of the ``external`` files (which lie outside the root)."""
+        todo = set(roots)
+        for path in external:
+            todo |= self.edges(ast.parse(path.read_text(encoding="utf-8")), None)
+        seen: Set[str] = set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            # Importing a module imports its packages; an __init__'s own
+            # imports are re-exports, resolved where a name is imported.
+            parts = name.split(".")
+            todo.update(".".join(parts[:i]) for i in range(1, len(parts)))
+            if not self.is_package(name):
+                todo |= self.edges(self.tree(name), name)
+        return seen
+
+
+def _script_modules(pyproject: Path) -> Set[str]:
+    """The modules of ``pyproject.toml``'s ``[project.scripts]`` entries."""
+    text = pyproject.read_text(encoding="utf-8").partition("[project.scripts]")[2]
+    section = text.split("\n[", 1)[0]
+    return set(re.findall(r'^\S+\s*=\s*"([\w.]+):', section, flags=re.MULTILINE))
+
+
+def unreachable_modules(
+    repo: Path = REPO, allowed: Mapping[str, str] = REACHABILITY_ALLOWED
+) -> List[str]:
+    """One ``path: ...`` line per module under ``repo/src`` that no root
+    reaches and ``allowed`` does not list, then one per stale entry of
+    ``allowed`` (a module that is reachable or does not exist)."""
+    root = repo / "src"
+    graph = ModuleGraph(root)
+    roots = {n for n in _script_modules(repo / "pyproject.toml") if n in graph.paths}
+    roots |= {n for n, p in graph.paths.items() if p.name == "__main__.py"}
+    external = [p for d in ("examples", "benchmarks") for p in sorted((repo / d).rglob("*.py"))]
+    reached = graph.reached(roots, external)
+    problems = [
+        f"{graph.paths[n].relative_to(repo)}: unreachable module {n!r} "
+        "(no entry point, __main__, example or benchmark imports it)"
+        for n in graph.paths if n not in reached and n not in allowed
+    ]
+    problems += [
+        f"REACHABILITY_ALLOWED lists {n!r}, which "
+        + ("is reachable" if n in reached else "does not exist")
+        for n in sorted(allowed) if n in reached or n not in graph.paths
+    ]
+    return problems
+
+
 def check(root: Path = SRC) -> List[str]:
     """One ``path:line: ...`` line per finding under ``root``: unused
     imports, then broad excepts, file by file."""
@@ -166,14 +315,14 @@ def check(root: Path = SRC) -> List[str]:
 
 
 def main() -> int:
-    problems = check()
+    problems = check() + unreachable_modules()
     for p in problems:
         print(p)
     if problems:
         print(f"{len(problems)} finding(s)")
         return 1
-    print(f"no unused module-level imports or unlisted broad excepts under "
-          f"{SRC.relative_to(REPO)}/")
+    print(f"no unused module-level imports, unlisted broad excepts or unlisted "
+          f"unreachable modules under {SRC.relative_to(REPO)}/")
     return 0
 
 
